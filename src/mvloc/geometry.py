@@ -63,6 +63,17 @@ def unit(v, eps=1e-15):
     return v / n
 
 
+def unit_rows(v, eps=1e-15):
+    """Row-wise :func:`unit` of an (N, 3) array, bit-for-bit equal to it."""
+    v = np.asarray(v, dtype=np.float64)
+    # a stacked (1, 3) @ (3, 1) product is the same BLAS dot that
+    # np.linalg.norm takes on one vector; a reduction along axis 1 is not
+    n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if np.any(n < eps):
+        raise DegenerateGeometryError("cannot normalize a zero-length vector")
+    return np.where(np.abs(n - 1.0)[:, None] <= 1e-9, v, v / n[:, None])
+
+
 def nearest_rotation(mat):
     """Project a 3x3 matrix onto SO(3) (Frobenius-nearest rotation)."""
     mat = np.asarray(mat, dtype=np.float64)

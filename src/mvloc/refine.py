@@ -20,7 +20,7 @@ from .errors import (
     InitializationError,
     InsufficientDataError,
 )
-from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, skew, unit
+from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, skew, unit_rows
 from .relpose import midpoint_triangulate
 
 
@@ -86,28 +86,20 @@ class RefinementResult:
     points_used: int
 
 
-def _relative_to_reference(poses, ref_pose):
-    """Stack (R_k R_1^T, T_k - R_k1 T_1) for the non-reference views."""
-    rots = np.empty((len(poses), 3, 3))
-    trans = np.empty((len(poses), 3))
-    for k, pose in enumerate(poses):
-        r_k1 = pose.rotation @ ref_pose.rotation.T
-        rots[k] = r_k1
-        trans[k] = pose.translation - r_k1 @ ref_pose.translation
-    return rots, trans
-
-
-def _select_reference(track, poses, point):
+def _select_reference(centers, point):
     """Index of the reference view: first member of the widest-angle pair
-    of viewing directions at the initial point."""
-    dirs = [unit(point - p.center()) for p in poses]
-    best = (np.inf, 0)
-    for i in range(len(dirs)):
-        for j in range(i + 1, len(dirs)):
-            dot = dirs[i] @ dirs[j]
-            if dot < best[0]:
-                best = (dot, i)
-    return best[1]
+    of viewing directions at the initial point.
+
+    Each Gram entry is its own 3-term BLAS dot, so it carries the bits of
+    ``dirs[i] @ dirs[j]`` (a gemm Gram rounds some entries differently).
+    The argmin over the strict upper triangle scans pairs (i, j), i < j, in
+    row-major order, so the first minimal pair wins ties.
+    """
+    dirs = unit_rows(point - centers)
+    m = len(dirs)
+    gram = (dirs[:, None, None, :] @ dirs[None, :, :, None])[:, :, 0, 0]
+    gram[np.tri(m, dtype=bool)] = np.inf
+    return int(np.argmin(gram)) // m
 
 
 def _track_arrays(track, anchor_poses, init):
@@ -125,11 +117,16 @@ def _track_arrays(track, anchor_poses, init):
     else:
         init = np.asarray(init, dtype=np.float64)
 
-    ref = _select_reference(track, poses, init)
+    rot_all = np.array([p.rotation for p in poses])
+    trans_all = np.array([p.translation for p in poses])
+    centers = -(rot_all.transpose(0, 2, 1) @ trans_all[:, :, None])[:, :, 0]
+    ref = _select_reference(centers, init)
     ref_pose = poses[ref]
-    others = [k for k in range(len(poses)) if k != ref]
-    obs = np.array([track.anchors[k][1] for k in others])
-    rots, trans = _relative_to_reference([poses[k] for k in others], ref_pose)
+    others = np.delete(np.arange(len(poses)), ref)
+    obs = np.array([f for _, f in track.anchors])[others]
+    # (R_k R_1^T, T_k - R_k1 T_1) for the non-reference views
+    rots = rot_all[others] @ ref_pose.rotation.T
+    trans = trans_all[others] - rots @ ref_pose.translation
 
     cam = ref_pose.rotation @ init + ref_pose.translation
     if cam[2] <= DEPTH_EPS:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pose, random_rotation, random_unit, rot_x, rot_z
 
@@ -24,6 +26,8 @@ from mvloc.geometry import (
     ensure_rotation,
     ray_pair_midpoint,
     rotvec_to_rotation,
+    unit,
+    unit_rows,
     unproject,
 )
 
@@ -252,6 +256,27 @@ class TestRotvec:
     def test_axis_angle_matches_matrix(self):
         r = rotvec_to_rotation(np.deg2rad(90.0) * Z)
         np.testing.assert_allclose(r, rot_z(90.0), atol=1e-15)
+
+
+class TestUnitRows:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-1e3, 1e3, allow_nan=False)] * 3)
+            | st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.6, -0.8)]),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_bitwise_equal_to_unit(self, rows):
+        v = np.array(rows)
+        try:
+            expected = np.array([unit(row) for row in v])
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                unit_rows(v)
+            return
+        assert unit_rows(v).tobytes() == expected.tobytes()
 
 
 # ------------------------------------------------------------------ metrics

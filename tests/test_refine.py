@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     e1_direct,
@@ -27,16 +29,19 @@ from mvloc import (
     triangulate_track,
 )
 from mvloc.errors import DivergenceError, InitializationError
-from mvloc.geometry import rotvec_to_rotation, unproject
+from mvloc.geometry import rotvec_to_rotation, unit, unproject
+from mvloc.refine import _select_reference
+from mvloc.relpose import midpoint_triangulate
 
 
 # ---------------------------------------------------------------- fixtures
 
 
-def scene_tracks(seed, n_points=20, n_anchors=5, sigma=0.0, rng=None):
+def scene_tracks(seed, n_points=20, n_anchors=5, sigma=0.0, rng=None, layout="ring"):
     """Exact or noisy tracks over all anchors of a generated scene."""
     scene = generate_scene(
-        SceneConfig(n_points=max(n_points, 8), n_anchors=n_anchors), seed=seed
+        SceneConfig(n_points=max(n_points, 8), n_anchors=n_anchors, layout=layout),
+        seed=seed,
     )
     poses = {f"a{k}": p for k, p in enumerate(scene.anchor_poses)}
     tracks = []
@@ -133,6 +138,102 @@ class TestTriangulateTrack:
         b = triangulate_track(tracks[2], poses)
         np.testing.assert_array_equal(a.world_point, b.world_point)
         assert a.e1_residual == b.e1_residual
+
+
+def widest_pair_oracle(poses, point):
+    """First member of the first minimal (i, j) pair, i < j in row-major
+    order, of viewing-direction dot products at ``point``: the brute-force
+    pair loop."""
+    dirs = [unit(point - pose.center()) for pose in poses]
+    best, best_i = np.inf, 0
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            dot = dirs[i] @ dirs[j]
+            if dot < best:
+                best, best_i = dot, i
+    return best_i
+
+
+coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+vec3 = st.tuples(coords, coords, coords).map(np.array)
+
+
+@st.composite
+def viewing_setups(draw):
+    """2-40 anchor poses, some repeated (exact direction ties), and a point."""
+    n_distinct = draw(st.integers(1, 40))
+    distinct = []
+    for _ in range(n_distinct):
+        rotation = rotvec_to_rotation(draw(vec3) * 0.3)
+        distinct.append(Pose(rotation, -rotation @ draw(vec3)))
+    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=40))
+    return [distinct[k] for k in picks], draw(vec3)
+
+
+class TestReferenceSelection:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(viewing_setups())
+    def test_matches_pair_loop_oracle(self, setup):
+        poses, point = setup
+        centers = np.array([pose.center() for pose in poses])
+        try:
+            expected = widest_pair_oracle(poses, point)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                _select_reference(centers, point)
+            return
+        assert _select_reference(centers, point) == expected
+
+    @pytest.mark.parametrize(
+        "looks, expected",
+        [
+            # minimal pairs (0, 3) and (1, 2): row-major order puts (0, 3) first
+            (["+x", "+y", "-y", "-x"], 0),
+            # minimal pairs (1, 3) and (2, 3) from a repeated view
+            (["+z", "+x", "+x", "-x"], 1),
+            (["+z", "+x", "-x", "+x", "-x"], 1),
+        ],
+    )
+    def test_exact_ties_pick_first_minimal_pair(self, looks, expected):
+        axes = {"x": 0, "y": 1, "z": 2}
+        poses = []
+        for look in looks:
+            d = np.zeros(3)
+            d[axes[look[1]]] = 1.0 if look[0] == "+" else -1.0
+            poses.append(Pose(np.eye(3), d))  # views the origin along d
+        centers = np.array([pose.center() for pose in poses])
+        assert widest_pair_oracle(poses, np.zeros(3)) == expected
+        assert _select_reference(centers, np.zeros(3)) == expected
+
+    def test_point_on_anchor_center_is_degenerate(self):
+        scene, poses, tracks = scene_tracks(seed=21, n_points=6, n_anchors=4)
+        bad = tracks[0]
+        (aid_a, feat_a), (aid_b, feat_b) = bad.anchors[0], bad.anchors[1]
+        init = midpoint_triangulate(poses[aid_a], poses[aid_b], feat_a, feat_b)
+        # identity rotation makes the center -I.T @ -init equal init exactly
+        poses = dict(poses, on_point=Pose(np.eye(3), -init))
+        bad = CorrespondenceTrack(
+            bad.track_id, bad.query_feature, bad.anchors + (("on_point", np.zeros(2)),)
+        )
+        centers = np.array([poses[aid].center() for aid, _ in bad.anchors])
+        with pytest.raises(DegenerateGeometryError):
+            _select_reference(centers, init)
+        with pytest.raises(DegenerateGeometryError):
+            triangulate_track(bad, poses)
+        res = refine_pose([bad] + tracks[1:], poses, scene.query_pose)
+        assert res.points_used == len(tracks) - 1
+
+    def test_widest_pair_reference_on_150_anchor_line(self):
+        rng = np.random.default_rng(8)
+        _, poses, tracks = scene_tracks(
+            seed=9, n_points=4, n_anchors=150, sigma=1e-4, rng=rng, layout="line"
+        )
+        for track in tracks:
+            views = [poses[aid] for aid, _ in track.anchors]
+            (_, feat_a), (_, feat_b) = track.anchors[0], track.anchors[1]
+            init = midpoint_triangulate(views[0], views[1], feat_a, feat_b)
+            expected = track.anchors[widest_pair_oracle(views, init)][0]
+            assert triangulate_track(track, poses).reference_view == expected
 
 
 class TestGridOracle:
