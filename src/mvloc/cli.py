@@ -2,7 +2,8 @@
 
 Subcommands: ``localize`` (file-driven pipeline run), ``simulate`` (Monte
 Carlo studies), ``score`` (re-score a results CSV against ground truth).
-Exit codes: 0 success, 2 configuration or parse error, 3 no query localized.
+Exit codes: 0 success, 2 configuration or parse error, 3 no query localized;
+a bad match file fails only its query, as a ``failed: <path>:<line>: ...`` row.
 """
 
 import argparse
@@ -92,10 +93,7 @@ def _scene_config(raw):
     unknown = set(scene_raw) - known
     if unknown:
         raise ConfigurationError(f"unknown scene keys: {sorted(unknown)}")
-    try:
-        return SceneConfig(**scene_raw) if scene_raw else None
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    return SceneConfig(**scene_raw) if scene_raw else None
 
 
 def _cmd_simulate(args):
@@ -191,10 +189,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MvlocError as exc:
+    except (MvlocError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -122,6 +122,20 @@ def _parse_floats(path, line_no, tokens):
     return values
 
 
+def pose_from_values(path, line_no, values):
+    """Pose from ``[qw, qx, qy, qz, tx, ty, tz]``; ParseError unless the
+    quaternion has unit norm to within 1e-3."""
+    q = np.array(values[:4])
+    norm = np.linalg.norm(q)
+    if abs(norm - 1.0) > 1e-3:
+        raise ParseError(path, line_no, f"quaternion norm {norm:.6f} is not 1")
+    # dividing by a norm of 1.0 +/- 1ulp still churns the low bits,
+    # so only renormalize when the file is meaningfully off unit
+    if abs(norm - 1.0) > 1e-9:
+        q = q / norm
+    return Pose(quat_to_rotation(q), values[4:])
+
+
 def parse_poses(path):
     """Parse an anchors / ground-truth file into {id: Pose}."""
     poses = {}
@@ -132,16 +146,7 @@ def parse_poses(path):
         cam_id = tokens[0]
         if cam_id in poses:
             raise ParseError(path, line_no, f"duplicate id {cam_id!r}")
-        values = _parse_floats(path, line_no, tokens[1:])
-        q = np.array(values[:4])
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > 1e-3:
-            raise ParseError(path, line_no, f"quaternion norm {norm:.6f} is not 1")
-        # dividing by a norm of 1.0 +/- 1ulp still churns the low bits,
-        # so only renormalize when the file is meaningfully off unit
-        if abs(norm - 1.0) > 1e-9:
-            q = q / norm
-        poses[cam_id] = Pose(quat_to_rotation(q), values[4:])
+        poses[cam_id] = pose_from_values(path, line_no, _parse_floats(path, line_no, tokens[1:]))
     if not poses:
         raise ParseError(path, 0, "no poses found")
     return poses

@@ -297,11 +297,6 @@ def rotation_to_quat(mat):
     return canonicalize_quat(q / np.linalg.norm(q))
 
 
-def quat_multiply(p, q):
-    """Hamilton product p * q (scalar-first); composes the rotations R(p) @ R(q)."""
-    return quat_left_matrix(p) @ np.asarray(q, dtype=np.float64)
-
-
 def quat_left_matrix(p):
     """4x4 matrix L(p) with L(p) @ q == p * q (Hamilton product).
 

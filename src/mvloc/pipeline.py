@@ -11,19 +11,27 @@ the query id, so results do not depend on evaluation order.
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .averaging import AnchorObservation
 from .consensus import anchor_ransac, decoupled_pose
+from .dataset import pose_from_values
 from .errors import ConfigurationError, InsufficientDataError, MvlocError, ParseError
-from .geometry import Pose, geodesic_angle, quat_to_rotation, rotation_to_quat
+from .geometry import Pose, geodesic_angle, rotation_to_quat
 from .refine import CorrespondenceTrack, RefineConfig, refine_pose
 from .relpose import RansacConfig, cheirality_select, decompose_essential, estimate_essential
 
 ACCURACY_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
+
+# PipelineConfig fields: integers with their minimum, reals with (0, upper).
+_INTEGER_MINIMA = {"top_k": 1, "min_matches": 0, "ransac_max_iters": 1, "seed": 0}
+_REAL_BOUNDS = {"epi_threshold": math.inf, "ransac_confidence": 1.0, "theta_ray_deg": math.inf,
+                "theta_rot_deg": math.inf, "tau_reproj": math.inf, "huber_scale": math.inf}
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,18 @@ class PipelineConfig:
     tau_reproj: float = 0.01
     huber_scale: Optional[float] = None
     seed: int = 0
+
+    def __post_init__(self):
+        for name, minimum in _INTEGER_MINIMA.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+                raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        for name, upper in _REAL_BOUNDS.items():
+            value = getattr(self, name)
+            if value is None and name == "huber_scale":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < upper:
+                raise ConfigurationError(f"{name} must be a number in (0, {upper}), got {value!r}")
 
     @classmethod
     def from_dict(cls, raw):
@@ -92,44 +112,23 @@ def query_rng(seed, query_id):
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(w) for w in words]))
 
 
-def localize_query(dataset, query_id, config=None, rng=None):
-    """Localize one query; raises an MvlocError subclass when impossible."""
-    if config is None:
-        config = PipelineConfig()
-    if rng is None:
-        rng = query_rng(config.seed, query_id)
-    neighbors = dataset.neighbors.get(query_id)
-    if not neighbors:
-        raise InsufficientDataError(f"query {query_id!r} has no neighbor list")
-    candidates = neighbors[: config.top_k]
-    ransac_cfg = config.ransac_config()
-    min_matches = max(config.min_matches, 8)
+def estimate_anchor(anchor_id, anchor_pose, matches, ransac_cfg, rng):
+    """(AnchorObservation, inlier MatchSet) of one query-anchor pair:
+    essential RANSAC, then cheirality on the inliers. Raises an MvlocError
+    subclass when the pair yields no usable estimate."""
+    essential, mask = estimate_essential(matches, config=ransac_cfg, seed=rng)
+    inliers = matches.subset(mask)
+    rel = cheirality_select(decompose_essential(essential), inliers)
+    return AnchorObservation(anchor_id, anchor_pose, rel), inliers
 
-    observations = []
-    inlier_matches = {}
-    for anchor_id, _score in candidates:
-        try:
-            matches = dataset.load_matches(query_id, anchor_id)
-        except ConfigurationError:
-            continue  # missing match file; retrieval can outrun matching
-        if len(matches) < min_matches:
-            continue
-        try:
-            essential, mask = estimate_essential(matches, config=ransac_cfg, seed=rng)
-            inliers = matches.subset(mask)
-            rel = cheirality_select(decompose_essential(essential), inliers)
-        except MvlocError:
-            continue
-        observations.append(
-            AnchorObservation(anchor_id, dataset.anchors[anchor_id], rel)
-        )
-        inlier_matches[anchor_id] = inliers
 
-    if len(observations) < 2:
-        raise InsufficientDataError(
-            f"query {query_id!r}: only {len(observations)} usable anchor estimates"
-        )
-
+def solve_pose(observations, inlier_matches, anchor_poses, config, rng):
+    """``(consensus, stage1, refinement, status)`` of one query from its
+    per-anchor estimates: anchor consensus with ``config.theta_*``, decoupled
+    averaging, tracks linking the agreeing anchors' inlier matches
+    (``inlier_matches``: anchor id -> MatchSet) by query keypoint id, then
+    refinement. A failed refinement gives ``None`` and a ``stage1-only:
+    <reason>`` status; a failed consensus or stage 1 raises an MvlocError."""
     consensus = anchor_ransac(
         observations,
         theta_ray_deg=config.theta_ray_deg,
@@ -147,9 +146,7 @@ def localize_query(dataset, query_id, config=None, rng=None):
             continue
         for row, kp_id in enumerate(matches.keypoint_ids):
             kp_id = int(kp_id)
-            track_views.setdefault(kp_id, []).append(
-                (obs.anchor_id, matches.anchor[row])
-            )
+            track_views.setdefault(kp_id, []).append((obs.anchor_id, matches.anchor[row]))
             track_query_feats.setdefault(kp_id, matches.query[row])
     tracks = [
         CorrespondenceTrack(kp_id, track_query_feats[kp_id], tuple(views))
@@ -157,25 +154,80 @@ def localize_query(dataset, query_id, config=None, rng=None):
         if len(views) >= 2
     ]
 
-    refined = None
-    tracks_used = 0
-    status = "ok"
     try:
-        result = refine_pose(
-            tracks, dataset.anchors, stage1, config=config.refine_config()
-        )
-        refined = result.pose
-        tracks_used = result.points_used
-    except (InsufficientDataError, MvlocError) as exc:
-        status = f"stage1-only: {exc}"
+        refinement = refine_pose(tracks, anchor_poses, stage1, config=config.refine_config())
+    except MvlocError as exc:
+        return consensus, stage1, None, f"stage1-only: {exc}"
+    return consensus, stage1, refinement, "ok"
 
-    error_m = None
-    error_deg = None
+
+def _check_query_pixels(dataset, query_id, loaded):
+    """ParseError when the query's match files, ``loaded`` as (anchor id,
+    MatchSet) in retrieval order, disagree on the query pixel of a keypoint
+    id: it names the first file to disagree and the first to give that id."""
+    if len(loaded) < 2:
+        return
+    ids = np.concatenate([m.keypoint_ids for _, m in loaded])
+    feats = np.concatenate([m.query for _, m in loaded])
+    ends = np.cumsum([len(m) for _, m in loaded])
+    _, lead, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    bad = np.flatnonzero(np.any(feats != feats[lead[inverse]], axis=1))
+    if len(bad):
+        row = bad[0]
+        first, other = (
+            dataset.match_path(query_id, loaded[np.searchsorted(ends, i, side="right")][0])
+            for i in (lead[inverse[row]], row)
+        )
+        raise ParseError(other, 0, f"query pixel of keypoint {ids[row]} differs from {first}")
+
+
+def localize_query(dataset, query_id, config=None, rng=None):
+    """Localize one query; raises an MvlocError subclass when impossible."""
+    if config is None:
+        config = PipelineConfig()
+    if rng is None:
+        rng = query_rng(config.seed, query_id)
+    neighbors = dataset.neighbors.get(query_id)
+    if not neighbors:
+        raise InsufficientDataError(f"query {query_id!r} has no neighbor list")
+    candidates = neighbors[: config.top_k]
+
+    loaded = []
+    for anchor_id, _score in candidates:
+        try:
+            loaded.append((anchor_id, dataset.load_matches(query_id, anchor_id)))
+        except ConfigurationError:
+            continue  # missing match file; retrieval can outrun matching
+    _check_query_pixels(dataset, query_id, loaded)
+
+    ransac_cfg = config.ransac_config()
+    observations = []
+    inlier_matches = {}
+    for anchor_id, matches in loaded:
+        if len(matches) < ransac_cfg.min_inliers:
+            continue
+        try:
+            obs, inliers = estimate_anchor(
+                anchor_id, dataset.anchors[anchor_id], matches, ransac_cfg, rng
+            )
+        except MvlocError:
+            continue
+        observations.append(obs)
+        inlier_matches[anchor_id] = inliers
+
+    if len(observations) < 2:
+        raise InsufficientDataError(
+            f"query {query_id!r}: only {len(observations)} usable anchor estimates"
+        )
+
+    consensus, stage1, refinement, status = solve_pose(
+        observations, inlier_matches, dataset.anchors, config, rng
+    )
+    refined = None if refinement is None else refinement.pose
+    error_m = error_deg = None
     if dataset.ground_truth and query_id in dataset.ground_truth:
-        truth = dataset.ground_truth[query_id]
-        final = refined if refined is not None else stage1
-        error_m = float(np.linalg.norm(final.center() - truth.center()))
-        error_deg = float(geodesic_angle(final.rotation, truth.rotation))
+        final = stage1 if refined is None else refined
+        error_m, error_deg = pose_error(final, dataset.ground_truth[query_id])
 
     return QueryResult(
         query_id=query_id,
@@ -184,7 +236,7 @@ def localize_query(dataset, query_id, config=None, rng=None):
         n_anchors_considered=len(candidates),
         n_anchors_estimated=len(observations),
         inlier_anchor_ids=tuple(sorted(consensus.inlier_ids, key=str)),
-        tracks_used=tracks_used,
+        tracks_used=0 if refinement is None else refinement.points_used,
         status=status,
         error_m=error_m,
         error_deg=error_deg,
@@ -194,8 +246,9 @@ def localize_query(dataset, query_id, config=None, rng=None):
 def localize_run(dataset, config=None):
     """Localize every query in the dataset's neighbor table.
 
-    Returns (results, failures); parse errors propagate, per-query geometric
-    failures are collected.
+    Returns (results, failures): an MvlocError of one query, a malformed or
+    inconsistent match file included, becomes its FailureRecord. Errors in
+    the manifest, anchors, intrinsics and neighbors raise in ``load_dataset``.
     """
     if config is None:
         config = PipelineConfig()
@@ -204,11 +257,17 @@ def localize_run(dataset, config=None):
     for query_id in sorted(dataset.neighbors):
         try:
             results.append(localize_query(dataset, query_id, config))
-        except ParseError:
-            raise
         except MvlocError as exc:
             failures.append(FailureRecord(query_id=query_id, reason=str(exc)))
     return results, failures
+
+
+def pose_error(pose, truth):
+    """(center distance, rotation angle in degrees) of a pose from the truth."""
+    return (
+        float(np.linalg.norm(pose.center() - truth.center())),
+        float(geodesic_angle(pose.rotation, truth.rotation)),
+    )
 
 
 def score_run(results, ground_truth, n_unlocalized=0):
@@ -222,17 +281,12 @@ def score_run(results, ground_truth, n_unlocalized=0):
     results = list(results)
     if not results:
         raise InsufficientDataError("no localized queries to score")
-    errors_m = []
-    errors_deg = []
     for res in results:
         if res.query_id not in ground_truth:
             raise ConfigurationError(f"no ground truth for query {res.query_id!r}")
-        truth = ground_truth[res.query_id]
-        pose = res.final_pose
-        errors_m.append(float(np.linalg.norm(pose.center() - truth.center())))
-        errors_deg.append(float(geodesic_angle(pose.rotation, truth.rotation)))
-    errors_m = np.array(errors_m)
-    errors_deg = np.array(errors_deg)
+    errors_m, errors_deg = np.array(
+        [pose_error(res.final_pose, ground_truth[res.query_id]) for res in results]
+    ).T
     total = len(results) + n_unlocalized
     accuracy = {}
     for thr_m, thr_deg in ACCURACY_THRESHOLDS:
@@ -288,11 +342,8 @@ def write_results_csv(path, results, failures=()):
                 ]
             )
         for failure in sorted(failures, key=lambda f: f.query_id):
-            writer.writerow(
-                [failure.query_id, f"failed: {failure.reason}", "", "", "", ""]
-                + [""] * 14
-                + ["", ""]
-            )
+            row = [failure.query_id, f"failed: {failure.reason}"]
+            writer.writerow(row + [""] * (len(header) - 2))
 
 
 def read_results_csv(path):
@@ -338,18 +389,10 @@ def _pose_from_row(row, prefix, path):
     if all(v == "" for v in values):
         return None
     try:
-        numbers = [float(v) for v in values]
+        values = [float(v) for v in values]
     except ValueError:
         raise ParseError(path, 0, f"bad pose fields {prefix}*") from None
-    q = np.array(numbers[:4])
-    norm = np.linalg.norm(q)
-    if abs(norm - 1.0) > 1e-3:
-        raise ParseError(path, 0, f"pose quaternion norm {norm:.6f} is not 1")
-    # dividing by a norm of 1.0 +/- 1ulp still churns the low bits,
-    # so only renormalize when the file is meaningfully off unit
-    if abs(norm - 1.0) > 1e-9:
-        q = q / norm
-    return Pose(quat_to_rotation(q), numbers[4:])
+    return pose_from_values(path, 0, values)
 
 
 def write_report_json(path, report):

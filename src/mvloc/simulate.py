@@ -28,7 +28,7 @@ from .averaging import (
     locus_ray,
     markley_rotation_average,
 )
-from .consensus import anchor_ransac, decoupled_pose
+from .consensus import decoupled_pose
 from .errors import ConfigurationError, GenerationError, MvlocError
 from .geometry import (
     Pose,
@@ -39,14 +39,8 @@ from .geometry import (
     rotvec_to_rotation,
     unit,
 )
-from .refine import CorrespondenceTrack, refine_pose
-from .relpose import (
-    MatchSet,
-    RansacConfig,
-    cheirality_select,
-    decompose_essential,
-    estimate_essential,
-)
+from .pipeline import PipelineConfig, estimate_anchor, pose_error, solve_pose
+from .relpose import MatchSet
 
 MAX_GENERATION_ATTEMPTS = 100
 SKIP_FRACTION_LIMIT = 0.1
@@ -343,12 +337,7 @@ def run_noise_study(scene_config=None, noise_grid=(1.0, 2.0, 5.0, 10.0), trials=
             errors["govindu"].append(
                 (np.linalg.norm(c_gov - c_true), geodesic_angle(r_gov, r_true))
             )
-            errors["decoupled"].append(
-                (
-                    np.linalg.norm(pose_dec.center() - c_true),
-                    geodesic_angle(pose_dec.rotation, r_true),
-                )
-            )
+            errors["decoupled"].append(pose_error(pose_dec, scene.query_pose))
         _check_skip_fraction(skipped, trials, f"noise study cell {gi}")
         for method in ("govindu", "decoupled"):
             errs = np.array(errors[method])
@@ -495,12 +484,14 @@ def export_scene_dataset(scene, root, sigma_feat=0.0, seed=0, query_id="query", 
 def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3, trials=50, seed=0):
     """Localization error of the full pipeline versus anchor count.
 
-    Each trial builds one scene with the maximum anchor count, estimates a
-    relative pose per anchor from noisy feature matches (essential RANSAC,
-    cheirality), then for every requested K runs consensus, decoupled
-    averaging and latent-point refinement on an evenly spread subset of K
-    anchors. Spreading (rather than taking the first K) keeps small-K pairs
-    at a usable baseline instead of adjacent, nearly collocated cameras.
+    Each trial builds one scene with the maximum anchor count and runs
+    ``pipeline.estimate_anchor`` on every anchor's noisy matches; for every
+    requested K, ``pipeline.solve_pose`` (the CLI pipeline's per-query core:
+    consensus, averaging, tracks, refinement) then takes an evenly spread
+    subset of K anchors. Spreading (rather than taking the first K) keeps
+    small-K pairs at a usable baseline instead of adjacent, nearly
+    collocated cameras. The default ``PipelineConfig`` applies, but for the
+    RANSAC gate and budget below.
     """
     if scene_config is None:
         scene_config = SceneConfig(n_anchors=max(k_values), layout="line")
@@ -523,72 +514,42 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     )
     errors = {k: [] for k in k_values}
     skips = {k: 0 for k in k_values}
-    kp_ids = None
     # Noisy true matches land around 2 sigma in symmetric epipolar distance.
     # The study has no outliers, so the gate sits at 8 sigma: the inlier
     # refit then absorbs essentially the whole match set and the adaptive
     # budget collapses after the first hypothesis instead of polishing
     # partial consensus sets for hundreds of samples.
-    ransac = RansacConfig(threshold=max(1e-3, 8.0 * float(sigma_feat)), max_iters=800)
+    config = PipelineConfig(epi_threshold=max(1e-3, 8.0 * float(sigma_feat)), ransac_max_iters=800)
+    ransac_cfg = config.ransac_config()
+    kp_ids = np.arange(scene_config.n_points)
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
-        if kp_ids is None or len(kp_ids) != len(scene.points):
-            kp_ids = np.arange(len(scene.points))
         q_feats, a_feats = noisy_features(scene, sigma_feat, rng)
 
-        rel_by_anchor = {}
-        mask_by_anchor = {}
-        for k in range(scene_config.n_anchors):
+        observations = {}
+        inliers = {}
+        for k, pose in enumerate(scene.anchor_poses):
             matches = MatchSet(q_feats, a_feats[k], keypoint_ids=kp_ids)
             try:
-                essential, mask = estimate_essential(matches, config=ransac, seed=rng)
-                rel = cheirality_select(decompose_essential(essential), matches.subset(mask))
+                observations[k], inliers[k] = estimate_anchor(k, pose, matches, ransac_cfg, rng)
             except MvlocError:
                 continue
-            rel_by_anchor[k] = rel
-            mask_by_anchor[k] = mask
 
-        c_true = scene.query_pose.center()
-        r_true = scene.query_pose.rotation
-        anchor_pose_map = {k: pose for k, pose in enumerate(scene.anchor_poses)}
+        anchor_poses = dict(enumerate(scene.anchor_poses))
         for k_req in k_values:
             spread = np.round(np.linspace(0, scene_config.n_anchors - 1, k_req)).astype(int)
-            usable = [k for k in spread if k in rel_by_anchor]
+            usable = [observations[k] for k in spread if k in observations]
             if len(usable) < 2:
                 skips[k_req] += 1
                 continue
-            observations = [
-                AnchorObservation(k, scene.anchor_poses[k], rel_by_anchor[k]) for k in usable
-            ]
             try:
-                consensus = anchor_ransac(observations, seed=rng)
-                inliers = [o for o in observations if o.anchor_id in consensus.inlier_ids]
-                stage1 = decoupled_pose(inliers)
+                _, stage1, refinement, _ = solve_pose(usable, inliers, anchor_poses, config, rng)
             except MvlocError:
                 skips[k_req] += 1
                 continue
-            inlier_ids = {o.anchor_id for o in inliers}
-            tracks = []
-            for j in range(len(scene.points)):
-                views = [
-                    (k, a_feats[k][j])
-                    for k in usable
-                    if k in inlier_ids and mask_by_anchor[k][j]
-                ]
-                if len(views) >= 2:
-                    tracks.append(CorrespondenceTrack(int(j), q_feats[j], tuple(views)))
-            final = stage1
-            try:
-                final = refine_pose(tracks, anchor_pose_map, stage1).pose
-            except MvlocError:
-                pass
-            errors[k_req].append(
-                (
-                    np.linalg.norm(final.center() - c_true),
-                    geodesic_angle(final.rotation, r_true),
-                )
-            )
+            final = stage1 if refinement is None else refinement.pose
+            errors[k_req].append(pose_error(final, scene.query_pose))
 
     for k_req in k_values:
         _check_skip_fraction(skips[k_req], trials, f"k sweep K={k_req}")

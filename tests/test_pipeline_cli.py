@@ -1,16 +1,22 @@
 """File-driven pipeline and the command-line entry point."""
 
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rot_x, stable_geodesic_deg
 
 from mvloc import (
     ConfigurationError,
     InsufficientDataError,
+    MatchSet,
+    MvlocError,
+    ParseError,
     PipelineConfig,
     Pose,
     QueryResult,
@@ -22,8 +28,9 @@ from mvloc import (
     score_run,
 )
 from mvloc.cli import main
-from mvloc.pipeline import read_results_csv, write_results_csv
-from mvloc.simulate import export_scene_dataset
+from mvloc.geometry import rotvec_to_rotation
+from mvloc.pipeline import estimate_anchor, read_results_csv, solve_pose, write_results_csv
+from mvloc.simulate import export_scene_dataset, noisy_features
 
 
 def scene_dataset(root, seed=42, sigma_feat=0.0, n_points=40, n_anchors=6,
@@ -35,6 +42,18 @@ def scene_dataset(root, seed=42, sigma_feat=0.0, n_points=40, n_anchors=6,
         scene, root, sigma_feat=sigma_feat, seed=seed, query_id=query_id
     )
     return scene, manifest
+
+
+def add_query_copy(root, new_id, source="query"):
+    """Give the dataset under ``root`` a second query with the same
+    neighbors, intrinsics and match files as ``source``."""
+    for path in sorted((root / "matches").glob(f"{source}__*.txt")):
+        anchor_part = path.name.split("__", 1)[1]
+        (root / "matches" / f"{new_id}__{anchor_part}").write_text(path.read_text())
+    for name in ("neighbors.txt", "intrinsics.txt"):
+        lines = (root / name).read_text().splitlines()
+        copies = [new_id + line[len(source):] for line in lines if line.split()[:1] == [source]]
+        (root / name).write_text("\n".join(lines + copies) + "\n")
 
 
 def fake_result(query_id, truth, d_center=0.0, d_rot_deg=0.0):
@@ -131,6 +150,83 @@ class TestLocalizeRun:
         assert [r.query_id for r in results] == ["query"]
         assert [f.query_id for f in failures] == ["ghost"]
         assert "ghost" in failures[0].reason or "anchor" in failures[0].reason
+
+    def test_disagreeing_query_pixels_fail_only_that_query(self, tmp_path):
+        root = tmp_path / "data"
+        _, manifest = scene_dataset(root, seed=8)
+        add_query_copy(root, "q2")
+        dataset = load_dataset(manifest)
+        first_anchor, second_anchor = (a for a, _ in dataset.neighbors["q2"][:2])
+        path = dataset.match_path("q2", second_anchor)
+        lines = path.read_text().splitlines()
+        fields = lines[3].split()  # the third match, keypoint id 2
+        fields[1] = repr(float(fields[1]) + 0.5)
+        lines[3] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+        with pytest.raises(ParseError) as info:
+            localize_query(dataset, "q2")
+        first = dataset.match_path("q2", first_anchor)
+        assert str(info.value) == f"{path}:0: query pixel of keypoint 2 differs from {first}"
+
+        results, failures = localize_run(dataset)
+        assert [r.query_id for r in results] == ["query"]
+        assert [(f.query_id, f.reason) for f in failures] == [("q2", str(info.value))]
+
+
+@st.composite
+def planted_estimates(draw):
+    """Per-anchor estimates of a noisy ``line`` scene, 1-3 of them paired
+    with a wrong anchor pose (a retrieval false positive), plus a
+    permutation of their order."""
+    seed = draw(st.integers(0, 2**20))
+    n_true = draw(st.integers(4, 8))
+    n_wrong = draw(st.integers(1, 3))
+    sigma = draw(st.sampled_from([1e-4, 5e-4, 1e-3]))
+    scene = generate_scene(
+        SceneConfig(n_points=30, n_anchors=n_true + n_wrong, layout="line"), seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    q_feats, a_feats = noisy_features(scene, sigma, rng)
+    wrong = set(rng.choice(n_true + n_wrong, size=n_wrong, replace=False).tolist())
+    config = PipelineConfig(epi_threshold=max(1e-3, 8 * sigma), ransac_max_iters=800)
+    estimates = []
+    for k, pose in enumerate(scene.anchor_poses):
+        if k in wrong:
+            axis = rng.normal(size=3)
+            angle = np.radians(rng.uniform(30, 90))
+            rotation = rotvec_to_rotation(angle * axis / np.linalg.norm(axis)) @ pose.rotation
+            pose = Pose(rotation, -rotation @ pose.center())
+        matches = MatchSet(q_feats, a_feats[k], keypoint_ids=np.arange(len(q_feats)))
+        try:
+            estimates.append(estimate_anchor(k, pose, matches, config.ransac_config(), rng))
+        except MvlocError:
+            continue
+    order = draw(st.permutations(range(len(estimates))))
+    return estimates, order, wrong, config
+
+
+class TestSolvePose:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_estimates())
+    def test_consensus_ignores_observation_order(self, case):
+        estimates, order, wrong, config = case
+        inlier_matches = {obs.anchor_id: inliers for obs, inliers in estimates}
+        anchor_poses = {obs.anchor_id: obs.anchor_pose for obs, _ in estimates}
+        solutions = [
+            solve_pose(
+                [estimates[i][0] for i in indices],
+                inlier_matches,
+                anchor_poses,
+                config,
+                np.random.default_rng(0),
+            )
+            for indices in (range(len(estimates)), order)
+        ]
+        (consensus_a, stage1_a, _, _), (consensus_b, stage1_b, _, _) = solutions
+        assert consensus_a.inlier_ids == consensus_b.inlier_ids
+        assert not consensus_a.inlier_ids & wrong
+        np.testing.assert_allclose(stage1_a.center(), stage1_b.center(), rtol=0, atol=1e-9)
 
 
 class TestScoreRun:
@@ -256,6 +352,50 @@ class TestCli:
         config.write_text('{"not_a_knob": 1}\n')
         assert main(["localize", "--manifest", str(manifest),
                      "--output-dir", str(tmp_path / "bad"), "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"top_k": "5"},
+            {"top_k": 0},
+            {"top_k": True},
+            {"min_matches": 8.5},
+            {"epi_threshold": -0.001},
+            {"theta_ray_deg": None},
+            {"tau_reproj": 0},
+            {"huber_scale": 0.0},
+            {"ransac_confidence": 1.0},
+        ],
+    )
+    def test_invalid_config_values_exit_2(self, tmp_path, capsys, raw):
+        _, manifest = scene_dataset(tmp_path / "data")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        code = main(["localize", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        assert next(iter(raw)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_config_values_accepted(self):
+        PipelineConfig(top_k=np.int64(5), epi_threshold=2e-3, theta_ray_deg=3, huber_scale=0.5)
+        PipelineConfig(huber_scale=None, min_matches=0)
+
+    def test_corrupt_match_file_fails_only_its_query(self, tmp_path):
+        root = tmp_path / "data"
+        _, manifest = scene_dataset(root, seed=8)
+        add_query_copy(root, "q2")
+        bad = root / "matches" / "q2__a003.txt"
+        lines = bad.read_text().splitlines()
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")  # repeats a keypoint id
+        out = tmp_path / "out"
+        assert main(["localize", "--manifest", str(manifest), "--output-dir", str(out)]) == 0
+        with open(out / "queries.csv", newline="") as handle:
+            rows = {row["query_id"]: row for row in csv.DictReader(handle)}
+        assert rows["query"]["status"] == "ok"
+        assert rows["q2"]["status"].startswith(f"failed: {bad}:{len(lines) + 1}: ")
+        report = json.loads((out / "report.json").read_text())
+        assert (report["n_localized"], report["n_failed"]) == (1, 1)
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         code = main(["localize", "--manifest", str(tmp_path / "none.json"),
