@@ -8,8 +8,10 @@ a bad match file fails only its query, as a ``failed: <path>:<line>: ...`` row.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 from .dataset import load_dataset, parse_poses
@@ -96,14 +98,40 @@ def _scene_config(raw):
     return SceneConfig(**scene_raw) if scene_raw else None
 
 
+def _is_integer(value, minimum):
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= minimum
+
+
+def _is_sigma(value):
+    return not isinstance(value, bool) and isinstance(value, Real) and 0 <= value < math.inf
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(check, value))
+
+
+# Study config values: what each must be, and its check.
+_STUDY_VALUES = {
+    "trials": ("an integer >= 1", lambda value: _is_integer(value, 1)),
+    "k_values": ("a non-empty list of integers >= 2", _is_list_of(lambda k: _is_integer(k, 2))),
+    "sigma_feat": ("a finite number >= 0", _is_sigma),
+    "sigma_deg": ("a finite number >= 0", _is_sigma),
+    "sigmas_deg": ("a non-empty list of finite numbers >= 0", _is_list_of(_is_sigma)),
+}
+
+
 def _cmd_simulate(args):
     raw = _load_json_config(args.config)
-    known = {"scene", "sigmas_deg", "sigma_deg", "sigma_feat", "k_values", "trials"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_STUDY_VALUES) - {"scene"}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    if args.trials is not None:
+        raw["trials"] = args.trials
+    for key, (kind, check) in _STUDY_VALUES.items():
+        if key in raw and not check(raw[key]):
+            raise ConfigurationError(f"{key} must be {kind}, got {raw[key]!r}")
     scene = _scene_config(raw)
-    trials = args.trials if args.trials is not None else raw.get("trials")
+    trials = raw.get("trials")
 
     if args.study == "noise":
         result = run_noise_study(
@@ -114,7 +142,7 @@ def _cmd_simulate(args):
         )
     elif args.study == "ksweep":
         if scene is None and "k_values" in raw:
-            scene = SceneConfig(n_anchors=max(int(k) for k in raw["k_values"]), layout="line")
+            scene = SceneConfig(n_anchors=max(raw["k_values"]), layout="line")
         result = run_k_sweep(
             scene_config=scene,
             k_values=raw.get("k_values", (2, 5, 10, 25, 50)),

@@ -246,9 +246,12 @@ def localize_query(dataset, query_id, config=None, rng=None):
 def localize_run(dataset, config=None):
     """Localize every query in the dataset's neighbor table.
 
-    Returns (results, failures): an MvlocError of one query, a malformed or
-    inconsistent match file included, becomes its FailureRecord. Errors in
-    the manifest, anchors, intrinsics and neighbors raise in ``load_dataset``.
+    Returns (results, failures): an error raised while localizing one query
+    becomes its FailureRecord, so one bad query does not end the run. The
+    reason of an MvlocError (a malformed or inconsistent match file
+    included) is its message; any other exception, such as a ValueError
+    or LinAlgError, is recorded as ``<type>: <message>``. Errors in the
+    manifest, anchors, intrinsics and neighbors raise in ``load_dataset``.
     """
     if config is None:
         config = PipelineConfig()
@@ -259,6 +262,9 @@ def localize_run(dataset, config=None):
             results.append(localize_query(dataset, query_id, config))
         except MvlocError as exc:
             failures.append(FailureRecord(query_id=query_id, reason=str(exc)))
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            failures.append(FailureRecord(query_id=query_id, reason=reason))
     return results, failures
 
 

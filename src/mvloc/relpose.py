@@ -80,21 +80,65 @@ class RansacConfig:
             raise ValueError("threshold must be positive")
 
 
+# Hypotheses are fitted and scored in chunks of at most this many
+# hypothesis x match rows (68 hypotheses at 120 matches), which bounds the
+# temporaries of the stacked distance pass and so the peak memory.
+CHUNK_ROWS = 8192
+
+_DEGENERATE = (
+    None,
+    "coincident points; normalization undefined",
+    "correspondences do not determine E",
+)
+
+
 def _hartley_normalization(points):
-    """Similarity transform taking the centroid to 0, mean radius to sqrt(2)."""
-    centroid = points.mean(axis=0)
-    spread = np.linalg.norm(points - centroid, axis=1).mean()
-    if spread < 1e-12:
-        raise DegenerateGeometryError("coincident points; normalization undefined")
-    s = np.sqrt(2.0) / spread
-    t = np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
+    """Similarity transforms taking each (m, 2) point set of a stack to
+    centroid 0 and mean radius sqrt(2).
+
+    Returns the (..., 3, 3) transforms and a mask of coincident sets, whose
+    transform is a placeholder (normalization is undefined there).
+    """
+    centroid = points.mean(axis=-2)
+    spread = np.linalg.norm(points - centroid[..., None, :], axis=-1).mean(axis=-1)
+    coincident = spread < 1e-12
+    s = np.sqrt(2.0) / np.where(coincident, 1.0, spread)
+    t = np.zeros(points.shape[:-2] + (3, 3))
+    t[..., 0, 0] = s
+    t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    return t, coincident
+
+
+def _eight_point_stack(query, anchor):
+    """Normalized 8-point over a stack of (m, 2) correspondence sets.
+
+    Returns the (..., 3, 3) essential matrices and a status per set: 0 for a
+    fit, else an index into ``_DEGENERATE`` (that set's matrix is
+    meaningless). Every set goes through the same per-matrix LAPACK calls,
+    so a set's result does not depend on the stack around it.
+    """
+    t_a, coincident_a = _hartley_normalization(query)
+    t_b, coincident_b = _hartley_normalization(anchor)
+    qa = query * t_a[..., None, 0, 0, None] + t_a[..., None, :2, 2]
+    qb = anchor * t_b[..., None, 0, 0, None] + t_b[..., None, :2, 2]
+
+    ax, ay = qa[..., 0], qa[..., 1]
+    bx, by = qb[..., 0], qb[..., 1]
+    design = np.stack(
+        [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(ax.shape)], axis=-1
     )
-    return t
+    _, svals, vt = np.linalg.svd(design)
+    # Each design is (m, 9); a vanishing 8th singular value means the
+    # nullspace has dimension > 1 and the sample is degenerate (repeated
+    # points, points on a conic through both epipoles, ...).
+    underdetermined = svals[..., 7] < 1e-10 * np.maximum(svals[..., 0], 1e-300)
+    e_norm = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
+    e = np.swapaxes(t_a, -1, -2) @ e_norm @ t_b
+    u, _, vt2 = np.linalg.svd(e)
+    status = np.where(coincident_a | coincident_b, 1, np.where(underdetermined, 2, 0))
+    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2, status
 
 
 def eight_point(query, anchor):
@@ -110,42 +154,28 @@ def eight_point(query, anchor):
     n = len(query)
     if n < MIN_MATCHES:
         raise InsufficientDataError(f"need >= {MIN_MATCHES} matches, got {n}")
-
-    t_a = _hartley_normalization(query)
-    t_b = _hartley_normalization(anchor)
-    qa = query * t_a[0, 0] + t_a[:2, 2]
-    qb = anchor * t_b[0, 0] + t_b[:2, 2]
-
-    ax, ay = qa[:, 0], qa[:, 1]
-    bx, by = qb[:, 0], qb[:, 1]
-    ones = np.ones(n)
-    design = np.column_stack(
-        [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, ones]
-    )
-    _, svals, vt = np.linalg.svd(design)
-    # The design is (n, 9); a vanishing 8th singular value means the
-    # nullspace has dimension > 1 and the sample is degenerate (repeated
-    # points, points on a conic through both epipoles, ...).
-    if svals[7] < 1e-10 * max(svals[0], 1e-300):
-        raise DegenerateGeometryError("correspondences do not determine E")
-    e_norm = vt[-1].reshape(3, 3)
-    e = t_a.T @ e_norm @ t_b
-    u, _, vt2 = np.linalg.svd(e)
-    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2
+    e, status = _eight_point_stack(query[None], anchor[None])
+    if status[0]:
+        raise DegenerateGeometryError(_DEGENERATE[status[0]])
+    return e[0]
 
 
 def symmetric_epipolar_distance(e, query, anchor):
-    """Root-sum-square of the two point-to-epipolar-line distances, per match."""
+    """Root-sum-square of the two point-to-epipolar-line distances, per match.
+
+    ``e`` is one (3, 3) matrix, giving (n,) distances, or a (B, 3, 3) stack,
+    giving (B, n).
+    """
     query = np.asarray(query, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
     ah = np.column_stack([query, np.ones(len(query))])
     bh = np.column_stack([anchor, np.ones(len(anchor))])
-    line_q = bh @ e.T  # epipolar line of b in the query image
-    line_a = ah @ e  # epipolar line of a in the anchor image
-    algebraic = np.einsum("ij,ij->i", ah, line_q)
+    line_q = bh @ np.swapaxes(e, -1, -2)  # epipolar lines of b in the query image
+    line_a = ah @ e  # epipolar lines of a in the anchor image
+    algebraic = np.einsum("ij,...ij->...i", ah, line_q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_q = algebraic / np.hypot(line_q[:, 0], line_q[:, 1])
-        d_a = algebraic / np.hypot(line_a[:, 0], line_a[:, 1])
+        d_q = algebraic / np.hypot(line_q[..., 0], line_q[..., 1])
+        d_a = algebraic / np.hypot(line_a[..., 0], line_a[..., 1])
         dist = np.hypot(d_q, d_a)
     return np.where(np.isfinite(dist), dist, np.inf)
 
@@ -159,6 +189,13 @@ def estimate_essential(matches, config=None, seed=None):
     until the set stops growing, and the iteration budget adapts to the
     grown inlier ratio under the configured confidence. Raises
     NoConsensusError when no hypothesis reaches ``config.min_inliers``.
+
+    Hypotheses are drawn, fitted and scored in chunks that double from 8 up
+    to ``CHUNK_ROWS // n``, then walked in order. When the adaptive budget
+    (or an error) ends the walk inside a chunk, the generator is rewound and
+    only the walked samples are re-drawn, so results, errors and the
+    generator's state afterwards are those of drawing, fitting and scoring
+    one hypothesis at a time.
     """
     if config is None:
         config = RansacConfig()
@@ -168,6 +205,9 @@ def estimate_essential(matches, config=None, seed=None):
         raise InsufficientDataError(f"need >= {MIN_MATCHES} matches, got {n}")
 
     query, anchor = matches.query, matches.anchor
+
+    def draw():
+        return rng.choice(n, size=MIN_MATCHES, replace=False)
 
     def grow(e, mask):
         # Re-estimate on the inlier set until the count stops growing.
@@ -189,23 +229,38 @@ def estimate_essential(matches, config=None, seed=None):
     best_e = None
     best_mask = None
     needed = config.max_iters
+    cap = max(1, CHUNK_ROWS // n)
     i = 0
     while i < needed:
-        i += 1
-        sample = rng.choice(n, size=MIN_MATCHES, replace=False)
+        size = min(cap, max(8, i), needed - i)
+        state = rng.bit_generator.state
+        samples = np.array([draw() for _ in range(size)])
+        es, status = _eight_point_stack(query[samples], anchor[samples])
+        fitted = status == 0
+        masks = np.zeros((size, n), dtype=bool)
+        masks[fitted] = symmetric_epipolar_distance(es[fitted], query, anchor) < config.threshold
+        counts = masks.sum(axis=1)
         try:
-            e = eight_point(query[sample], anchor[sample])
-        except DegenerateGeometryError:
-            continue
-        mask = symmetric_epipolar_distance(e, query, anchor) < config.threshold
-        if int(mask.sum()) > best_count:
-            e, mask = grow(e, mask)
-            count = int(mask.sum())
-            if count > best_count:
-                best_count, best_e, best_mask = count, e, mask
-                ratio = min(count / n, 1.0 - 1e-12)
-                log_miss = np.log1p(-(ratio**MIN_MATCHES))  # log P(sample has an outlier)
-                needed = min(needed, int(np.ceil(np.log1p(-config.confidence) / log_miss)))
+            for j in range(size):
+                i += 1
+                if fitted[j] and counts[j] > best_count:
+                    e, mask = grow(es[j], masks[j])
+                    count = int(mask.sum())
+                    if count > best_count:
+                        best_count, best_e, best_mask = count, e, mask
+                        ratio = min(count / n, 1.0 - 1e-12)
+                        log_miss = np.log1p(-(ratio**MIN_MATCHES))  # log P(sample has an outlier)
+                        needed = min(needed, int(np.ceil(np.log1p(-config.confidence) / log_miss)))
+                if i >= needed:
+                    break
+        finally:
+            # An adaptive stop or an error from grow ended the walk at
+            # hypothesis j: leave the generator as if only the walked
+            # samples had been drawn.
+            if j + 1 < size:
+                rng.bit_generator.state = state
+                for _ in range(j + 1):
+                    draw()
 
     if best_e is None or best_count < config.min_inliers:
         raise NoConsensusError(

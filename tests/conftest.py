@@ -152,3 +152,126 @@ def grid_polish_minimum(ref_feat, feats, rels, g_center, rho_center,
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# ------------------------------------------------ sequential essential RANSAC
+#
+# Reference for ``relpose.estimate_essential``: the same RANSAC, one
+# hypothesis at a time (one draw, one 8-point fit, one distance pass each).
+# The chunked loop must reproduce it byte for byte, including what it leaves
+# in the generator.
+
+
+def _sequential_hartley(points):
+    from mvloc import DegenerateGeometryError
+
+    centroid = points.mean(axis=0)
+    spread = np.linalg.norm(points - centroid, axis=1).mean()
+    if spread < 1e-12:
+        raise DegenerateGeometryError("coincident points; normalization undefined")
+    s = np.sqrt(2.0) / spread
+    return np.array(
+        [
+            [s, 0.0, -s * centroid[0]],
+            [0.0, s, -s * centroid[1]],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def sequential_eight_point(query, anchor):
+    from mvloc import DegenerateGeometryError
+
+    query = np.asarray(query, dtype=np.float64)
+    anchor = np.asarray(anchor, dtype=np.float64)
+    n = len(query)
+    t_a = _sequential_hartley(query)
+    t_b = _sequential_hartley(anchor)
+    qa = query * t_a[0, 0] + t_a[:2, 2]
+    qb = anchor * t_b[0, 0] + t_b[:2, 2]
+    ax, ay = qa[:, 0], qa[:, 1]
+    bx, by = qb[:, 0], qb[:, 1]
+    design = np.column_stack(
+        [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(n)]
+    )
+    _, svals, vt = np.linalg.svd(design)
+    if svals[7] < 1e-10 * max(svals[0], 1e-300):
+        raise DegenerateGeometryError("correspondences do not determine E")
+    e = t_a.T @ vt[-1].reshape(3, 3) @ t_b
+    u, _, vt2 = np.linalg.svd(e)
+    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2
+
+
+def sequential_epipolar_distance(e, query, anchor):
+    ah = np.column_stack([query, np.ones(len(query))])
+    bh = np.column_stack([anchor, np.ones(len(anchor))])
+    line_q = bh @ e.T
+    line_a = ah @ e
+    algebraic = np.einsum("ij,ij->i", ah, line_q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_q = algebraic / np.hypot(line_q[:, 0], line_q[:, 1])
+        d_a = algebraic / np.hypot(line_a[:, 0], line_a[:, 1])
+        dist = np.hypot(d_q, d_a)
+    return np.where(np.isfinite(dist), dist, np.inf)
+
+
+def sequential_essential(matches, config=None, seed=None, stats=None):
+    """Same signature, results and errors as ``relpose.estimate_essential``;
+    ``stats``, when given, receives the hypothesis count (``iterations``)
+    and how many samples were degenerate (``degenerate``)."""
+    from mvloc import (
+        DegenerateGeometryError,
+        InsufficientDataError,
+        NoConsensusError,
+        RansacConfig,
+    )
+
+    config = RansacConfig() if config is None else config
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    n = len(matches)
+    if n < 8:
+        raise InsufficientDataError(f"need >= 8 matches, got {n}")
+    query, anchor = matches.query, matches.anchor
+
+    def grow(e, mask):
+        while int(mask.sum()) >= 8:
+            refit = sequential_eight_point(query[mask], anchor[mask])
+            refit_mask = sequential_epipolar_distance(refit, query, anchor) < config.threshold
+            if int(refit_mask.sum()) < int(mask.sum()):
+                break
+            grew = int(refit_mask.sum()) > int(mask.sum())
+            e, mask = refit, refit_mask
+            if not grew:
+                break
+        return e, mask
+
+    best_count, best_e, best_mask = 0, None, None
+    needed = config.max_iters
+    degenerate = 0
+    i = 0
+    try:
+        while i < needed:
+            i += 1
+            sample = rng.choice(n, size=8, replace=False)
+            try:
+                e = sequential_eight_point(query[sample], anchor[sample])
+            except DegenerateGeometryError:
+                degenerate += 1
+                continue
+            mask = sequential_epipolar_distance(e, query, anchor) < config.threshold
+            if int(mask.sum()) > best_count:
+                e, mask = grow(e, mask)
+                count = int(mask.sum())
+                if count > best_count:
+                    best_count, best_e, best_mask = count, e, mask
+                    ratio = min(count / n, 1.0 - 1e-12)
+                    log_miss = np.log1p(-(ratio**8))
+                    needed = min(needed, int(np.ceil(np.log1p(-config.confidence) / log_miss)))
+    finally:
+        if stats is not None:
+            stats.update(iterations=i, degenerate=degenerate)
+    if best_e is None or best_count < config.min_inliers:
+        raise NoConsensusError(
+            f"no essential hypothesis with >= {config.min_inliers} inliers in {i} iterations"
+        )
+    return best_e, best_mask

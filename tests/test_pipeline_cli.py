@@ -3,13 +3,15 @@
 import csv
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rot_x, stable_geodesic_deg
+from conftest import rot_x, sequential_essential, stable_geodesic_deg
 
 from mvloc import (
     ConfigurationError,
@@ -27,6 +29,7 @@ from mvloc import (
     localize_run,
     score_run,
 )
+from mvloc import pipeline
 from mvloc.cli import main
 from mvloc.geometry import rotvec_to_rotation
 from mvloc.pipeline import estimate_anchor, read_results_csv, solve_pose, write_results_csv
@@ -135,6 +138,40 @@ class TestLocalizeQuery:
         assert improved >= 0.9 * total
 
 
+    @pytest.mark.parametrize("epi_threshold", [1e-3, 3e-3])
+    def test_batched_ransac_keeps_the_query_rng_stream(self, tmp_path, monkeypatch,
+                                                        epi_threshold):
+        # One generator feeds every anchor's RANSAC, then anchor_ransac. At
+        # the default gate each pair runs the whole budget; at 3e-3 the
+        # adaptive budget stops early. Either way the query must come out as
+        # it did when RANSAC drew and scored one hypothesis at a time.
+        _, manifest = scene_dataset(tmp_path, seed=11, sigma_feat=1.25e-3, n_points=120)
+        dataset = load_dataset(manifest)
+        config = PipelineConfig(epi_threshold=epi_threshold)
+        batched = localize_query(dataset, "query", config)
+
+        iterations = []
+
+        def oracle(matches, config=None, seed=None):
+            stats = {}
+            try:
+                return sequential_essential(matches, config, seed, stats=stats)
+            finally:
+                iterations.append(stats["iterations"])
+
+        monkeypatch.setattr(pipeline, "estimate_essential", oracle)
+        sequential = localize_query(dataset, "query", config)
+        assert len(iterations) == 6
+        assert (max(iterations) < config.ransac_max_iters) == (epi_threshold > 1e-3)
+        for name in ("stage1_pose", "refined_pose"):
+            a, b = getattr(batched, name), getattr(sequential, name)
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+            assert a.translation.tobytes() == b.translation.tobytes()
+        assert batched.inlier_anchor_ids == sequential.inlier_anchor_ids
+        assert batched.status == sequential.status == "ok"
+        assert batched.tracks_used == sequential.tracks_used
+
+
 class TestLocalizeRun:
     def test_collects_failures_without_aborting(self, tmp_path):
         _, manifest = scene_dataset(tmp_path, seed=5)
@@ -150,6 +187,55 @@ class TestLocalizeRun:
         assert [r.query_id for r in results] == ["query"]
         assert [f.query_id for f in failures] == ["ghost"]
         assert "ghost" in failures[0].reason or "anchor" in failures[0].reason
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("bad value"), np.linalg.LinAlgError("SVD did not converge")]
+    )
+    def test_unexpected_error_fails_only_its_query(self, tmp_path, monkeypatch, error):
+        root = tmp_path / "data"
+        _, manifest = scene_dataset(root, seed=8)
+        add_query_copy(root, "q2")
+        real = pipeline.localize_query
+
+        def localize(dataset, query_id, config=None, rng=None):
+            if query_id == "q2":
+                raise error
+            return real(dataset, query_id, config, rng)
+
+        monkeypatch.setattr(pipeline, "localize_query", localize)
+        reason = f"{type(error).__name__}: {error}"
+        results, failures = localize_run(load_dataset(manifest))
+        assert [r.query_id for r in results] == ["query"]
+        assert [(f.query_id, f.reason) for f in failures] == [("q2", reason)]
+
+        out = tmp_path / "out"
+        assert main(["localize", "--manifest", str(manifest), "--output-dir", str(out)]) == 0
+        with open(out / "queries.csv", newline="") as handle:
+            rows = {row["query_id"]: row["status"] for row in csv.DictReader(handle)}
+        assert rows == {"query": "ok", "q2": f"failed: {reason}"}
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**20),
+        n_anchors=st.integers(2, 10),
+        n_points=st.integers(8, 60),
+        sigma_feat=st.sampled_from([0.0, 1e-4, 5e-4]),
+        n_copies=st.integers(0, 2),
+    )
+    def test_valid_datasets_raise_only_mvloc_errors(self, seed, n_anchors, n_points,
+                                                     sigma_feat, n_copies):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _, manifest = scene_dataset(root, seed=seed, sigma_feat=sigma_feat,
+                                        n_points=n_points, n_anchors=n_anchors)
+            for copy in range(n_copies):
+                add_query_copy(root, f"q{copy}")
+            dataset = load_dataset(manifest)
+            results, failures = localize_run(dataset)
+            assert len(results) + len(failures) == 1 + n_copies
+            for failure in failures:
+                with pytest.raises(MvlocError):
+                    localize_query(dataset, failure.query_id)
 
     def test_disagreeing_query_pixels_fail_only_that_query(self, tmp_path):
         root = tmp_path / "data"
@@ -420,6 +506,47 @@ class TestCli:
         assert (out / "averaging_ablation.csv").is_file()
         payload = json.loads((out / "averaging_ablation.json").read_text())
         assert {row["method"] for row in payload["rows"]} == {"translation_avg", "ray_center"}
+
+    @pytest.mark.parametrize(
+        "study, raw",
+        [
+            ("ablation", {"trials": "3"}),
+            ("ablation", {"trials": 0}),
+            ("noise", {"trials": 2.0}),
+            ("ablation", {"sigma_deg": "5"}),
+            ("ablation", {"sigma_deg": -1.0}),
+            ("ksweep", {"sigma_feat": "0.001"}),
+            ("ksweep", {"sigma_feat": True}),
+            ("ksweep", {"k_values": [2, "5"]}),
+            ("ksweep", {"k_values": []}),
+            ("ksweep", {"k_values": 5}),
+            ("ksweep", {"k_values": [1, 5]}),
+            ("noise", {"sigmas_deg": [1.0, None]}),
+            ("noise", {"sigmas_deg": 2.0}),
+        ],
+    )
+    def test_simulate_rejects_bad_config_values(self, tmp_path, capsys, study, raw):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        code = main(["simulate", study, "--output-dir", str(out), "--config", str(config)])
+        assert code == 2
+        assert f"{next(iter(raw))} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_rejects_bad_trials_flag(self, tmp_path, capsys):
+        code = main(["simulate", "ablation", "--output-dir", str(tmp_path / "o"),
+                     "--trials", "0"])
+        assert code == 2
+        assert "trials must be" in capsys.readouterr().err
+
+    def test_simulate_accepts_valid_config_values(self, tmp_path):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"k_values": [2, 3], "sigma_feat": 0, "trials": 1}))
+        out = tmp_path / "o"
+        assert main(["simulate", "ksweep", "--output-dir", str(out),
+                     "--config", str(config)]) == 0
+        assert (out / "k_sweep.csv").is_file()
 
     def test_simulate_rejects_unknown_config(self, tmp_path):
         config = tmp_path / "study.json"

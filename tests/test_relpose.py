@@ -1,15 +1,26 @@
 """Essential-matrix estimation, decomposition, cheirality, triangulation."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_rotation, random_unit
+from conftest import (
+    random_rotation,
+    random_unit,
+    sequential_eight_point,
+    sequential_epipolar_distance,
+    sequential_essential,
+)
 
 from mvloc import (
     AmbiguousCheiralityError,
     DegenerateGeometryError,
     InsufficientDataError,
     MatchSet,
+    MvlocError,
     NoConsensusError,
     NoValidPoseError,
     Pose,
@@ -25,8 +36,15 @@ from mvloc import (
     project,
     relative_from_poses,
 )
-from mvloc.geometry import skew
-from mvloc.relpose import essential_from_relative, symmetric_epipolar_distance
+from mvloc import relpose
+from mvloc.geometry import rotvec_to_rotation, skew
+from mvloc.relpose import (
+    CHUNK_ROWS,
+    MIN_MATCHES,
+    eight_point,
+    essential_from_relative,
+    symmetric_epipolar_distance,
+)
 
 X = np.array([1.0, 0.0, 0.0])
 
@@ -136,6 +154,194 @@ class TestEstimateEssential:
         e = essential_from_relative(rel)
         d = symmetric_epipolar_distance(e, matches.query, matches.anchor)
         assert d.max() < 1e-10
+
+
+# ------------------------------------------------- batched hypothesis loop
+
+
+def planted_matches(seed, n, outlier_frac=0.0, sigma=0.0, duplicate_frac=0.0):
+    """n matches of a random two-view scene with gaussian noise on both
+    sides, a share of anchor features replaced by uniform junk and a share
+    of rows overwritten by copies of row 0 (samples holding two copies are
+    degenerate)."""
+    rng = np.random.default_rng(seed)
+    points = np.column_stack([rng.uniform(-2.0, 2.0, (n, 2)), rng.uniform(4.0, 8.0, n)])
+    rot = rotvec_to_rotation(rng.normal(scale=0.15, size=3))
+    in_anchor = points @ rot.T + random_unit(rng) * rng.uniform(0.3, 1.0)
+    query = points[:, :2] / points[:, 2:] + rng.normal(scale=sigma, size=(n, 2))
+    anchor = in_anchor[:, :2] / in_anchor[:, 2:] + rng.normal(scale=sigma, size=(n, 2))
+    junk = rng.random(n) < outlier_frac
+    anchor[junk] = rng.uniform(-0.6, 0.6, size=(int(junk.sum()), 2))
+    copies = rng.random(n) < duplicate_frac
+    query[copies], anchor[copies] = query[0], anchor[0]
+    return MatchSet(query, anchor)
+
+
+def essential_run(estimate, matches, config, seed):
+    """What a caller sees of one RANSAC run: E's bytes and the mask, or the
+    error (a NoConsensusError message holds the iteration count); then the
+    generator's next draws."""
+    rng = np.random.default_rng(seed)
+    try:
+        e, mask = estimate(matches, config, rng)
+        shown = (e.shape, e.tobytes(), mask.dtype, mask.tobytes())
+    except MvlocError as exc:
+        shown = (type(exc), str(exc))
+    return shown, rng.integers(2**63, size=4).tolist()
+
+
+@contextlib.contextmanager
+def hypothesis_chunks():
+    """Record the size of every stacked chunk of hypotheses that
+    estimate_essential fits (its refits through eight_point excluded)."""
+    sizes = []
+    refitting = []
+    fit_stack, refit = relpose._eight_point_stack, relpose.eight_point
+
+    def recording_stack(query, anchor):
+        if not refitting:
+            sizes.append(len(query))
+        return fit_stack(query, anchor)
+
+    def recording_refit(query, anchor):
+        refitting.append(True)
+        try:
+            return refit(query, anchor)
+        finally:
+            refitting.pop()
+
+    relpose._eight_point_stack, relpose.eight_point = recording_stack, recording_refit
+    try:
+        yield sizes
+    finally:
+        relpose._eight_point_stack, relpose.eight_point = fit_stack, refit
+
+
+def assert_matches_sequential(matches, config, seed):
+    """The batched loop shows its caller what the sequential oracle does;
+    returns the oracle's stats and the batched loop's chunk sizes."""
+    stats = {}
+    expected = essential_run(
+        lambda m, c, rng: sequential_essential(m, c, rng, stats=stats), matches, config, seed
+    )
+    with hypothesis_chunks() as sizes:
+        actual = essential_run(estimate_essential, matches, config, seed)
+    assert actual == expected
+    assert max(sizes) * len(matches) <= max(CHUNK_ROWS, len(matches))
+    assert sum(sizes) >= stats["iterations"]
+    return stats, sizes
+
+
+class TestBatchedHypotheses:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(MIN_MATCHES, 120),
+        batch=st.integers(1, 70),
+        duplicate_frac=st.sampled_from([0.0, 0.0, 0.5]),
+    )
+    def test_single_and_stacked_fits_match_the_sequential_functions(
+        self, seed, n, batch, duplicate_frac
+    ):
+        matches = planted_matches(seed, n, 0.3, 1e-3, duplicate_frac)
+        q, a = matches.query, matches.anchor
+        try:
+            expected = sequential_eight_point(q, a).tobytes()
+        except DegenerateGeometryError as exc:
+            expected = str(exc)
+        try:
+            actual = eight_point(q, a).tobytes()
+        except DegenerateGeometryError as exc:
+            actual = str(exc)
+        assert actual == expected
+        if not isinstance(expected, str):
+            e = sequential_eight_point(q, a)
+            assert (
+                symmetric_epipolar_distance(e, q, a).tobytes()
+                == sequential_epipolar_distance(e, q, a).tobytes()
+            )
+
+        rng = np.random.default_rng(seed)
+        samples = np.array([rng.choice(n, MIN_MATCHES, replace=False) for _ in range(batch)])
+        stack, status = relpose._eight_point_stack(q[samples], a[samples])
+        fitted = status == 0
+        distances = iter(symmetric_epipolar_distance(stack[fitted], q, a))
+        for sample, e, code in zip(samples, stack, status):
+            try:
+                single = sequential_eight_point(q[sample], a[sample])
+            except DegenerateGeometryError as exc:
+                assert relpose._DEGENERATE[code] == str(exc)
+                continue
+            assert code == 0
+            assert e.tobytes() == single.tobytes()
+            assert next(distances).tobytes() == sequential_epipolar_distance(single, q, a).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(MIN_MATCHES, 2000),
+        outlier_frac=st.floats(0.0, 0.6),
+        sigma=st.sampled_from([0.0, 1e-5, 1e-4, 1e-3]),
+        gate=st.floats(0.5, 8.0),
+        duplicate_frac=st.sampled_from([0.0, 0.0, 0.0, 0.3]),
+        max_iters=st.integers(1, 400),
+        min_inliers=st.integers(MIN_MATCHES, 60),
+    )
+    def test_batched_loop_matches_the_sequential_loop(
+        self, seed, n, outlier_frac, sigma, gate, duplicate_frac, max_iters, min_inliers
+    ):
+        matches = planted_matches(seed, n, outlier_frac, sigma, duplicate_frac)
+        config = RansacConfig(
+            threshold=max(sigma, 1e-6) * gate, max_iters=max_iters, min_inliers=min_inliers
+        )
+        assert_matches_sequential(matches, config, seed)
+
+    def test_stop_inside_the_first_chunk(self):
+        stats, sizes = assert_matches_sequential(
+            planted_matches(1, 120), RansacConfig(), seed=5
+        )
+        assert stats["iterations"] < sizes[0] and len(sizes) == 1
+
+    def test_stop_inside_a_later_chunk(self):
+        matches = planted_matches(3, 120, outlier_frac=0.3, sigma=1e-4)
+        stats, sizes = assert_matches_sequential(matches, RansacConfig(threshold=5e-4), seed=2)
+        assert len(sizes) >= 3
+        assert sum(sizes[:-1]) < stats["iterations"] < sum(sizes)
+
+    def test_degenerate_samples_inside_a_chunk(self):
+        matches = planted_matches(5, 60, outlier_frac=0.2, sigma=1e-4, duplicate_frac=0.4)
+        stats, sizes = assert_matches_sequential(matches, RansacConfig(threshold=5e-4), seed=0)
+        assert 0 < stats["degenerate"] < stats["iterations"]
+        assert len(sizes) > 1
+
+    def test_degenerate_refit_raises_as_the_sequential_loop_does(self):
+        # a hypothesis whose inliers are mostly copies of one row refits on a
+        # degenerate design, and that error leaves estimate_essential
+        matches = planted_matches(3, 60, outlier_frac=0.2, sigma=1e-4, duplicate_frac=0.4)
+        with pytest.raises(DegenerateGeometryError):
+            estimate_essential(matches, RansacConfig(threshold=5e-4), seed=0)
+        assert_matches_sequential(matches, RansacConfig(threshold=5e-4), seed=0)
+
+    def test_every_sample_degenerate(self):
+        matches = planted_matches(4, 40, duplicate_frac=1.0)
+        stats, _ = assert_matches_sequential(matches, RansacConfig(max_iters=100), seed=1)
+        assert stats["degenerate"] == stats["iterations"] == 100
+
+    def test_min_inliers_failure(self):
+        matches = planted_matches(5, 80, outlier_frac=0.9, sigma=1e-4)
+        config = RansacConfig(threshold=5e-4, max_iters=300, min_inliers=40)
+        with pytest.raises(NoConsensusError, match="in 300 iterations"):
+            estimate_essential(matches, config, seed=2)
+        assert_matches_sequential(matches, config, seed=2)
+
+    @pytest.mark.parametrize("n", [500, 2000, 9000])
+    def test_chunks_stay_within_the_row_budget(self, n):
+        matches = planted_matches(6, n, outlier_frac=0.6, sigma=1e-4)
+        _, sizes = assert_matches_sequential(
+            matches, RansacConfig(threshold=5e-4, max_iters=40), seed=4
+        )
+        assert sizes[0] == max(1, min(8, CHUNK_ROWS // n))
+        assert max(sizes) == max(1, CHUNK_ROWS // n)
 
 
 # ------------------------------------------------------------ decomposition
