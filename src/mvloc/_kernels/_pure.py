@@ -1,13 +1,21 @@
 """Pure numpy implementations of the hot kernels.
 
-Mirrors ``_native.pyx`` exactly; selected at import time when the compiled
+Same contracts as ``_native.pyx``; selected at import time when the compiled
 extension is unavailable or ``MVLOC_PURE_KERNELS`` is set. Both backends
-must produce matching results (see tests/test_kernels.py).
+must produce matching results (see tests/test_kernels.py). Where the native
+kernels loop per element, these work on whole arrays: ``consensus_scores``
+runs its (P, K) inlier tests in blocks of hypotheses, one coordinate at a
+time, in the same floating-point operations as a one-shot (P, K, 3) pass.
 """
 
 import numpy as np
 
 BACKEND_NAME = "pure"
+
+# consensus_scores runs its (P, K) inlier tests in blocks of about this many
+# hypothesis x observation cells (54 hypotheses at K = 150), which bounds
+# its temporaries and so its peak memory.
+BLOCK_CELLS = 8192
 
 
 def e1_residual_jac(ref_feat, obs, rots, trans, x, y, rho):
@@ -117,16 +125,31 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     hyp_q = q1 + sign[:, None] * q2
     hyp_q /= np.linalg.norm(hyp_q, axis=1, keepdims=True)
 
-    # (P, K) inlier tests, vectorized over both axes.
-    u = centers[:, None, :] - origins[None, :, :]
-    dist = np.linalg.norm(u, axis=2)
-    along = np.einsum("kj,pkj->pk", dirs, u)
-    ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
-    rot_ok = np.abs(hyp_q @ quats.T) >= cos_half_rot
-    ok = ray_ok & rot_ok
-
-    counts = ok.sum(axis=1).astype(np.int64)
-    n = len(pairs)
-    self_ok = ok[np.arange(n), i_idx] & ok[np.arange(n), j_idx]
+    # (P, K) inlier tests, one block of hypotheses at a time and one
+    # coordinate at a time, so no (P, K, 3) temporary is built.
+    n, k = len(pairs), len(origins)
+    ox, oy, oz = (np.ascontiguousarray(origins[:, c]) for c in range(3))
+    dx, dy, dz = (np.ascontiguousarray(dirs[:, c]) for c in range(3))
+    counts = np.empty(n, dtype=np.int64)
+    self_ok = np.empty(n, dtype=bool)
+    rows = max(2, BLOCK_CELLS // max(k, 1))
+    start = 0
+    while start < n:
+        stop = min(start + rows, n)
+        if n - stop == 1:
+            stop = n  # a one-row product takes BLAS's gemv path, which rounds differently
+        ux = centers[start:stop, 0:1] - ox
+        uy = centers[start:stop, 1:2] - oy
+        uz = centers[start:stop, 2:3] - oz
+        dist = np.sqrt(ux * ux + uy * uy + uz * uz)
+        # summed in the order numpy's einsum uses for a length-3 dot product
+        along = (dx * ux + dz * uz) + dy * uy
+        ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
+        rot_ok = np.abs(hyp_q[start:stop] @ quats.T) >= cos_half_rot
+        ok = ray_ok & rot_ok
+        counts[start:stop] = ok.sum(axis=1)
+        local = np.arange(len(ok))
+        self_ok[start:stop] = ok[local, i_idx[start:stop]] & ok[local, j_idx[start:stop]]
+        start = stop
     counts[~(valid & self_ok)] = -1
     return counts

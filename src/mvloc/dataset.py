@@ -97,13 +97,16 @@ class Dataset:
         return MatchSet(feats_q, feats_a, keypoint_ids=kp_ids)
 
 
-def _data_lines(path):
+def _read_lines(path):
     try:
         with open(path) as handle:
-            raw = handle.readlines()
+            return handle.read().split("\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(raw, start=1):
+
+
+def _data_lines(lines):
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield line_no, stripped
@@ -139,7 +142,7 @@ def pose_from_values(path, line_no, values):
 def parse_poses(path):
     """Parse an anchors / ground-truth file into {id: Pose}."""
     poses = {}
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(_read_lines(path)):
         tokens = line.split()
         if len(tokens) != 8:
             raise ParseError(path, line_no, f"expected 8 fields, got {len(tokens)}")
@@ -155,7 +158,7 @@ def parse_poses(path):
 def parse_intrinsics(path):
     """Parse an intrinsics file into {id: Intrinsics}."""
     table = {}
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(_read_lines(path)):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")
@@ -176,7 +179,7 @@ def parse_neighbors(path, known_anchors=None):
     """Parse a neighbors file into {query_id: [(anchor_id, score), ...]},
     each list sorted by score descending (ties by anchor id)."""
     table = {}
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(_read_lines(path)):
         tokens = line.split()
         if len(tokens) != 3:
             raise ParseError(path, line_no, f"expected 3 fields, got {len(tokens)}")
@@ -199,11 +202,43 @@ def parse_neighbors(path, known_anchors=None):
 
 def parse_matches(path):
     """Parse a match file into (kp_ids (N,), uv_query (N, 2), uv_anchor (N, 2))."""
+    lines = _read_lines(path)
+    parsed = _well_formed_matches(lines)
+    return parsed if parsed is not None else _parse_match_lines(path, lines)
+
+
+def _well_formed_matches(lines):
+    """``parse_matches`` of a file whose data lines all hold five fields: a
+    unique keypoint id of at most 18 ASCII digits (so it fits int64) and four
+    finite values, converted column by column. None for any other file,
+    which ``_parse_match_lines`` then reads or rejects with its line number.
+    Both convert values with ``float``, so they agree bit for bit."""
+    rows = [tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"]
+    if not rows or any(len(tokens) != 5 for tokens in rows):
+        return None
+    ids = [tokens[0] for tokens in rows]
+    digits = "".join(ids)
+    if not (digits.isascii() and digits.isdigit()) or max(map(len, ids)) > 18:
+        return None
+    kp_ids = np.array(list(map(int, ids)), dtype=np.int64)
+    if len(np.unique(kp_ids)) != len(kp_ids):
+        return None
+    try:
+        values = np.array(list(map(float, [v for tokens in rows for v in tokens[1:]])))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    values = values.reshape(-1, 4)
+    return kp_ids, values[:, :2].copy(), values[:, 2:].copy()
+
+
+def _parse_match_lines(path, lines):
     ids = []
     uv_q = []
     uv_a = []
     seen = set()
-    for line_no, line in _data_lines(path):
+    for line_no, line in _data_lines(lines):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")

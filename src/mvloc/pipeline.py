@@ -138,27 +138,37 @@ def solve_pose(observations, inlier_matches, anchor_poses, config, rng):
     inlier_obs = [o for o in observations if o.anchor_id in consensus.inlier_ids]
     stage1 = decoupled_pose(inlier_obs)
 
-    track_views = {}
-    track_query_feats = {}
-    for obs in inlier_obs:
-        matches = inlier_matches[obs.anchor_id]
-        if matches.keypoint_ids is None:
-            continue
-        for row, kp_id in enumerate(matches.keypoint_ids):
-            kp_id = int(kp_id)
-            track_views.setdefault(kp_id, []).append((obs.anchor_id, matches.anchor[row]))
-            track_query_feats.setdefault(kp_id, matches.query[row])
-    tracks = [
-        CorrespondenceTrack(kp_id, track_query_feats[kp_id], tuple(views))
-        for kp_id, views in sorted(track_views.items())
-        if len(views) >= 2
-    ]
+    tracks = _keypoint_tracks(
+        [(o.anchor_id, inlier_matches[o.anchor_id]) for o in inlier_obs]
+    )
 
     try:
         refinement = refine_pose(tracks, anchor_poses, stage1, config=config.refine_config())
     except MvlocError as exc:
         return consensus, stage1, None, f"stage1-only: {exc}"
     return consensus, stage1, refinement, "ok"
+
+
+def _keypoint_tracks(linked):
+    """Tracks of the query keypoint ids that two or more of ``linked``,
+    (anchor id, MatchSet) pairs, observe: ascending by id, views in the
+    order of ``linked``, query feature from the first view. MatchSets
+    without keypoint ids are left out."""
+    linked = [(aid, m) for aid, m in linked if m.keypoint_ids is not None and len(m)]
+    if not linked:
+        return []
+    ids = np.concatenate([m.keypoint_ids for _, m in linked])
+    order = np.argsort(ids, kind="stable")
+    owners = np.repeat(np.arange(len(linked)), [len(m) for _, m in linked])[order]
+    feats_q = np.concatenate([m.query for _, m in linked])[order]
+    feats_a = np.concatenate([m.anchor for _, m in linked])[order]
+    views = list(zip([linked[k][0] for k in owners.tolist()], feats_a))
+    kp_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    return [
+        CorrespondenceTrack(kp_id, feats_q[start], tuple(views[start : start + count]))
+        for kp_id, start, count in zip(kp_ids.tolist(), starts.tolist(), counts.tolist())
+        if count >= 2
+    ]
 
 
 def _check_query_pixels(dataset, query_id, loaded):

@@ -129,7 +129,9 @@ def _eight_point_stack(query, anchor):
     design = np.stack(
         [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(ax.shape)], axis=-1
     )
-    _, svals, vt = np.linalg.svd(design)
+    # An 8-row design needs the full V for its null vector; from 9 rows on
+    # the thin SVD gives the same V and skips the (m, m) U.
+    _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[-2] < 9)
     # Each design is (m, 9); a vanishing 8th singular value means the
     # nullspace has dimension > 1 and the sample is degenerate (repeated
     # points, points on a conic through both epipoles, ...).
@@ -213,9 +215,13 @@ def estimate_essential(matches, config=None, seed=None):
         # Re-estimate on the inlier set until the count stops growing.
         # Minimal samples are noise-sensitive (narrow fields of view slide
         # along the rotation-translation ambiguity), so the refit usually
-        # widens the set; a refit that loses inliers is discarded.
+        # widens the set; a refit that loses inliers, or whose inliers do not
+        # determine E, is discarded.
         while int(mask.sum()) >= MIN_MATCHES:
-            refit = eight_point(query[mask], anchor[mask])
+            try:
+                refit = eight_point(query[mask], anchor[mask])
+            except DegenerateGeometryError:
+                break
             refit_mask = symmetric_epipolar_distance(refit, query, anchor) < config.threshold
             if int(refit_mask.sum()) < int(mask.sum()):
                 break
@@ -299,17 +305,16 @@ def decompose_essential(e):
     ]
 
 
-def _depth_signs(candidate, matches):
-    """Per-match (depth_anchor > 0, depth_query > 0) counts for one candidate.
+def _depth_signs(candidate, ah, ah_norm, d1):
+    """Number of matches in front of both cameras for one candidate.
 
-    Triangulates every match by the ray-midpoint construction in the anchor
-    frame; near-parallel rays are excluded from the vote.
+    ``ah`` holds the homogeneous query features, ``ah_norm`` their norms and
+    ``d1`` the unit anchor-frame rays. Triangulates every match by the
+    ray-midpoint construction in the anchor frame; near-parallel rays are
+    excluded from the vote.
     """
     r, t = candidate.rotation, candidate.direction
-    ah = np.column_stack([matches.query, np.ones(len(matches))])
-    bh = np.column_stack([matches.anchor, np.ones(len(matches))])
-    d1 = bh / np.linalg.norm(bh, axis=1, keepdims=True)  # anchor-frame rays from origin
-    d2 = ah @ r / np.linalg.norm(ah, axis=1, keepdims=True)  # query rays rotated back
+    d2 = ah @ r / ah_norm  # query rays rotated back
     o2 = -r.T @ t  # query center in the anchor frame
 
     b = np.einsum("ij,ij->i", d1, d2)
@@ -339,7 +344,11 @@ def cheirality_select(candidates, matches):
     """
     if len(matches) == 0:
         raise InsufficientDataError("cheirality vote needs at least one match")
-    votes = [_depth_signs(c, matches) for c in candidates]
+    ah = np.column_stack([matches.query, np.ones(len(matches))])
+    bh = np.column_stack([matches.anchor, np.ones(len(matches))])
+    d1 = bh / np.linalg.norm(bh, axis=1, keepdims=True)  # anchor-frame rays from origin
+    ah_norm = np.linalg.norm(ah, axis=1, keepdims=True)
+    votes = [_depth_signs(c, ah, ah_norm, d1) for c in candidates]
     order = np.argsort(votes)
     best = order[-1]
     if votes[best] == 0:

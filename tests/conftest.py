@@ -235,7 +235,10 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
 
     def grow(e, mask):
         while int(mask.sum()) >= 8:
-            refit = sequential_eight_point(query[mask], anchor[mask])
+            try:
+                refit = sequential_eight_point(query[mask], anchor[mask])
+            except DegenerateGeometryError:
+                break
             refit_mask = sequential_epipolar_distance(refit, query, anchor) < config.threshold
             if int(refit_mask.sum()) < int(mask.sum()):
                 break
@@ -275,3 +278,191 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
             f"no essential hypothesis with >= {config.min_inliers} inliers in {i} iterations"
         )
     return best_e, best_mask
+
+
+# ------------------------------------------------- one-shot consensus scoring
+#
+# Reference for ``_kernels._pure.consensus_scores``: every (P, K) inlier test
+# in one pass over (P, K, 3) temporaries. The blocked kernel must give the
+# same counts.
+
+
+def one_shot_hypotheses(origins, dirs, quats, pairs):
+    """(valid, centers, hyp_q) of every pair hypothesis."""
+    i_idx = pairs[:, 0]
+    j_idx = pairs[:, 1]
+    o1, o2 = origins[i_idx], origins[j_idx]
+    d1, d2 = dirs[i_idx], dirs[j_idx]
+
+    b = np.einsum("ij,ij->i", d1, d2)
+    denom = 1.0 - b * b
+    w_vec = o1 - o2
+    baseline = np.linalg.norm(w_vec, axis=1)
+    valid = (denom > 1e-12) & (baseline > 1e-12)
+
+    safe = np.where(denom > 1e-12, denom, 1.0)
+    d = np.einsum("ij,ij->i", d1, w_vec)
+    e = np.einsum("ij,ij->i", d2, w_vec)
+    t1 = (b * e - d) / safe
+    t2 = (e - b * d) / safe
+    centers = 0.5 * (o1 + t1[:, None] * d1 + o2 + t2[:, None] * d2)
+
+    q1, q2 = quats[i_idx], quats[j_idx]
+    sign = np.where(np.einsum("ij,ij->i", q1, q2) < 0.0, -1.0, 1.0)
+    hyp_q = q1 + sign[:, None] * q2
+    hyp_q /= np.linalg.norm(hyp_q, axis=1, keepdims=True)
+    return valid, centers, hyp_q
+
+
+def one_shot_ray_terms(origins, dirs, centers):
+    """(P, K) distances from each observation's origin to each center, and
+    their components along the observation's ray."""
+    u = centers[:, None, :] - origins[None, :, :]
+    return np.linalg.norm(u, axis=2), np.einsum("kj,pkj->pk", dirs, u)
+
+
+def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
+    origins = np.asarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    quats = np.asarray(quats, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    valid, centers, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
+
+    i_idx, j_idx = pairs[:, 0], pairs[:, 1]
+    dist, along = one_shot_ray_terms(origins, dirs, centers)
+    ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
+    rot_ok = np.abs(hyp_q @ quats.T) >= cos_half_rot
+    ok = ray_ok & rot_ok
+
+    counts = ok.sum(axis=1).astype(np.int64)
+    n = len(pairs)
+    self_ok = ok[np.arange(n), i_idx] & ok[np.arange(n), j_idx]
+    counts[~(valid & self_ok)] = -1
+    return counts
+
+
+# ------------------------------------------------- per-candidate cheirality
+#
+# Reference for ``relpose.cheirality_select``: every candidate rebuilds the
+# homogeneous features, the anchor rays and the query-feature norms itself.
+# Sharing them across the four candidates must not change a vote.
+
+
+def per_candidate_depth_signs(candidate, matches):
+    from mvloc.geometry import PARALLEL_RAY_EPS
+
+    r, t = candidate.rotation, candidate.direction
+    ah = np.column_stack([matches.query, np.ones(len(matches))])
+    bh = np.column_stack([matches.anchor, np.ones(len(matches))])
+    d1 = bh / np.linalg.norm(bh, axis=1, keepdims=True)
+    d2 = ah @ r / np.linalg.norm(ah, axis=1, keepdims=True)
+    o2 = -r.T @ t
+
+    b = np.einsum("ij,ij->i", d1, d2)
+    denom = 1.0 - b * b
+    valid = denom > PARALLEL_RAY_EPS**2
+    w_vec = -o2
+    d = d1 @ w_vec
+    ee = d2 @ w_vec
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (b * ee - d) / denom
+        t2 = (ee - b * d) / denom
+    p1 = t1[:, None] * d1
+    p2 = o2 + t2[:, None] * d2
+    x = 0.5 * (p1 + p2)
+    z_anchor = x[:, 2]
+    z_query = x @ r.T[:, 2] + t[2]
+    front = valid & (z_anchor > 0) & (z_query > 0)
+    return int(front.sum())
+
+
+def per_candidate_cheirality_select(candidates, matches):
+    from mvloc import AmbiguousCheiralityError, InsufficientDataError, NoValidPoseError
+
+    if len(matches) == 0:
+        raise InsufficientDataError("cheirality vote needs at least one match")
+    votes = [per_candidate_depth_signs(c, matches) for c in candidates]
+    order = np.argsort(votes)
+    best = order[-1]
+    if votes[best] == 0:
+        raise NoValidPoseError("no candidate places any match in front of both cameras")
+    if len(votes) > 1 and votes[order[-2]] == votes[best]:
+        raise AmbiguousCheiralityError(
+            f"cheirality vote tied at {votes[best]} of {len(matches)}"
+        )
+    return candidates[best]
+
+
+# ----------------------------------------------------- line-by-line matches
+#
+# Reference for ``dataset.parse_matches``: read line by line, one ``float``
+# and one finiteness check per token. The column path must return the same
+# arrays, and every malformed file must raise the same ParseError.
+
+
+def line_by_line_parse_matches(path):
+    from mvloc import ConfigurationError, ParseError
+
+    try:
+        with open(path) as handle:
+            raw = handle.readlines()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    ids, uv_q, uv_a, seen = [], [], [], set()
+    for line_no, line in enumerate(raw, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")
+        try:
+            kp_id = int(tokens[0])
+        except ValueError:
+            raise ParseError(path, line_no, f"keypoint id must be an integer: {tokens[0]!r}") from None
+        if kp_id < 0:
+            raise ParseError(path, line_no, "keypoint id must be >= 0")
+        if kp_id in seen:
+            raise ParseError(path, line_no, f"duplicate keypoint id {kp_id}")
+        seen.add(kp_id)
+        values = []
+        for token in tokens[1:]:
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(path, line_no, f"not a number: {token!r}") from None
+            if not np.isfinite(value):
+                raise ParseError(path, line_no, f"non-finite value: {token!r}")
+            values.append(value)
+        ids.append(kp_id)
+        uv_q.append(values[:2])
+        uv_a.append(values[2:])
+    if not ids:
+        raise ParseError(path, 0, "no matches found")
+    return np.array(ids, dtype=np.int64), np.array(uv_q), np.array(uv_a)
+
+
+# ---------------------------------------------------------- track assembly
+#
+# Reference for the tracks ``pipeline.solve_pose`` hands to refinement: one
+# dict entry per query keypoint id, filled row by row.
+
+
+def dict_keypoint_tracks(inlier_obs, inlier_matches):
+    from mvloc.refine import CorrespondenceTrack
+
+    track_views = {}
+    track_query_feats = {}
+    for obs in inlier_obs:
+        matches = inlier_matches[obs.anchor_id]
+        if matches.keypoint_ids is None:
+            continue
+        for row, kp_id in enumerate(matches.keypoint_ids):
+            kp_id = int(kp_id)
+            track_views.setdefault(kp_id, []).append((obs.anchor_id, matches.anchor[row]))
+            track_query_feats.setdefault(kp_id, matches.query[row])
+    return [
+        CorrespondenceTrack(kp_id, track_query_feats[kp_id], tuple(views))
+        for kp_id, views in sorted(track_views.items())
+        if len(views) >= 2
+    ]

@@ -1,10 +1,17 @@
 """Pairwise anchor RANSAC and the decoupled pose assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     consistent_observations,
+    one_shot_consensus_scores,
+    one_shot_hypotheses,
+    one_shot_ray_terms,
     random_rotation,
     random_unit,
     stable_geodesic_deg,
@@ -22,6 +29,7 @@ from mvloc import (
     geodesic_angle,
     pair_hypothesis,
 )
+from mvloc._kernels import _pure
 from mvloc.consensus import hypothesis_inliers
 from mvloc.geometry import rotvec_to_rotation
 
@@ -207,3 +215,127 @@ class TestDecoupledPose:
         a = decoupled_pose(obs)
         b = decoupled_pose(replaced)
         np.testing.assert_allclose(b.center(), a.center(), atol=1e-9)
+
+
+# ----------------------------------------------------------- blocked scoring
+
+
+def pair_scene(rng, k, spread):
+    """Observation arrays of k anchors whose center rays all pass near one
+    query center and whose chained rotations sit near one quaternion (the
+    sign of each drawn at random), with ``spread`` noise on both."""
+    center = rng.normal(size=3)
+    origins = center + rng.normal(scale=3.0, size=(k, 3))
+    dirs = center - origins + rng.normal(scale=spread, size=(k, 3))
+    quats = rng.normal(size=4) + rng.normal(scale=spread, size=(k, 4))
+    quats *= np.where(rng.random(k) < 0.5, -1.0, 1.0)[:, None]
+    return center, origins, dirs, quats
+
+
+class TestBlockedScores:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(2, 12), st.integers(2, 200)),
+        spread=st.sampled_from([0.0, 1e-3, 0.05, 0.2]),
+        layout=st.sampled_from(["all", "exact", "one-over", "random"]),
+        blocks=st.integers(1, 4),
+        parallel=st.integers(0, 3),
+        coincident=st.integers(0, 3),
+        center_on_origin=st.booleans(),
+        theta_ray=st.floats(0.5, 20.0),
+        theta_rot=st.floats(0.5, 30.0),
+    )
+    def test_blocks_count_as_the_one_shot_scores(
+        self, seed, k, spread, layout, blocks, parallel, coincident, center_on_origin,
+        theta_ray, theta_rot,
+    ):
+        rng = np.random.default_rng(seed)
+        center, origins, dirs, quats = pair_scene(rng, k, spread)
+        for _ in range(parallel):  # parallel and anti-parallel rays
+            i, j = rng.integers(k, size=2)
+            dirs[j] = dirs[i] * rng.choice([-1.0, 2.0])
+        for _ in range(coincident):
+            i, j = rng.integers(k, size=2)
+            origins[j] = origins[i]
+        if center_on_origin:  # an anchor at the query center: dist < 1e-12
+            origins[rng.integers(k)] = center
+            dirs[:] = center - origins
+            dirs[np.all(dirs == 0.0, axis=1)] = X
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+
+        iu, ju = np.triu_indices(k, 1)
+        all_pairs = np.column_stack([iu, ju])
+        rows = max(2, _pure.BLOCK_CELLS // k)
+        size = {
+            "all": len(all_pairs),
+            "exact": blocks * rows,
+            "one-over": blocks * rows + 1,
+            "random": int(rng.integers(1, 4 * rows)),
+        }[layout]
+        pairs = all_pairs if layout == "all" else all_pairs[rng.integers(len(all_pairs), size=size)]
+        thresholds = np.cos(np.radians(theta_ray)), np.cos(np.radians(theta_rot) / 2.0)
+
+        expected = one_shot_consensus_scores(origins, dirs, quats, pairs, *thresholds)
+        actual = _pure.consensus_scores(origins, dirs, quats, pairs, *thresholds)
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("extra", [1, 2, 53])
+    def test_rotation_test_rounds_as_the_one_shot_product(self, extra):
+        # thresholds at (and one ulp above) the one-shot |q . q'| of cells in
+        # the last block flip a count on any change of rounding there, the
+        # BLAS path a one-row block would take included
+        k = 150
+        _, origins, dirs, quats = pair_scene(np.random.default_rng(extra), k, 0.05)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        iu, ju = np.triu_indices(k, 1)
+        pairs = np.column_stack([iu, ju])[: 3 * (_pure.BLOCK_CELLS // k) + extra]
+        _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
+        dots = np.abs(hyp_q @ quats.T)
+        for value in dots[-1, :40]:
+            for threshold in (value, np.nextafter(value, 2.0)):
+                expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                actual = _pure.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                assert actual.tobytes() == expected.tobytes()
+
+    def test_ray_test_rounds_as_the_one_shot_terms(self):
+        # for a cell, the largest cos_ray that still passes it in the
+        # one-shot form (and the next float up) flips a count on any change
+        # of rounding in that cell's distance or along-ray component
+        k = 150
+        _, origins, dirs, quats = pair_scene(np.random.default_rng(9), k, 0.05)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        iu, ju = np.triu_indices(k, 1)
+        pairs = np.column_stack([iu, ju])[: 2 * (_pure.BLOCK_CELLS // k) + 7]
+        _, centers, _ = one_shot_hypotheses(origins, dirs, quats, pairs)
+        dist, along = one_shot_ray_terms(origins, dirs, centers)
+        cells = np.random.default_rng(10).integers((len(pairs), k), size=(60, 2))
+        for p, q in cells:
+            boundary = along[p, q] / dist[p, q]
+            while not along[p, q] >= boundary * dist[p, q]:
+                boundary = np.nextafter(boundary, -2.0)
+            while along[p, q] >= np.nextafter(boundary, 2.0) * dist[p, q]:
+                boundary = np.nextafter(boundary, 2.0)
+            for cos_ray in (boundary, np.nextafter(boundary, 2.0)):
+                expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
+                actual = _pure.consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
+                assert actual.tobytes() == expected.tobytes()
+
+    def test_peak_allocation_stays_small_at_150_anchors(self):
+        # the one-shot form allocated (11175, 150, 3) temporaries, over 100 MB
+        _, origins, dirs, quats = pair_scene(np.random.default_rng(4), 150, 0.05)
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        iu, ju = np.triu_indices(150, 1)
+        pairs = np.column_stack([iu, ju])
+        tracemalloc.start()
+        try:
+            _pure.consensus_scores(origins, dirs, quats, pairs, 0.99, 0.99)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -1,9 +1,14 @@
 """Text formats: parse/write round trips and error reporting."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_pose, rot_x
+from conftest import line_by_line_parse_matches, random_pose, rot_x
 
 from mvloc import (
     ConfigurationError,
@@ -16,6 +21,7 @@ from mvloc import (
     quat_to_rotation,
     write_dataset,
 )
+from mvloc import dataset
 from mvloc.dataset import (
     parse_intrinsics,
     parse_matches,
@@ -195,6 +201,102 @@ class TestMatches:
 
 
 # ---------------------------------------------------------------- manifest
+
+
+# Tokens that are not plain ASCII-digit ids or finite decimal values; the
+# line-by-line parser accepts some of them (int("+1"), float("1_0")) and
+# rejects the rest.
+ODD_IDS = ["+1", "1_0", "007", "-3", "-0", "1.5", "x1", "\u0663", "9" * 20, "4" * 19]
+ODD_VALUES = ["nan", "1e400", "-inf", "1_0.5", "+2", "abc", "0x1p3", "1e-320", "-0.0", "\u0663"]
+
+
+@st.composite
+def match_files(draw):
+    """Text of a match file: data lines (well formed when ``clean``, else
+    with odd ids and values, repeated ids and 4 or 6 fields), comments,
+    blank and indented lines, LF or CRLF endings."""
+    clean = draw(st.booleans())
+    n = draw(st.integers(0, 25))
+    if clean:
+        ids = draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n, unique=True))
+    else:
+        ids = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = []
+    for kp_id in ids:
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(["# kp_id u_q v_q u_a v_a", "  # note", "", " \t"])))
+        fields = [str(kp_id)]
+        if not clean and draw(st.integers(0, 5)) == 0:
+            fields[0] = draw(st.sampled_from(ODD_IDS))
+        for _ in range(4 if clean else draw(st.sampled_from([4, 4, 4, 4, 3, 5]))):
+            value = draw(st.one_of(finite.map(repr), finite.map(lambda v: format(v, ".17g")),
+                                   st.integers(-2000, 2000).map(str)))
+            if not clean and draw(st.integers(0, 7)) == 0:
+                value = draw(st.sampled_from(ODD_VALUES))
+            fields.append(value)
+        indent = draw(st.sampled_from(["", "", "  ", "\t"]))
+        lines.append(indent + draw(st.sampled_from([" ", " ", "\t", "  "])).join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def parse_outcome(parse, path):
+    """The arrays' dtypes, shapes and bytes, or the error a caller sees."""
+    try:
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in parse(path)]
+    except ParseError as exc:
+        return ParseError, exc.path, exc.line_no, str(exc)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchParsing:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=match_files())
+    def test_parse_matches_reads_as_the_line_by_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "q__a.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert parse_outcome(parse_matches, path) == parse_outcome(
+                line_by_line_parse_matches, path
+            )
+
+    @pytest.mark.parametrize(
+        "line, line_no, message",
+        [
+            ("+1 1 2 3 4", None, None),
+            ("1_0 1 2 3 4", None, None),
+            ("007 1 2 3 4", None, None),
+            ("1 nan 2 3 4", 3, "non-finite value: 'nan'"),
+            ("1 1e400 2 3 4", 3, "non-finite value: '1e400'"),
+            ("-1 1 2 3 4", 3, "keypoint id must be >= 0"),
+            ("2 1 2 3 4", 3, "duplicate keypoint id 2"),
+            ("1.0 1 2 3 4", 3, "keypoint id must be an integer: '1.0'"),
+            ("1 1 2 3", 3, "expected 5 fields, got 4"),
+            ("1 1 2 3 4 5", 3, "expected 5 fields, got 6"),
+        ],
+    )
+    def test_odd_lines_read_as_the_line_parser(self, tmp_path, line, line_no, message):
+        path = tmp_path / "q__a.txt"
+        path.write_text(f"# header\n2 0.5 0.25 1 1\n  {line}\n\n")
+        expected = parse_outcome(line_by_line_parse_matches, path)
+        assert parse_outcome(parse_matches, path) == expected
+        if line_no is None:
+            assert len(expected) == 3  # accepted
+        else:
+            assert expected == (ParseError, str(path), line_no, f"{path}:{line_no}: {message}")
+
+    def test_written_files_take_the_column_path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "q__a.txt"
+        write_matches(path, rng.permutation(500)[:120], rng.normal(size=(120, 2)) * 400,
+                      rng.normal(size=(120, 2)) * 400)
+        columns = dataset._well_formed_matches(dataset._read_lines(path))
+        assert columns is not None
+        assert [(a.dtype.str, a.shape, a.tobytes()) for a in columns] == parse_outcome(
+            line_by_line_parse_matches, path
+        )
 
 
 class TestManifest:

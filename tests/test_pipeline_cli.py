@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rot_x, sequential_essential, stable_geodesic_deg
+from conftest import (
+    consistent_observations,
+    dict_keypoint_tracks,
+    rot_x,
+    sequential_essential,
+    stable_geodesic_deg,
+)
 
 from mvloc import (
     ConfigurationError,
@@ -313,6 +319,58 @@ class TestSolvePose:
         assert consensus_a.inlier_ids == consensus_b.inlier_ids
         assert not consensus_a.inlier_ids & wrong
         np.testing.assert_allclose(stage1_a.center(), stage1_b.center(), rtol=0, atol=1e-9)
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 8),
+        id_range=st.sampled_from([3, 20, 200]),
+        rows=st.integers(0, 60),
+        without_ids=st.sampled_from([0.0, 0.0, 0.3]),
+        empty=st.sampled_from([0.0, 0.0, 0.3]),
+    )
+    def test_tracks_are_the_row_by_row_tracks(self, seed, k, id_range, rows, without_ids, empty):
+        # inlier match sets of consistent observations, each with a random
+        # subset of keypoint ids in random order; some have no ids, some no rows
+        rng = np.random.default_rng(seed)
+        observations, _ = consistent_observations(rng, k)
+        inlier_matches = {}
+        for obs in observations:
+            n = 0 if rng.random() < empty else int(rng.integers(0, min(rows, id_range) + 1))
+            ids = rng.choice(id_range, size=n, replace=False)
+            if rng.random() < without_ids:
+                ids = None
+            inlier_matches[obs.anchor_id] = MatchSet(
+                rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), keypoint_ids=ids
+            )
+        handed = []
+
+        def capture(tracks, *args, **kwargs):
+            handed.append(tracks)
+            raise InsufficientDataError("captured")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "refine_pose", capture)
+            consensus, _, refinement, status = solve_pose(
+                observations,
+                inlier_matches,
+                {o.anchor_id: o.anchor_pose for o in observations},
+                PipelineConfig(),
+                np.random.default_rng(0),
+            )
+        assert (refinement, status) == (None, "stage1-only: captured")
+        inlier_obs = [o for o in observations if o.anchor_id in consensus.inlier_ids]
+
+        def shown(tracks):
+            return [
+                (type(t.track_id), t.track_id, t.query_feature.tobytes(),
+                 [(aid, f.tobytes()) for aid, f in t.anchors])
+                for t in tracks
+            ]
+
+        (tracks,) = handed
+        assert shown(tracks) == shown(dict_keypoint_tracks(inlier_obs, inlier_matches))
 
 
 class TestScoreRun:

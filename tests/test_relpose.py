@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    per_candidate_cheirality_select,
     random_rotation,
     random_unit,
     sequential_eight_point,
@@ -314,13 +315,30 @@ class TestBatchedHypotheses:
         assert 0 < stats["degenerate"] < stats["iterations"]
         assert len(sizes) > 1
 
-    def test_degenerate_refit_raises_as_the_sequential_loop_does(self):
+    def test_degenerate_refit_is_discarded_as_the_sequential_loop_does(self, monkeypatch):
         # a hypothesis whose inliers are mostly copies of one row refits on a
-        # degenerate design, and that error leaves estimate_essential
+        # degenerate design; that refit is discarded and the hypothesis keeps
+        # its pre-refit E and mask
         matches = planted_matches(3, 60, outlier_frac=0.2, sigma=1e-4, duplicate_frac=0.4)
-        with pytest.raises(DegenerateGeometryError):
-            estimate_essential(matches, RansacConfig(threshold=5e-4), seed=0)
-        assert_matches_sequential(matches, RansacConfig(threshold=5e-4), seed=0)
+        config = RansacConfig(threshold=5e-4)
+        degenerate = []
+        refit = relpose.eight_point
+
+        def recording_refit(query, anchor):
+            try:
+                return refit(query, anchor)
+            except DegenerateGeometryError:
+                degenerate.append(len(query))
+                raise
+
+        monkeypatch.setattr(relpose, "eight_point", recording_refit)
+        e, mask = estimate_essential(matches, config, seed=0)
+        monkeypatch.undo()
+        assert degenerate, "no grow refit was degenerate"
+        expected_e, expected_mask = sequential_essential(matches, config, seed=0)
+        assert e.tobytes() == expected_e.tobytes()
+        assert mask.tobytes() == expected_mask.tobytes()
+        assert_matches_sequential(matches, config, seed=0)
 
     def test_every_sample_degenerate(self):
         matches = planted_matches(4, 40, duplicate_frac=1.0)
@@ -333,6 +351,25 @@ class TestBatchedHypotheses:
         with pytest.raises(NoConsensusError, match="in 300 iterations"):
             estimate_essential(matches, config, seed=2)
         assert_matches_sequential(matches, config, seed=2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.one_of(st.integers(MIN_MATCHES, 12), st.integers(MIN_MATCHES, 2000)),
+        duplicate_frac=st.sampled_from([0.0, 0.0, 0.9, 1.0]),
+    )
+    def test_thin_refit_svd_matches_the_full_svd(self, seed, m, duplicate_frac):
+        # designs of 9 or more rows take the thin SVD; the oracle's full SVD
+        # must give the same E bytes or the same degeneracy error
+        matches = planted_matches(seed, m, 0.3, 1e-3, duplicate_frac)
+        q, a = matches.query, matches.anchor
+        outcomes = []
+        for fit in (sequential_eight_point, eight_point):
+            try:
+                outcomes.append(fit(q, a).tobytes())
+            except DegenerateGeometryError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("n", [500, 2000, 9000])
     def test_chunks_stay_within_the_row_budget(self, n):
@@ -416,6 +453,60 @@ class TestCheiralitySelect:
         candidates = decompose_essential(essential_from_relative(rel))
         chosen = cheirality_select(candidates, noisy)
         assert geodesic_angle(chosen.rotation, rel.rotation) < 1e-6
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        rival=st.sampled_from([None, 1, 2, 3]),
+        rival_gap=st.sampled_from([0, 0, 1, -1]),
+        junk_frac=st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+        parallel_frac=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+        parallel_tilt=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+        baseline=st.sampled_from([1e-3, 0.5, 2.0]),
+    )
+    def test_shared_rays_vote_as_per_candidate_rays(
+        self, seed, n, rival, rival_gap, junk_frac, parallel_frac, parallel_tilt, baseline
+    ):
+        # n points in front of both cameras under candidate 0 and, with a
+        # rival, n + rival_gap under another candidate of the same E (gap 0
+        # ties the vote); parallel rows see a point at infinity, tilted by
+        # parallel_tilt; junk rows replace anchor features
+        rng = np.random.default_rng(seed)
+        rel = RelativePoseEstimate(
+            rotvec_to_rotation(rng.normal(scale=0.2, size=3)), random_unit(rng)
+        )
+        candidates = decompose_essential(essential_from_relative(rel))
+
+        def in_front(candidate, m):
+            points = rng.uniform(-10.0, 10.0, (50 * m + 400, 3))
+            in_anchor = (points - baseline * candidate.direction) @ candidate.rotation
+            keep = (points[:, 2] > 0.5) & (in_anchor[:, 2] > 0.5)
+            return points[keep][:m], in_anchor[keep][:m]
+
+        sets = [in_front(candidates[0], n)]
+        if rival is not None:
+            sets.append(in_front(candidates[rival], max(n + rival_gap, 0)))
+        points = np.concatenate([p for p, _ in sets])
+        in_anchor = np.concatenate([a for _, a in sets])
+        query = points[:, :2] / points[:, 2:]
+        far = rng.random(len(points)) < parallel_frac
+        in_anchor[far] = np.column_stack([query[far], np.ones(int(far.sum()))]) @ rel.rotation
+        in_anchor[far, :2] += rng.normal(scale=parallel_tilt, size=(int(far.sum()), 2))
+        anchor = in_anchor[:, :2] / in_anchor[:, 2:]
+        junk = rng.random(len(points)) < junk_frac
+        anchor[junk] = rng.uniform(-0.6, 0.6, size=(int(junk.sum()), 2))
+        matches = MatchSet(query, anchor)
+
+        def outcome(select):
+            try:
+                chosen = select(candidates, matches)
+                return [c is chosen for c in candidates]
+            except MvlocError as exc:
+                return type(exc), str(exc)
+
+        with np.errstate(invalid="ignore"):
+            assert outcome(cheirality_select) == outcome(per_candidate_cheirality_select)
 
     def test_empty_matches_rejected(self):
         candidates = decompose_essential(
