@@ -126,18 +126,17 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     hyp_q /= np.linalg.norm(hyp_q, axis=1, keepdims=True)
 
     # (P, K) inlier tests, one block of hypotheses at a time and one
-    # coordinate at a time, so no (P, K, 3) temporary is built.
+    # coordinate at a time, so no (P, K, 3) temporary is built. Every sum
+    # has a fixed order, so counts do not depend on how BLAS tiles a product.
     n, k = len(pairs), len(origins)
     ox, oy, oz = (np.ascontiguousarray(origins[:, c]) for c in range(3))
     dx, dy, dz = (np.ascontiguousarray(dirs[:, c]) for c in range(3))
+    qw, qx, qy, qz = (np.ascontiguousarray(quats[:, c]) for c in range(4))
     counts = np.empty(n, dtype=np.int64)
     self_ok = np.empty(n, dtype=bool)
-    rows = max(2, BLOCK_CELLS // max(k, 1))
-    start = 0
-    while start < n:
+    rows = max(1, BLOCK_CELLS // max(k, 1))
+    for start in range(0, n, rows):
         stop = min(start + rows, n)
-        if n - stop == 1:
-            stop = n  # a one-row product takes BLAS's gemv path, which rounds differently
         ux = centers[start:stop, 0:1] - ox
         uy = centers[start:stop, 1:2] - oy
         uz = centers[start:stop, 2:3] - oz
@@ -145,11 +144,12 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
         # summed in the order numpy's einsum uses for a length-3 dot product
         along = (dx * ux + dz * uz) + dy * uy
         ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
-        rot_ok = np.abs(hyp_q[start:stop] @ quats.T) >= cos_half_rot
+        h = hyp_q[start:stop]
+        qdot = ((h[:, 0:1] * qw + h[:, 1:2] * qx) + h[:, 2:3] * qy) + h[:, 3:4] * qz
+        rot_ok = np.abs(qdot) >= cos_half_rot
         ok = ray_ok & rot_ok
         counts[start:stop] = ok.sum(axis=1)
         local = np.arange(len(ok))
         self_ok[start:stop] = ok[local, i_idx[start:stop]] & ok[local, j_idx[start:stop]]
-        start = stop
     counts[~(valid & self_ok)] = -1
     return counts

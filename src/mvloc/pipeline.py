@@ -4,8 +4,10 @@ Per query: take the top-K retrieved anchors, estimate a scale-free relative
 pose to each from the feature matches (essential RANSAC + cheirality), find
 the consensus subset of those estimates, average them into the stage-1 pose,
 and refine against triangulated feature tracks. Deterministic for a given
-dataset and seed: per-query generators are derived from the global seed and
-the query id, so results do not depend on evaluation order.
+dataset and seed: each query-anchor pair's RANSAC and each query's consensus
+draw from their own generators, derived from the global seed and the ids, so
+an anchor's estimate depends neither on evaluation order nor on the other
+anchors of its neighbor list.
 """
 
 import csv
@@ -105,11 +107,24 @@ class FailureRecord:
     reason: str
 
 
+def _id_words(value):
+    """Four uint32 words of the sha256 of ``str(value)``."""
+    digest = hashlib.sha256(str(value).encode()).digest()
+    return [int(w) for w in np.frombuffer(digest[:16], dtype=np.uint32)]
+
+
 def query_rng(seed, query_id):
-    """Generator derived from the run seed and the query id (order-free)."""
-    digest = hashlib.sha256(str(query_id).encode()).digest()
-    words = np.frombuffer(digest[:16], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(w) for w in words]))
+    """Generator of one query's anchor consensus, derived from the run seed
+    and the query id (order-free)."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + _id_words(query_id)))
+
+
+def pair_rng(seed, query_id, anchor_id):
+    """Generator of one query-anchor pair's essential RANSAC, derived from
+    the run seed and both ids. Each id is hashed on its own, so two
+    different (query, anchor) pairs never share a stream."""
+    words = _id_words(query_id) + _id_words(anchor_id)
+    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
 def estimate_anchor(anchor_id, anchor_pose, matches, ransac_cfg, rng):
@@ -162,12 +177,14 @@ def _keypoint_tracks(linked):
     owners = np.repeat(np.arange(len(linked)), [len(m) for _, m in linked])[order]
     feats_q = np.concatenate([m.query for _, m in linked])[order]
     feats_a = np.concatenate([m.anchor for _, m in linked])[order]
-    views = list(zip([linked[k][0] for k in owners.tolist()], feats_a))
+    aids = [linked[k][0] for k in owners.tolist()]
     kp_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
     return [
-        CorrespondenceTrack(kp_id, feats_q[start], tuple(views[start : start + count]))
-        for kp_id, start, count in zip(kp_ids.tolist(), starts.tolist(), counts.tolist())
-        if count >= 2
+        CorrespondenceTrack(
+            kp_id, feats_q[start], tuple(zip(aids[start:stop], feats_a[start:stop]))
+        )
+        for kp_id, start, stop in zip(kp_ids.tolist(), starts.tolist(), (starts + counts).tolist())
+        if stop - start >= 2
     ]
 
 
@@ -191,12 +208,10 @@ def _check_query_pixels(dataset, query_id, loaded):
         raise ParseError(other, 0, f"query pixel of keypoint {ids[row]} differs from {first}")
 
 
-def localize_query(dataset, query_id, config=None, rng=None):
+def localize_query(dataset, query_id, config=None):
     """Localize one query; raises an MvlocError subclass when impossible."""
     if config is None:
         config = PipelineConfig()
-    if rng is None:
-        rng = query_rng(config.seed, query_id)
     neighbors = dataset.neighbors.get(query_id)
     if not neighbors:
         raise InsufficientDataError(f"query {query_id!r} has no neighbor list")
@@ -218,7 +233,11 @@ def localize_query(dataset, query_id, config=None, rng=None):
             continue
         try:
             obs, inliers = estimate_anchor(
-                anchor_id, dataset.anchors[anchor_id], matches, ransac_cfg, rng
+                anchor_id,
+                dataset.anchors[anchor_id],
+                matches,
+                ransac_cfg,
+                pair_rng(config.seed, query_id, anchor_id),
             )
         except MvlocError:
             continue
@@ -231,7 +250,7 @@ def localize_query(dataset, query_id, config=None, rng=None):
         )
 
     consensus, stage1, refinement, status = solve_pose(
-        observations, inlier_matches, dataset.anchors, config, rng
+        observations, inlier_matches, dataset.anchors, config, query_rng(config.seed, query_id)
     )
     refined = None if refinement is None else refinement.pose
     error_m = error_deg = None

@@ -20,7 +20,7 @@ from .errors import (
     InitializationError,
     InsufficientDataError,
 )
-from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, skew, unit_rows
+from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, unit_rows
 from .relpose import midpoint_triangulate
 
 
@@ -40,17 +40,19 @@ class CorrespondenceTrack:
         qf = np.asarray(self.query_feature, dtype=np.float64)
         if qf.shape != (2,):
             raise ValueError("query_feature must be (2,)")
-        entries = tuple((aid, np.asarray(f, dtype=np.float64)) for aid, f in self.anchors)
-        if len(entries) < 2:
+        if len(self.anchors) < 2:
             raise ValueError(f"track {self.track_id!r} needs >= 2 anchor views")
-        ids = [aid for aid, _ in entries]
+        ids = [aid for aid, _ in self.anchors]
         if len(set(ids)) != len(ids):
             raise ValueError(f"track {self.track_id!r} repeats an anchor id")
-        for _, f in entries:
-            if f.shape != (2,):
-                raise ValueError("anchor features must be (2,)")
+        try:
+            feats = np.asarray([f for _, f in self.anchors], dtype=np.float64)
+        except ValueError:  # ragged features
+            feats = None
+        if feats is None or feats.shape != (len(ids), 2):
+            raise ValueError("anchor features must be (2,)")
         object.__setattr__(self, "query_feature", qf)
-        object.__setattr__(self, "anchors", entries)
+        object.__setattr__(self, "anchors", tuple(zip(ids, feats)))
 
 
 @dataclass(frozen=True)
@@ -255,23 +257,25 @@ def _query_residuals(rotation, translation, points, feats):
 
 def _query_jacobian(rotation, points, cam, w):
     n = len(points)
-    jac = np.empty((2 * n, 6))
     inv_w = 1.0 / w
     ux_w2 = cam[:, 0] * inv_w**2
     uy_w2 = cam[:, 1] * inv_w**2
     # d(residual)/d(u) rows are -[1/w, 0, -ux/w^2] and -[0, 1/w, -uy/w^2];
     # u varies as du = R [X]_x for the rotation increment and I for the
     # translation increment (right-multiplicative update R <- R exp([w]_x)).
-    for k in range(n):
-        a = np.array(
-            [
-                [inv_w[k], 0.0, -ux_w2[k]],
-                [0.0, inv_w[k], -uy_w2[k]],
-            ]
-        )
-        jac[2 * k : 2 * k + 2, :3] = a @ rotation @ skew(points[k])
-        jac[2 * k : 2 * k + 2, 3:] = -a
-    return jac
+    a = np.zeros((n, 2, 3))
+    a[:, 0, 0] = a[:, 1, 1] = inv_w
+    a[:, 0, 2] = -ux_w2
+    a[:, 1, 2] = -uy_w2
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    skews = np.zeros((n, 3, 3))
+    skews[:, 0, 1], skews[:, 0, 2] = -z, y
+    skews[:, 1, 0], skews[:, 1, 2] = z, -x
+    skews[:, 2, 0], skews[:, 2, 1] = -y, x
+    jac = np.empty((n, 2, 6))
+    jac[:, :, :3] = a @ rotation @ skews
+    jac[:, :, 3:] = -a
+    return jac.reshape(2 * n, 6)
 
 
 def _huber_weights(r, scale):

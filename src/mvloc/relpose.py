@@ -129,14 +129,22 @@ def _eight_point_stack(query, anchor):
     design = np.stack(
         [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(ax.shape)], axis=-1
     )
-    # An 8-row design needs the full V for its null vector; from 9 rows on
-    # the thin SVD gives the same V and skips the (m, m) U.
-    _, svals, vt = np.linalg.svd(design, full_matrices=design.shape[-2] < 9)
-    # Each design is (m, 9); a vanishing 8th singular value means the
-    # nullspace has dimension > 1 and the sample is degenerate (repeated
-    # points, points on a conic through both epipoles, ...).
-    underdetermined = svals[..., 7] < 1e-10 * np.maximum(svals[..., 0], 1e-300)
-    e_norm = vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3))
+    # A degenerate sample (repeated points, points on a conic through both
+    # epipoles, ...) leaves the (m, 9) design a nullspace of dimension > 1.
+    if design.shape[-2] == MIN_MATCHES:
+        # The null vector of an (8, 9) design is the last column of the
+        # complete Q of its (9, 8) transpose; a vanishing diagonal entry of
+        # R flags rank < 8.
+        q, r = np.linalg.qr(np.swapaxes(design, -1, -2), mode="complete")
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        underdetermined = diag.min(axis=-1) < 1e-10 * np.maximum(diag.max(axis=-1), 1e-300)
+        null = q[..., -1]
+    else:
+        # From 9 rows on, the thin SVD gives the full V and skips the (m, m) U.
+        _, svals, vt = np.linalg.svd(design, full_matrices=False)
+        underdetermined = svals[..., 7] < 1e-10 * np.maximum(svals[..., 0], 1e-300)
+        null = vt[..., -1, :]
+    e_norm = null.reshape(null.shape[:-1] + (3, 3))
     e = np.swapaxes(t_a, -1, -2) @ e_norm @ t_b
     u, _, vt2 = np.linalg.svd(e)
     status = np.where(coincident_a | coincident_b, 1, np.where(underdetermined, 2, 0))
@@ -147,9 +155,9 @@ def eight_point(query, anchor):
     """Essential matrix from >= 8 correspondences (normalized 8-point).
 
     Applies Hartley conditioning to both sides, solves the homogeneous
-    design by SVD and enforces singular values (1, 1, 0). Raises
-    DegenerateGeometryError when the design has more than a one-dimensional
-    nullspace (the correspondences do not constrain E).
+    design (by QR for 8 rows, by SVD from 9) and enforces singular values
+    (1, 1, 0). Raises DegenerateGeometryError when the design has more than
+    a one-dimensional nullspace (the correspondences do not constrain E).
     """
     query = np.asarray(query, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
@@ -162,24 +170,46 @@ def eight_point(query, anchor):
     return e[0]
 
 
+def _homogeneous_rows(points):
+    """(3, n) homogeneous coordinates of (n, 2) points, one coordinate per row."""
+    return np.vstack([points.T, np.ones(len(points))])
+
+
+def _squared_epipolar_distance(e, a_rows, b_rows):
+    """Squared symmetric epipolar distance ``alg^2 (1/|l_q|^2 + 1/|l_a|^2)``
+    of homogeneous matches ``a_rows``/``b_rows`` (3, n) under one (3, 3)
+    ``e``, giving (n,), or a (B, 3, 3) stack, giving (B, n). The epipolar
+    lines are built one coefficient per row, so every term below is a
+    contiguous row. A match on a vanishing epipolar line gives nan or inf."""
+    line_q = e @ b_rows  # epipolar lines of b in the query image
+    line_a = np.swapaxes(e, -1, -2) @ a_rows  # epipolar lines of a in the anchor image
+    q0, q1, q2 = line_q[..., 0, :], line_q[..., 1, :], line_q[..., 2, :]
+    a0, a1 = line_a[..., 0, :], line_a[..., 1, :]
+    algebraic = (a_rows[0] * q0 + a_rows[1] * q1) + q2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return algebraic * algebraic * (1.0 / (q0 * q0 + q1 * q1) + 1.0 / (a0 * a0 + a1 * a1))
+
+
 def symmetric_epipolar_distance(e, query, anchor):
-    """Root-sum-square of the two point-to-epipolar-line distances, per match.
+    """Root-sum-square of the two point-to-epipolar-line distances, per match
+    (inf where an epipolar line vanishes).
 
     ``e`` is one (3, 3) matrix, giving (n,) distances, or a (B, 3, 3) stack,
     giving (B, n).
     """
     query = np.asarray(query, dtype=np.float64)
     anchor = np.asarray(anchor, dtype=np.float64)
-    ah = np.column_stack([query, np.ones(len(query))])
-    bh = np.column_stack([anchor, np.ones(len(anchor))])
-    line_q = bh @ np.swapaxes(e, -1, -2)  # epipolar lines of b in the query image
-    line_a = ah @ e  # epipolar lines of a in the anchor image
-    algebraic = np.einsum("ij,...ij->...i", ah, line_q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_q = algebraic / np.hypot(line_q[..., 0], line_q[..., 1])
-        d_a = algebraic / np.hypot(line_a[..., 0], line_a[..., 1])
-        dist = np.hypot(d_q, d_a)
+    with np.errstate(invalid="ignore"):
+        dist = np.sqrt(
+            _squared_epipolar_distance(e, _homogeneous_rows(query), _homogeneous_rows(anchor))
+        )
     return np.where(np.isfinite(dist), dist, np.inf)
+
+
+def minimal_samples(rng, size, n):
+    """(size, 8) row indices into n matches, each row a uniform 8-subset:
+    the 8 smallest of n uniforms, from one (size, n) draw."""
+    return np.argpartition(rng.random((size, n)), MIN_MATCHES - 1, axis=1)[:, :MIN_MATCHES]
 
 
 def estimate_essential(matches, config=None, seed=None):
@@ -192,12 +222,11 @@ def estimate_essential(matches, config=None, seed=None):
     grown inlier ratio under the configured confidence. Raises
     NoConsensusError when no hypothesis reaches ``config.min_inliers``.
 
-    Hypotheses are drawn, fitted and scored in chunks that double from 8 up
-    to ``CHUNK_ROWS // n``, then walked in order. When the adaptive budget
-    (or an error) ends the walk inside a chunk, the generator is rewound and
-    only the walked samples are re-drawn, so results, errors and the
-    generator's state afterwards are those of drawing, fitting and scoring
-    one hypothesis at a time.
+    Hypotheses are drawn (one ``minimal_samples`` call), fitted and scored
+    in chunks that double from 8 up to ``CHUNK_ROWS // n``, then walked in
+    order until the budget is spent. ``seed`` is a Generator or a seed; a
+    generator should serve one pair only, since a whole chunk is drawn even
+    when the walk stops inside it.
     """
     if config is None:
         config = RansacConfig()
@@ -207,9 +236,8 @@ def estimate_essential(matches, config=None, seed=None):
         raise InsufficientDataError(f"need >= {MIN_MATCHES} matches, got {n}")
 
     query, anchor = matches.query, matches.anchor
-
-    def draw():
-        return rng.choice(n, size=MIN_MATCHES, replace=False)
+    a_rows, b_rows = _homogeneous_rows(query), _homogeneous_rows(anchor)
+    threshold_sq = config.threshold * config.threshold
 
     def grow(e, mask):
         # Re-estimate on the inlier set until the count stops growing.
@@ -222,7 +250,7 @@ def estimate_essential(matches, config=None, seed=None):
                 refit = eight_point(query[mask], anchor[mask])
             except DegenerateGeometryError:
                 break
-            refit_mask = symmetric_epipolar_distance(refit, query, anchor) < config.threshold
+            refit_mask = _squared_epipolar_distance(refit, a_rows, b_rows) < threshold_sq
             if int(refit_mask.sum()) < int(mask.sum()):
                 break
             grew = int(refit_mask.sum()) > int(mask.sum())
@@ -239,34 +267,24 @@ def estimate_essential(matches, config=None, seed=None):
     i = 0
     while i < needed:
         size = min(cap, max(8, i), needed - i)
-        state = rng.bit_generator.state
-        samples = np.array([draw() for _ in range(size)])
+        samples = minimal_samples(rng, size, n)
         es, status = _eight_point_stack(query[samples], anchor[samples])
         fitted = status == 0
         masks = np.zeros((size, n), dtype=bool)
-        masks[fitted] = symmetric_epipolar_distance(es[fitted], query, anchor) < config.threshold
-        counts = masks.sum(axis=1)
-        try:
-            for j in range(size):
-                i += 1
-                if fitted[j] and counts[j] > best_count:
-                    e, mask = grow(es[j], masks[j])
-                    count = int(mask.sum())
-                    if count > best_count:
-                        best_count, best_e, best_mask = count, e, mask
-                        ratio = min(count / n, 1.0 - 1e-12)
-                        log_miss = np.log1p(-(ratio**MIN_MATCHES))  # log P(sample has an outlier)
-                        needed = min(needed, int(np.ceil(np.log1p(-config.confidence) / log_miss)))
-                if i >= needed:
-                    break
-        finally:
-            # An adaptive stop or an error from grow ended the walk at
-            # hypothesis j: leave the generator as if only the walked
-            # samples had been drawn.
-            if j + 1 < size:
-                rng.bit_generator.state = state
-                for _ in range(j + 1):
-                    draw()
+        masks[fitted] = _squared_epipolar_distance(es[fitted], a_rows, b_rows) < threshold_sq
+        counts = masks.sum(axis=1).tolist()  # 0 for a degenerate sample
+        for j in range(size):
+            i += 1
+            if counts[j] > best_count:
+                e, mask = grow(es[j], masks[j])
+                count = int(mask.sum())
+                if count > best_count:
+                    best_count, best_e, best_mask = count, e, mask
+                    ratio = min(count / n, 1.0 - 1e-12)
+                    log_miss = np.log1p(-(ratio**MIN_MATCHES))  # log P(sample has an outlier)
+                    needed = min(needed, int(np.ceil(np.log1p(-config.confidence) / log_miss)))
+            if i >= needed:
+                break
 
     if best_e is None or best_count < config.min_inliers:
         raise NoConsensusError(

@@ -9,7 +9,9 @@ cluster near the query and view the scene from one side, which is the
 geometry the toolkit targets; the ring layout surrounds the scene instead
 and is kept for generation and visibility tests. All runs are deterministic in the seed: every trial
 derives its generator from ``SeedSequence([seed, ...trial index])``, so the
-stream partition is the same whether trials run sequentially or not.
+stream partition is the same whether trials run sequentially or not. The k
+sweep also gives each anchor's RANSAC and each K's consensus their own
+stream of the trial.
 """
 
 import csv
@@ -481,6 +483,17 @@ def export_scene_dataset(scene, root, sigma_feat=0.0, seed=0, query_id="query", 
     )
 
 
+# Tags of the k sweep's per-anchor and per-K streams. Non-zero, because
+# SeedSequence pads short entropy with zeros: [seed, trial, 0, 0] would
+# replay the trial's own stream.
+_ANCHOR_STREAM = 1
+_K_STREAM = 2
+
+
+def _trial_rng(seed, trial, *stream):
+    return np.random.default_rng(np.random.SeedSequence([seed, trial, *stream]))
+
+
 def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3, trials=50, seed=0):
     """Localization error of the full pipeline versus anchor count.
 
@@ -523,7 +536,7 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     ransac_cfg = config.ransac_config()
     kp_ids = np.arange(scene_config.n_points)
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+        rng = _trial_rng(seed, trial)
         scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
         q_feats, a_feats = noisy_features(scene, sigma_feat, rng)
 
@@ -532,7 +545,9 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
         for k, pose in enumerate(scene.anchor_poses):
             matches = MatchSet(q_feats, a_feats[k], keypoint_ids=kp_ids)
             try:
-                observations[k], inliers[k] = estimate_anchor(k, pose, matches, ransac_cfg, rng)
+                observations[k], inliers[k] = estimate_anchor(
+                    k, pose, matches, ransac_cfg, _trial_rng(seed, trial, _ANCHOR_STREAM, k)
+                )
             except MvlocError:
                 continue
 
@@ -544,7 +559,9 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
                 skips[k_req] += 1
                 continue
             try:
-                _, stage1, refinement, _ = solve_pose(usable, inliers, anchor_poses, config, rng)
+                _, stage1, refinement, _ = solve_pose(
+                    usable, inliers, anchor_poses, config, _trial_rng(seed, trial, _K_STREAM, k_req)
+                )
             except MvlocError:
                 skips[k_req] += 1
                 continue

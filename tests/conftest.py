@@ -149,6 +149,32 @@ def grid_polish_minimum(ref_feat, feats, rels, g_center, rho_center,
     return np.array([cx, cy]), cr, float(best)
 
 
+# ------------------------------------------------- query Jacobian oracle
+#
+# Reference for ``refine._query_jacobian``: one (2, 6) block per point. The
+# stacked products must give the same bytes.
+
+
+def loop_query_jacobian(rotation, points, cam, w):
+    from mvloc.geometry import skew
+
+    n = len(points)
+    jac = np.empty((2 * n, 6))
+    inv_w = 1.0 / w
+    ux_w2 = cam[:, 0] * inv_w**2
+    uy_w2 = cam[:, 1] * inv_w**2
+    for k in range(n):
+        a = np.array(
+            [
+                [inv_w[k], 0.0, -ux_w2[k]],
+                [0.0, inv_w[k], -uy_w2[k]],
+            ]
+        )
+        jac[2 * k : 2 * k + 2, :3] = a @ rotation @ skew(points[k])
+        jac[2 * k : 2 * k + 2, 3:] = -a
+    return jac
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -157,9 +183,9 @@ def rng():
 # ------------------------------------------------ sequential essential RANSAC
 #
 # Reference for ``relpose.estimate_essential``: the same RANSAC, one
-# hypothesis at a time (one draw, one 8-point fit, one distance pass each).
-# The chunked loop must reproduce it byte for byte, including what it leaves
-# in the generator.
+# hypothesis at a time (one 8-point fit by per-sample QR, one distance pass
+# each), over samples drawn chunk by chunk with the same schedule and
+# sampler. The chunked loop must reproduce it byte for byte.
 
 
 def _sequential_hartley(points):
@@ -180,6 +206,9 @@ def _sequential_hartley(points):
 
 
 def sequential_eight_point(query, anchor):
+    """Normalized 8-point fit of one correspondence set: the null vector
+    from a complete QR of the transposed design for 8 rows, from a full SVD
+    from 9 rows on."""
     from mvloc import DegenerateGeometryError
 
     query = np.asarray(query, dtype=np.float64)
@@ -194,25 +223,40 @@ def sequential_eight_point(query, anchor):
     design = np.column_stack(
         [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(n)]
     )
-    _, svals, vt = np.linalg.svd(design)
-    if svals[7] < 1e-10 * max(svals[0], 1e-300):
+    if n == 8:
+        q, r = np.linalg.qr(design.T, mode="complete")
+        diag = np.abs(np.diag(r))
+        degenerate = diag.min() < 1e-10 * max(diag.max(), 1e-300)
+        null = q[:, -1]
+    else:
+        _, svals, vt = np.linalg.svd(design)
+        degenerate = svals[7] < 1e-10 * max(svals[0], 1e-300)
+        null = vt[-1]
+    if degenerate:
         raise DegenerateGeometryError("correspondences do not determine E")
-    e = t_a.T @ vt[-1].reshape(3, 3) @ t_b
+    e = t_a.T @ null.reshape(3, 3) @ t_b
     u, _, vt2 = np.linalg.svd(e)
     return u @ np.diag([1.0, 1.0, 0.0]) @ vt2
 
 
-def sequential_epipolar_distance(e, query, anchor):
-    ah = np.column_stack([query, np.ones(len(query))])
-    bh = np.column_stack([anchor, np.ones(len(anchor))])
-    line_q = bh @ e.T
-    line_a = ah @ e
-    algebraic = np.einsum("ij,ij->i", ah, line_q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_q = algebraic / np.hypot(line_q[:, 0], line_q[:, 1])
-        d_a = algebraic / np.hypot(line_a[:, 0], line_a[:, 1])
-        dist = np.hypot(d_q, d_a)
-    return np.where(np.isfinite(dist), dist, np.inf)
+def sequential_squared_distance(e, query, anchor):
+    """Squared symmetric epipolar distance of every match under one E: the
+    algebraic error squared over each epipolar line's squared normal."""
+    a_rows = np.vstack([query.T, np.ones(len(query))])
+    b_rows = np.vstack([anchor.T, np.ones(len(anchor))])
+    line_q = e @ b_rows
+    line_a = e.T @ a_rows
+    algebraic = (query[:, 0] * line_q[0] + query[:, 1] * line_q[1]) + line_q[2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return algebraic * algebraic * (
+            1.0 / (line_q[0] * line_q[0] + line_q[1] * line_q[1])
+            + 1.0 / (line_a[0] * line_a[0] + line_a[1] * line_a[1])
+        )
+
+
+def sequential_samples(rng, size, n):
+    """One chunk of minimal samples: the 8 smallest of n uniforms per row."""
+    return np.argpartition(rng.random((size, n)), 7, axis=1)[:, :8]
 
 
 def sequential_essential(matches, config=None, seed=None, stats=None):
@@ -225,6 +269,7 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
         NoConsensusError,
         RansacConfig,
     )
+    from mvloc.relpose import CHUNK_ROWS
 
     config = RansacConfig() if config is None else config
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -232,6 +277,10 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
     if n < 8:
         raise InsufficientDataError(f"need >= 8 matches, got {n}")
     query, anchor = matches.query, matches.anchor
+    threshold_sq = config.threshold * config.threshold
+
+    def inliers(e):
+        return sequential_squared_distance(e, query, anchor) < threshold_sq
 
     def grow(e, mask):
         while int(mask.sum()) >= 8:
@@ -239,7 +288,7 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
                 refit = sequential_eight_point(query[mask], anchor[mask])
             except DegenerateGeometryError:
                 break
-            refit_mask = sequential_epipolar_distance(refit, query, anchor) < config.threshold
+            refit_mask = inliers(refit)
             if int(refit_mask.sum()) < int(mask.sum()):
                 break
             grew = int(refit_mask.sum()) > int(mask.sum())
@@ -248,20 +297,31 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
                 break
         return e, mask
 
+    def hypotheses():
+        # the chunk schedule: sizes double from 8 up to CHUNK_ROWS // n, and
+        # a chunk holds no more than the budget (``needed``) left when it
+        # is drawn
+        drawn = 0
+        while True:
+            size = min(max(1, CHUNK_ROWS // n), max(8, drawn), needed - drawn)
+            yield from sequential_samples(rng, size, n)
+            drawn += size
+
     best_count, best_e, best_mask = 0, None, None
     needed = config.max_iters
     degenerate = 0
     i = 0
+    samples = hypotheses()
     try:
         while i < needed:
             i += 1
-            sample = rng.choice(n, size=8, replace=False)
+            sample = next(samples)
             try:
                 e = sequential_eight_point(query[sample], anchor[sample])
             except DegenerateGeometryError:
                 degenerate += 1
                 continue
-            mask = sequential_epipolar_distance(e, query, anchor) < config.threshold
+            mask = inliers(e)
             if int(mask.sum()) > best_count:
                 e, mask = grow(e, mask)
                 count = int(mask.sum())
@@ -321,6 +381,15 @@ def one_shot_ray_terms(origins, dirs, centers):
     return np.linalg.norm(u, axis=2), np.einsum("kj,pkj->pk", dirs, u)
 
 
+def one_shot_quaternion_dots(hyp_q, quats):
+    """(P, K) dot products of hypothesis and observation quaternions, each
+    summed left to right over the four components."""
+    h, q = hyp_q[:, None, :], quats[None, :, :]
+    return ((h[..., 0] * q[..., 0] + h[..., 1] * q[..., 1]) + h[..., 2] * q[..., 2]) + h[
+        ..., 3
+    ] * q[..., 3]
+
+
 def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -331,7 +400,7 @@ def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot
     i_idx, j_idx = pairs[:, 0], pairs[:, 1]
     dist, along = one_shot_ray_terms(origins, dirs, centers)
     ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
-    rot_ok = np.abs(hyp_q @ quats.T) >= cos_half_rot
+    rot_ok = np.abs(one_shot_quaternion_dots(hyp_q, quats)) >= cos_half_rot
     ok = ray_ok & rot_ok
 
     counts = ok.sum(axis=1).astype(np.int64)

@@ -11,6 +11,7 @@ from conftest import (
     consistent_observations,
     one_shot_consensus_scores,
     one_shot_hypotheses,
+    one_shot_quaternion_dots,
     one_shot_ray_terms,
     random_rotation,
     random_unit,
@@ -29,6 +30,7 @@ from mvloc import (
     geodesic_angle,
     pair_hypothesis,
 )
+from mvloc import consensus
 from mvloc._kernels import _pure
 from mvloc.consensus import hypothesis_inliers
 from mvloc.geometry import rotvec_to_rotation
@@ -236,7 +238,7 @@ class TestBlockedScores:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        k=st.one_of(st.integers(2, 12), st.integers(2, 200)),
+        k=st.one_of(st.integers(2, 12), st.integers(2, 260)),
         spread=st.sampled_from([0.0, 1e-3, 0.05, 0.2]),
         layout=st.sampled_from(["all", "exact", "one-over", "random"]),
         blocks=st.integers(1, 4),
@@ -285,8 +287,8 @@ class TestBlockedScores:
     @pytest.mark.parametrize("extra", [1, 2, 53])
     def test_rotation_test_rounds_as_the_one_shot_product(self, extra):
         # thresholds at (and one ulp above) the one-shot |q . q'| of cells in
-        # the last block flip a count on any change of rounding there, the
-        # BLAS path a one-row block would take included
+        # the last block flip a count on any change of rounding there, a
+        # one-row last block included
         k = 150
         _, origins, dirs, quats = pair_scene(np.random.default_rng(extra), k, 0.05)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -294,7 +296,7 @@ class TestBlockedScores:
         iu, ju = np.triu_indices(k, 1)
         pairs = np.column_stack([iu, ju])[: 3 * (_pure.BLOCK_CELLS // k) + extra]
         _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
-        dots = np.abs(hyp_q @ quats.T)
+        dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
         for value in dots[-1, :40]:
             for threshold in (value, np.nextafter(value, 2.0)):
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
@@ -324,6 +326,35 @@ class TestBlockedScores:
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
                 actual = _pure.consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
                 assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [193, 204, 260])
+    def test_sampled_consensus_counts_as_the_one_shot_scores(self, k):
+        # above 150 observations anchor_ransac samples its pairs; every
+        # sampled pair counts as in the one-shot pass, also at thresholds
+        # on (and one ulp above) the dots of cells in blocks' last rows
+        rng = np.random.default_rng(k)
+        obs, _ = consistent_observations(rng, k)
+        obs = [scrambled(o, rng) if rng.random() < 0.2 else o for o in obs]
+        origins, dirs, quats = consensus._observation_arrays(obs)
+        pairs = consensus._candidate_pairs(k, "auto", 7, 2000)
+        assert len(pairs) == 2000
+        cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
+        expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
+        actual = _pure.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
+        assert actual.tobytes() == expected.tobytes()
+        winner = anchor_ransac(obs, mode="auto", seed=7, max_hypotheses=2000)
+        i, j = pairs[int(np.argmax(expected))]
+        assert winner.pair_ids == (obs[i].anchor_id, obs[j].anchor_id)
+
+        _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
+        dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
+        rows = _pure.BLOCK_CELLS // k
+        for row in range(rows - 1, len(pairs), 8 * rows):
+            for value in (dots[row, 0], dots[row, k - 1]):
+                for threshold in (value, np.nextafter(value, 2.0)):
+                    expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                    actual = _pure.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                    assert actual.tobytes() == expected.tobytes()
 
     def test_peak_allocation_stays_small_at_150_anchors(self):
         # the one-shot form allocated (11175, 150, 3) temporaries, over 100 MB

@@ -145,12 +145,12 @@ class TestLocalizeQuery:
 
 
     @pytest.mark.parametrize("epi_threshold", [1e-3, 3e-3])
-    def test_batched_ransac_keeps_the_query_rng_stream(self, tmp_path, monkeypatch,
+    def test_batched_ransac_matches_the_per_pair_oracle(self, tmp_path, monkeypatch,
                                                         epi_threshold):
-        # One generator feeds every anchor's RANSAC, then anchor_ransac. At
-        # the default gate each pair runs the whole budget; at 3e-3 the
-        # adaptive budget stops early. Either way the query must come out as
-        # it did when RANSAC drew and scored one hypothesis at a time.
+        # Each anchor's RANSAC draws from its own pair generator. At the
+        # default gate each pair runs the whole budget; at 3e-3 the adaptive
+        # budget stops early. Either way the query must come out as it does
+        # when RANSAC fits and scores one hypothesis at a time.
         _, manifest = scene_dataset(tmp_path, seed=11, sigma_feat=1.25e-3, n_points=120)
         dataset = load_dataset(manifest)
         config = PipelineConfig(epi_threshold=epi_threshold)
@@ -178,6 +178,89 @@ class TestLocalizeQuery:
         assert batched.tracks_used == sequential.tracks_used
 
 
+def recorded_estimates(monkeypatch, dataset, config):
+    """Per anchor id, the bytes of what ``estimate_anchor`` returned while
+    localizing ``"query"``: the relative pose and the inlier rows."""
+    estimates = {}
+    real = pipeline.estimate_anchor
+
+    def recording(anchor_id, *args):
+        obs, inliers = real(anchor_id, *args)
+        estimates[anchor_id] = (
+            obs.rel.rotation.tobytes(),
+            obs.rel.direction.tobytes(),
+            inliers.keypoint_ids.tobytes(),
+            inliers.query.tobytes(),
+            inliers.anchor.tobytes(),
+        )
+        return obs, inliers
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "estimate_anchor", recording)
+        result = localize_query(dataset, "query", config)
+    return estimates, result
+
+
+class TestOrderFree:
+    """A query-anchor pair's RANSAC draws from its own generator, so an
+    anchor's estimate does not depend on the rest of the neighbor list."""
+
+    CONFIG = PipelineConfig(epi_threshold=3e-3, ransac_max_iters=400)
+
+    def dataset(self, root):
+        _, manifest = scene_dataset(root, seed=5, sigma_feat=1e-3, n_points=60, n_anchors=10)
+        return load_dataset(manifest)
+
+    def with_neighbors(self, dataset, neighbors):
+        return dataclasses.replace(dataset, neighbors={"query": list(neighbors)})
+
+    def test_estimates_ignore_order_missing_files_and_top_k(self, tmp_path, monkeypatch):
+        dataset = self.dataset(tmp_path)
+        neighbors = dataset.neighbors["query"]
+        reference, _ = recorded_estimates(monkeypatch, dataset, self.CONFIG)
+        assert len(reference) == len(neighbors)
+
+        rng = np.random.default_rng(3)
+        variants = [
+            self.with_neighbors(dataset, [neighbors[i] for i in rng.permutation(len(neighbors))])
+            for _ in range(3)
+        ]
+        variants.append(self.with_neighbors(dataset, neighbors[::-1]))
+        cut = dataclasses.replace(self.CONFIG, top_k=6)
+        runs = [recorded_estimates(monkeypatch, d, self.CONFIG)[0] for d in variants]
+        runs.append(recorded_estimates(monkeypatch, dataset, cut)[0])
+        assert len(runs[-1]) == 6
+        dataset.match_path("query", neighbors[2][0]).unlink()
+        runs.append(recorded_estimates(monkeypatch, dataset, self.CONFIG)[0])
+        assert neighbors[2][0] not in runs[-1] and len(runs[-1]) == len(neighbors) - 1
+        for estimates in runs:
+            for anchor_id, shown in estimates.items():
+                assert shown == reference[anchor_id]
+
+    def test_reversed_neighbors_keep_the_result(self, tmp_path):
+        dataset = self.dataset(tmp_path)
+        forward = localize_query(dataset, "query", self.CONFIG)
+        reversed_list = self.with_neighbors(dataset, dataset.neighbors["query"][::-1])
+        backward = localize_query(reversed_list, "query", self.CONFIG)
+        assert forward.status == backward.status == "ok"
+        assert forward.inlier_anchor_ids == backward.inlier_anchor_ids
+        assert forward.tracks_used == backward.tracks_used
+        for name in ("stage1_pose", "refined_pose"):
+            a, b = getattr(forward, name), getattr(backward, name)
+            np.testing.assert_allclose(a.rotation, b.rotation, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(a.center(), b.center(), rtol=0, atol=1e-9)
+
+    def test_pair_generators_are_distinct_and_seeded(self):
+        draws = {
+            key: pipeline.pair_rng(*key).integers(2**63, size=2).tolist()
+            for key in [(0, "q", "a"), (0, "q", "b"), (0, "a", "q"), (1, "q", "a"),
+                        (0, "qa", ""), (0, "", "qa")]
+        }
+        assert len({tuple(v) for v in draws.values()}) == len(draws)
+        assert pipeline.pair_rng(0, "q", "a").integers(2**63, size=2).tolist() == draws[(0, "q", "a")]
+        assert pipeline.query_rng(0, "q").integers(2**63, size=2).tolist() not in draws.values()
+
+
 class TestLocalizeRun:
     def test_collects_failures_without_aborting(self, tmp_path):
         _, manifest = scene_dataset(tmp_path, seed=5)
@@ -203,10 +286,10 @@ class TestLocalizeRun:
         add_query_copy(root, "q2")
         real = pipeline.localize_query
 
-        def localize(dataset, query_id, config=None, rng=None):
+        def localize(dataset, query_id, config=None):
             if query_id == "q2":
                 raise error
-            return real(dataset, query_id, config, rng)
+            return real(dataset, query_id, config)
 
         monkeypatch.setattr(pipeline, "localize_query", localize)
         reason = f"{type(error).__name__}: {error}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    loop_query_jacobian,
     e1_direct,
     grid_polish_minimum,
     random_unit,
@@ -30,7 +31,7 @@ from mvloc import (
 )
 from mvloc.errors import DivergenceError, InitializationError
 from mvloc.geometry import rotvec_to_rotation, unit, unproject
-from mvloc.refine import _select_reference
+from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
 from mvloc.relpose import midpoint_triangulate
 
 
@@ -80,6 +81,22 @@ class TestCorrespondenceTrack:
             CorrespondenceTrack(
                 0, np.zeros(2), (("a0", np.zeros(2)), ("a0", np.ones(2)))
             )
+
+    @pytest.mark.parametrize(
+        "features",
+        [(np.zeros(3), np.zeros(3)), (np.zeros(2), np.zeros(3)), (np.zeros(2), [[0.0, 1.0]])],
+    )
+    def test_anchor_features_must_be_pairs(self, features):
+        with pytest.raises(ValueError, match="anchor features must be"):
+            CorrespondenceTrack(0, np.zeros(2), tuple(zip(("a0", "a1"), features)))
+
+    def test_views_are_id_and_float_row_pairs(self):
+        feats = [np.array([0.25, -0.5]), [1, 2], (3.5, 4.0)]
+        track = CorrespondenceTrack(7, [0.0, 1.0], tuple(zip(("a", "b", "c"), feats)))
+        assert [aid for aid, _ in track.anchors] == ["a", "b", "c"]
+        for (_, row), feat in zip(track.anchors, feats):
+            assert row.dtype == np.float64 and row.shape == (2,)
+            assert row.tobytes() == np.asarray(feat, dtype=np.float64).tobytes()
 
 
 # ------------------------------------------------------------ triangulation
@@ -332,6 +349,18 @@ class TestE1Objective:
 
 
 class TestRefinePose:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150))
+    def test_query_jacobian_matches_the_per_point_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pose = Pose(rotvec_to_rotation(rng.normal(size=3)), rng.normal(size=3))
+        cam = np.column_stack([rng.normal(size=(n, 2)), rng.uniform(0.5, 20.0, n)])
+        points = (cam - pose.translation) @ pose.rotation
+        feats = cam[:, :2] / cam[:, 2:] + rng.normal(scale=1e-3, size=(n, 2))
+        _, cam, w = _query_residuals(pose.rotation, pose.translation, points, feats)
+        expected = loop_query_jacobian(pose.rotation, points, cam, w)
+        assert _query_jacobian(pose.rotation, points, cam, w).tobytes() == expected.tobytes()
+
     def test_ground_truth_is_a_fixed_point(self):
         scene, poses, tracks = scene_tracks(seed=15, n_points=12, n_anchors=5)
         res = refine_pose(tracks, poses, scene.query_pose)

@@ -206,6 +206,14 @@ class TestKSweep:
         result = run_k_sweep(cfg, k_values=(2, 5, 8), sigma_feat=0.0, trials=5, seed=0)
         assert [row["k"] for row in result.rows] == [2, 5, 8]
 
+    def test_rows_do_not_depend_on_the_other_k_values(self):
+        # each anchor's RANSAC and each K's consensus draw from their own
+        # streams of the trial, so a K's row is the same in any request
+        cfg = SceneConfig(n_points=40, n_anchors=8, layout="line")
+        alone = run_k_sweep(cfg, k_values=(5,), sigma_feat=1e-3, trials=4, seed=2)
+        mixed = run_k_sweep(cfg, k_values=(8, 5, 2), sigma_feat=1e-3, trials=4, seed=2)
+        assert mixed.rows[1] == alone.rows[0]
+
     def test_k_bounds_are_checked(self):
         cfg = SceneConfig(n_anchors=8, layout="line")
         with pytest.raises(ConfigurationError):
