@@ -6,7 +6,6 @@ ray bundles, chordal rotation mean) followed by latent-point refinement.
 Includes a synthetic-scene simulator and a file-driven pipeline CLI.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .averaging import (
     AnchorObservation,
     CenterSolution,

@@ -1,16 +1,16 @@
-"""Pure numpy implementations of the hot kernels.
+"""The hot numpy kernels: triangulation residuals and consensus scoring.
 
-Same contracts as ``_native.pyx``; selected at import time when the compiled
-extension is unavailable or ``MVLOC_PURE_KERNELS`` is set. Both backends
-must produce matching results (see tests/test_kernels.py). Where the native
-kernels loop per element, these work on whole arrays: ``consensus_scores``
-runs its (P, K) inlier tests in blocks of hypotheses, one coordinate at a
-time, in the same floating-point operations as a one-shot (P, K, 3) pass.
+``refine`` and ``consensus`` call these through the module
+(``_kernels.e1_residual_jac``), so a wrapper set on the module attribute sees
+every call. The kernels work on whole arrays: ``consensus_scores`` runs its
+(P, K) inlier tests in blocks of hypotheses, one coordinate at a time, in the
+same floating-point operations as a one-shot (P, K, 3) pass.
 """
 
 import numpy as np
 
-BACKEND_NAME = "pure"
+# Name of the implementation, stamped into every perfbench record.
+BACKEND = "pure"
 
 # consensus_scores runs its (P, K) inlier tests in blocks of about this many
 # hypothesis x observation cells (54 hypotheses at K = 150), which bounds

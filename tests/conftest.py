@@ -342,7 +342,7 @@ def sequential_essential(matches, config=None, seed=None, stats=None):
 
 # ------------------------------------------------- one-shot consensus scoring
 #
-# Reference for ``_kernels._pure.consensus_scores``: every (P, K) inlier test
+# Reference for ``_kernels.consensus_scores``: every (P, K) inlier test
 # in one pass over (P, K, 3) temporaries. The blocked kernel must give the
 # same counts.
 

@@ -30,8 +30,7 @@ from mvloc import (
     geodesic_angle,
     pair_hypothesis,
 )
-from mvloc import consensus
-from mvloc._kernels import _pure
+from mvloc import _kernels, consensus
 from mvloc.consensus import hypothesis_inliers
 from mvloc.geometry import rotvec_to_rotation
 
@@ -269,7 +268,7 @@ class TestBlockedScores:
 
         iu, ju = np.triu_indices(k, 1)
         all_pairs = np.column_stack([iu, ju])
-        rows = max(2, _pure.BLOCK_CELLS // k)
+        rows = max(2, _kernels.BLOCK_CELLS // k)
         size = {
             "all": len(all_pairs),
             "exact": blocks * rows,
@@ -280,7 +279,7 @@ class TestBlockedScores:
         thresholds = np.cos(np.radians(theta_ray)), np.cos(np.radians(theta_rot) / 2.0)
 
         expected = one_shot_consensus_scores(origins, dirs, quats, pairs, *thresholds)
-        actual = _pure.consensus_scores(origins, dirs, quats, pairs, *thresholds)
+        actual = _kernels.consensus_scores(origins, dirs, quats, pairs, *thresholds)
         assert actual.dtype == expected.dtype
         assert actual.tobytes() == expected.tobytes()
 
@@ -294,13 +293,13 @@ class TestBlockedScores:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         quats /= np.linalg.norm(quats, axis=1, keepdims=True)
         iu, ju = np.triu_indices(k, 1)
-        pairs = np.column_stack([iu, ju])[: 3 * (_pure.BLOCK_CELLS // k) + extra]
+        pairs = np.column_stack([iu, ju])[: 3 * (_kernels.BLOCK_CELLS // k) + extra]
         _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
         dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
         for value in dots[-1, :40]:
             for threshold in (value, np.nextafter(value, 2.0)):
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
-                actual = _pure.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                actual = _kernels.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
                 assert actual.tobytes() == expected.tobytes()
 
     def test_ray_test_rounds_as_the_one_shot_terms(self):
@@ -312,7 +311,7 @@ class TestBlockedScores:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         quats /= np.linalg.norm(quats, axis=1, keepdims=True)
         iu, ju = np.triu_indices(k, 1)
-        pairs = np.column_stack([iu, ju])[: 2 * (_pure.BLOCK_CELLS // k) + 7]
+        pairs = np.column_stack([iu, ju])[: 2 * (_kernels.BLOCK_CELLS // k) + 7]
         _, centers, _ = one_shot_hypotheses(origins, dirs, quats, pairs)
         dist, along = one_shot_ray_terms(origins, dirs, centers)
         cells = np.random.default_rng(10).integers((len(pairs), k), size=(60, 2))
@@ -324,7 +323,7 @@ class TestBlockedScores:
                 boundary = np.nextafter(boundary, 2.0)
             for cos_ray in (boundary, np.nextafter(boundary, 2.0)):
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
-                actual = _pure.consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
+                actual = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
                 assert actual.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [193, 204, 260])
@@ -340,7 +339,7 @@ class TestBlockedScores:
         assert len(pairs) == 2000
         cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
         expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
-        actual = _pure.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
+        actual = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
         assert actual.tobytes() == expected.tobytes()
         winner = anchor_ransac(obs, mode="auto", seed=7, max_hypotheses=2000)
         i, j = pairs[int(np.argmax(expected))]
@@ -348,13 +347,26 @@ class TestBlockedScores:
 
         _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
         dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
-        rows = _pure.BLOCK_CELLS // k
+        rows = _kernels.BLOCK_CELLS // k
         for row in range(rows - 1, len(pairs), 8 * rows):
             for value in (dots[row, 0], dots[row, k - 1]):
                 for threshold in (value, np.nextafter(value, 2.0)):
                     expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
-                    actual = _pure.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
+                    actual = _kernels.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
                     assert actual.tobytes() == expected.tobytes()
+
+    def test_degenerate_pairs_score_negative(self):
+        rng = np.random.default_rng(3)
+        origins = rng.normal(0, 2.0, (4, 3))
+        dirs = np.stack([random_unit(rng) for _ in range(4)])
+        quats = rng.normal(size=(4, 4))
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        origins[1] = origins[0]  # zero baseline
+        dirs[3] = dirs[2]  # parallel rays
+        pairs = np.array([[0, 1], [2, 3]], dtype=np.int64)
+        cos_5 = np.cos(np.radians(5.0))
+        scores = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_5, cos_5)
+        assert scores.tolist() == [-1, -1]
 
     def test_peak_allocation_stays_small_at_150_anchors(self):
         # the one-shot form allocated (11175, 150, 3) temporaries, over 100 MB
@@ -365,7 +377,7 @@ class TestBlockedScores:
         pairs = np.column_stack([iu, ju])
         tracemalloc.start()
         try:
-            _pure.consensus_scores(origins, dirs, quats, pairs, 0.99, 0.99)
+            _kernels.consensus_scores(origins, dirs, quats, pairs, 0.99, 0.99)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,0 +1,47 @@
+"""The benchmark's tracer still reaches every layer it wraps.
+
+``perfbench/run.py --trace 1`` exits when a wrapped layer records no calls,
+which is how a renamed or moved function shows up there. This runs the same
+check on one small ``mvloc localize`` run, so such a rename fails here in
+seconds instead.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from mvloc import cli, simulate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``perfbench/`` importable without writing bytecode into it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    return tracer, workloads
+
+
+def test_localize_calls_every_wrapped_layer(perfbench, tmp_path):
+    tracer, workloads = perfbench
+    with tracer.instrument(tracer.Tracer(), tracer.TARGETS) as trace:
+        # through the module, as the workloads call it, so the wrapper sees it
+        config = simulate.SceneConfig(n_points=60, n_anchors=6, layout="line")
+        scene = simulate.generate_scene(config, seed=11)
+        manifest = simulate.export_scene_dataset(scene, tmp_path / "data", sigma_feat=1e-3, seed=11)
+        argv = [
+            "localize", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"),
+            "--seed", "0", "--top-k", "6",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    _, uncalled = tracer.layer_metrics(trace, [])
+    missing = uncalled - workloads.WORKLOADS["localize-k150"].idle
+    assert not missing, f"wrapped layers recorded no calls (renamed or moved?): {sorted(missing)}"

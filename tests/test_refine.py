@@ -9,6 +9,7 @@ from conftest import (
     loop_query_jacobian,
     e1_direct,
     grid_polish_minimum,
+    random_rotation,
     random_unit,
     reference_relative_poses,
     stable_geodesic_deg,
@@ -29,6 +30,7 @@ from mvloc import (
     refine_pose,
     triangulate_track,
 )
+from mvloc import _kernels
 from mvloc.errors import DivergenceError, InitializationError
 from mvloc.geometry import rotvec_to_rotation, unit, unproject
 from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
@@ -59,6 +61,19 @@ def scene_tracks(seed, n_points=20, n_anchors=5, sigma=0.0, rng=None, layout="ri
             obs.append((f"a{k}", feat))
         tracks.append(CorrespondenceTrack(j, q_feat_j, tuple(obs)))
     return scene, poses, tracks
+
+
+def kernel_inputs(seed, m):
+    """Random arguments of the triangulation kernels: a reference feature,
+    m non-reference views and a parameter point (x, y, rho)."""
+    rng = np.random.default_rng(seed)
+    ref_feat = rng.normal(0, 0.3, 2)
+    obs = rng.normal(0, 0.3, (m, 2))
+    rots = np.array([random_rotation(rng) for _ in range(m)]).reshape(m, 3, 3)
+    trans = rng.normal(0, 1.0, (m, 3))
+    x, y = rng.normal(0, 0.3, 2)
+    rho = float(rng.uniform(1.0, 5.0))
+    return ref_feat, obs, rots, trans, x, y, rho
 
 
 def perturbed_pose(pose, d_center_m, d_rot_deg, rng):
@@ -300,6 +315,20 @@ class TestE1Objective:
             direct = float(e1_direct(ref_feat, feats, rels, gamma[0], gamma[1], rho))
             packaged = e1_objective(track, poses, gamma, rho)
             assert abs(packaged - direct) < 1e-10
+
+    @pytest.mark.parametrize("seed, m", [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 0)])
+    def test_closed_form_value_equals_residual_norm(self, seed, m):
+        # one energy through two routes: the closed form against the sum of
+        # squared residuals, equal up to the closed form's cancellation; with
+        # no non-reference view only the reference block is left
+        args = kernel_inputs(seed, m)
+        value, value_depth = _kernels.e1_value(*args)
+        r, jac, min_depth = _kernels.e1_residual_jac(*args)
+        assert r.shape == (2 + 2 * m,)
+        assert jac.shape == (2 + 2 * m, 3)
+        assert value_depth == min_depth
+        assert (min_depth == np.inf) == (m == 0)
+        assert abs(value - r @ r) < 1e-9 * max(1.0, value)
 
     def test_gradient_matches_central_differences(self, rng):
         h = 1e-6
