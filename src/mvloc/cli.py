@@ -191,7 +191,9 @@ def build_parser():
     p_loc = sub.add_parser("localize", help="run the localization pipeline on a dataset")
     p_loc.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p_loc.add_argument("--output-dir", required=True, help="directory for queries.csv and report.json")
-    p_loc.add_argument("--config", help="pipeline config JSON (flat keys)")
+    p_loc.add_argument(
+        "--config", help="pipeline config JSON (flat keys; epi_threshold_px in pixels)"
+    )
     p_loc.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     p_loc.add_argument("--top-k", type=int, default=None, help="retrieval depth per query")
     p_loc.set_defaults(func=_cmd_localize)

@@ -102,7 +102,7 @@ def _candidate_pairs(n, mode, seed, max_hypotheses):
         return all_pairs
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     chosen = rng.choice(len(all_pairs), size=max_hypotheses, replace=False)
-    chosen.sort()  # keep lexicographic order so ties resolve deterministically
+    chosen.sort()  # pairs in lexicographic order, as in exhaustive mode
     return all_pairs[chosen]
 
 
@@ -119,7 +119,10 @@ def anchor_ransac(
     Enumerates pair hypotheses (exhaustively up to EXHAUSTIVE_LIMIT
     observations in ``auto`` mode, sampled beyond), scores each against all
     observations, and returns the best hypothesis with its inlier set. Ties
-    on inlier count resolve to the lexicographically smallest pair. Raises
+    on inlier count resolve to the pair whose anchor ids sort first, as
+    strings by length and then by character (``a2`` before ``a10``), so in
+    exhaustive mode the result does not depend on the order of
+    ``observations``. Raises
     NoConsensusError when no pair yields a valid hypothesis with both of its
     own members consistent.
     """
@@ -140,9 +143,14 @@ def anchor_ransac(
         np.cos(np.radians(theta_ray_deg)),
         np.cos(np.radians(theta_rot_deg) / 2.0),
     )
-    best = int(np.argmax(counts))
-    if counts[best] < 2:
+    top = np.flatnonzero(counts == counts.max())
+    if counts[top[0]] < 2:
         raise NoConsensusError("no pair hypothesis is consistent with its own members")
+    ids = [str(o.anchor_id) for o in observations]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=lambda k: (len(ids[k]), ids[k]))] = np.arange(len(ids))
+    ranked = np.sort(rank[pairs[top]], axis=1)
+    best = int(top[np.lexsort((ranked[:, 1], ranked[:, 0]))[0]])
 
     i, j = map(int, pairs[best])
     pose = pair_hypothesis(observations[i], observations[j])

@@ -46,6 +46,9 @@ from .relpose import MatchSet
 
 MAX_GENERATION_ATTEMPTS = 100
 SKIP_FRACTION_LIMIT = 0.1
+# Focal length, in pixels, of the synthetic cameras: the shared intrinsic of
+# ``export_scene_dataset`` and the pixel scale of the k sweep's RANSAC gate.
+FOCAL_PX = 800.0
 
 
 @dataclass(frozen=True)
@@ -447,7 +450,7 @@ def export_scene_dataset(scene, root, sigma_feat=0.0, seed=0, query_id="query", 
     from .dataset import Intrinsics, write_dataset
 
     if intrinsics is None:
-        intrinsics = Intrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
+        intrinsics = Intrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=320.0, cy=240.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, len(scene.points)]))
     q_feats, a_feats = noisy_features(scene, sigma_feat, rng)
 
@@ -503,8 +506,9 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     consensus, averaging, tracks, refinement) then takes an evenly spread
     subset of K anchors. Spreading (rather than taking the first K) keeps
     small-K pairs at a usable baseline instead of adjacent, nearly
-    collocated cameras. The default ``PipelineConfig`` applies, but for the
-    RANSAC gate and budget below.
+    collocated cameras. The default ``PipelineConfig`` applies; its pixel
+    gate converts at ``FOCAL_PX``, the focal length ``export_scene_dataset``
+    writes, so ``sigma_feat`` = 1 / FOCAL_PX is 1 px of noise.
     """
     if scene_config is None:
         scene_config = SceneConfig(n_anchors=max(k_values), layout="line")
@@ -527,13 +531,8 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     )
     errors = {k: [] for k in k_values}
     skips = {k: 0 for k in k_values}
-    # Noisy true matches land around 2 sigma in symmetric epipolar distance.
-    # The study has no outliers, so the gate sits at 8 sigma: the inlier
-    # refit then absorbs essentially the whole match set and the adaptive
-    # budget collapses after the first hypothesis instead of polishing
-    # partial consensus sets for hundreds of samples.
-    config = PipelineConfig(epi_threshold=max(1e-3, 8.0 * float(sigma_feat)), ransac_max_iters=800)
-    ransac_cfg = config.ransac_config()
+    config = PipelineConfig()
+    ransac_cfg = config.ransac_config(FOCAL_PX)
     kp_ids = np.arange(scene_config.n_points)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)

@@ -145,6 +145,18 @@ class TestAnchorRansac:
         assert a.inlier_ids == b.inlier_ids
         assert a.pair_ids == b.pair_ids
 
+    def test_tied_groups_resolve_by_anchor_id_in_any_order(self, rng):
+        # two groups of three anchors, each consistent with its own query
+        # pose: every pair within a group scores 3, and the group holding
+        # the smallest anchor id wins whatever the order of the observations
+        first, _ = consistent_observations(rng, 3)
+        second, _ = consistent_observations(rng, 3)
+        second = [AnchorObservation(f"b{i}", o.anchor_pose, o.rel) for i, o in enumerate(second)]
+        for order in (first + second, second + first, (first + second)[::-1]):
+            winner = anchor_ransac(order, mode="exhaustive")
+            assert winner.inlier_ids == {"a0", "a1", "a2"}
+            assert set(winner.pair_ids) == {"a0", "a1"}
+
     def test_sampled_mode_is_seeded(self, rng):
         obs, _ = consistent_observations(rng, 12)
         a = anchor_ransac(obs, mode="sampled", seed=5)

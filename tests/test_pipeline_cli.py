@@ -37,9 +37,11 @@ from mvloc import (
 )
 from mvloc import pipeline
 from mvloc.cli import main
-from mvloc.geometry import rotvec_to_rotation
+from mvloc.dataset import Intrinsics, write_dataset
+from mvloc.geometry import relative_from_poses, rotvec_to_rotation
 from mvloc.pipeline import estimate_anchor, read_results_csv, solve_pose, write_results_csv
-from mvloc.simulate import export_scene_dataset, noisy_features
+from mvloc.relpose import essential_from_relative, symmetric_epipolar_distance
+from mvloc.simulate import FOCAL_PX, export_scene_dataset, noisy_features
 
 
 def scene_dataset(root, seed=42, sigma_feat=0.0, n_points=40, n_anchors=6,
@@ -134,7 +136,7 @@ class TestLocalizeQuery:
                 scene, root, sigma_feat=1e-3, seed=s, query_id=f"q{s:03d}"
             )
             dataset = load_dataset(manifest)
-            config = PipelineConfig(epi_threshold=4e-3, ransac_max_iters=800, seed=s)
+            config = PipelineConfig(seed=s)
             result = localize_query(dataset, f"q{s:03d}", config)
             truth = scene.query_pose.center()
             err_stage1 = np.linalg.norm(result.stage1_pose.center() - truth)
@@ -144,16 +146,17 @@ class TestLocalizeQuery:
         assert improved >= 0.9 * total
 
 
-    @pytest.mark.parametrize("epi_threshold", [1e-3, 3e-3])
+    @pytest.mark.parametrize("epi_threshold_px", [0.8, PipelineConfig().epi_threshold_px])
     def test_batched_ransac_matches_the_per_pair_oracle(self, tmp_path, monkeypatch,
-                                                        epi_threshold):
-        # Each anchor's RANSAC draws from its own pair generator. At the
-        # default gate each pair runs the whole budget; at 3e-3 the adaptive
-        # budget stops early. Either way the query must come out as it does
-        # when RANSAC fits and scores one hypothesis at a time.
+                                                        epi_threshold_px):
+        # Each anchor's RANSAC draws from its own pair generator. Under 1 px
+        # of noise a 0.8 px gate keeps too few true matches and each pair
+        # runs the whole budget; at the default gate the adaptive budget
+        # stops early. Either way the query must come out as it does when
+        # RANSAC fits and scores one hypothesis at a time.
         _, manifest = scene_dataset(tmp_path, seed=11, sigma_feat=1.25e-3, n_points=120)
         dataset = load_dataset(manifest)
-        config = PipelineConfig(epi_threshold=epi_threshold)
+        config = PipelineConfig(epi_threshold_px=epi_threshold_px)
         batched = localize_query(dataset, "query", config)
 
         iterations = []
@@ -168,7 +171,7 @@ class TestLocalizeQuery:
         monkeypatch.setattr(pipeline, "estimate_essential", oracle)
         sequential = localize_query(dataset, "query", config)
         assert len(iterations) == 6
-        assert (max(iterations) < config.ransac_max_iters) == (epi_threshold > 1e-3)
+        assert (max(iterations) < config.ransac_max_iters) == (epi_threshold_px > 0.8)
         for name in ("stage1_pose", "refined_pose"):
             a, b = getattr(batched, name), getattr(sequential, name)
             assert a.rotation.tobytes() == b.rotation.tobytes()
@@ -205,7 +208,7 @@ class TestOrderFree:
     """A query-anchor pair's RANSAC draws from its own generator, so an
     anchor's estimate does not depend on the rest of the neighbor list."""
 
-    CONFIG = PipelineConfig(epi_threshold=3e-3, ransac_max_iters=400)
+    CONFIG = PipelineConfig(epi_threshold_px=2.4, ransac_max_iters=400)
 
     def dataset(self, root):
         _, manifest = scene_dataset(root, seed=5, sigma_feat=1e-3, n_points=60, n_anchors=10)
@@ -259,6 +262,86 @@ class TestOrderFree:
         assert len({tuple(v) for v in draws.values()}) == len(draws)
         assert pipeline.pair_rng(0, "q", "a").integers(2**63, size=2).tolist() == draws[(0, "q", "a")]
         assert pipeline.query_rng(0, "q").integers(2**63, size=2).tolist() not in draws.values()
+
+
+def kept_fraction(gate_px, focal, seed):
+    """Share of a ``line`` scene's true matches, at 1 px of noise per
+    coordinate under focal length ``focal``, that a pixel gate keeps: the
+    symmetric epipolar distance under the true E against the gate as the
+    pipeline converts it for a pair of two such cameras."""
+    scene = generate_scene(SceneConfig(n_points=300, n_anchors=10, layout="line"), seed=seed)
+    q_feats, a_feats = noisy_features(scene, 1.0 / focal, np.random.default_rng(seed))
+    camera = Intrinsics(fx=focal, fy=focal, cx=320.0, cy=240.0)
+    threshold = PipelineConfig(epi_threshold_px=gate_px).ransac_config(
+        pipeline.pair_focal(camera, camera)
+    ).threshold
+    kept = [
+        symmetric_epipolar_distance(
+            essential_from_relative(relative_from_poses(scene.query_pose, pose)),
+            q_feats,
+            a_feats[k],
+        ) < threshold
+        for k, pose in enumerate(scene.anchor_poses)
+    ]
+    return float(np.mean(kept))
+
+
+class TestPixelGate:
+    """``epi_threshold_px`` is in pixels; each pair converts it to the
+    normalized ``RansacConfig.threshold`` through ``pipeline.pair_focal``."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**20), focal=st.sampled_from([400.0, 800.0, 1600.0]))
+    def test_default_gate_keeps_true_one_pixel_matches(self, seed, focal):
+        assert kept_fraction(PipelineConfig().epi_threshold_px, focal, seed) >= 0.99
+        # the old default, 1e-3 in normalized units, is 1e-3 * focal pixels
+        assert kept_fraction(1e-3 * focal, focal, seed) < 0.99
+
+    def test_pair_focal_is_the_geometric_mean_of_mean_focals(self):
+        square = Intrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
+        assert pipeline.pair_focal(square, square) == 800.0
+        oblong = Intrinsics(fx=1600.0, fy=2000.0, cx=320.0, cy=240.0)
+        assert pipeline.pair_focal(square, oblong) == pipeline.pair_focal(oblong, square) == 1200.0
+        assert PipelineConfig(epi_threshold_px=6.0).ransac_config(1200.0).threshold == 6.0 / 1200.0
+
+    @pytest.mark.parametrize("anchor_focal", [800.0, 3200.0])
+    def test_each_pair_gets_its_own_threshold(self, tmp_path, monkeypatch, anchor_focal):
+        # query at 800 px, anchors at ``anchor_focal``; one anchor at 400 px
+        scene = generate_scene(SceneConfig(n_points=60, n_anchors=6, layout="line"), seed=21)
+        q_feats, a_feats = noisy_features(scene, 0.0, np.random.default_rng(0))
+        focals = {f"a{k}": anchor_focal for k in range(6)}
+        focals["a3"] = 400.0
+        cameras = {aid: Intrinsics(fx=f, fy=f, cx=320.0, cy=240.0) for aid, f in focals.items()}
+        cameras["query"] = Intrinsics(fx=800.0, fy=800.0, cx=320.0, cy=240.0)
+        kp_ids = np.arange(len(scene.points))
+        manifest = write_dataset(
+            tmp_path,
+            anchors={f"a{k}": pose for k, pose in enumerate(scene.anchor_poses)},
+            intrinsics=cameras,
+            neighbors={"query": [(f"a{k}", 1.0) for k in range(6)]},
+            matches={
+                ("query", f"a{k}"): (
+                    kp_ids, cameras["query"].denormalize(q_feats),
+                    cameras[f"a{k}"].denormalize(a_feats[k]),
+                )
+                for k in range(6)
+            },
+            ground_truth={"query": scene.query_pose},
+        )
+        thresholds = {}
+        real = pipeline.estimate_anchor
+
+        def recording(anchor_id, anchor_pose, matches, ransac_cfg, rng):
+            thresholds[anchor_id] = ransac_cfg.threshold
+            return real(anchor_id, anchor_pose, matches, ransac_cfg, rng)
+
+        monkeypatch.setattr(pipeline, "estimate_anchor", recording)
+        result = localize_query(load_dataset(manifest), "query")
+        gate = PipelineConfig().epi_threshold_px
+        assert thresholds == {
+            aid: gate / np.sqrt(800.0 * focal) for aid, focal in focals.items()
+        }
+        assert result.status == "ok" and result.error_m < 1e-6
 
 
 class TestLocalizeRun:
@@ -364,7 +447,7 @@ def planted_estimates(draw):
     rng = np.random.default_rng(seed)
     q_feats, a_feats = noisy_features(scene, sigma, rng)
     wrong = set(rng.choice(n_true + n_wrong, size=n_wrong, replace=False).tolist())
-    config = PipelineConfig(epi_threshold=max(1e-3, 8 * sigma), ransac_max_iters=800)
+    config = PipelineConfig()
     estimates = []
     for k, pose in enumerate(scene.anchor_poses):
         if k in wrong:
@@ -374,7 +457,9 @@ def planted_estimates(draw):
             pose = Pose(rotation, -rotation @ pose.center())
         matches = MatchSet(q_feats, a_feats[k], keypoint_ids=np.arange(len(q_feats)))
         try:
-            estimates.append(estimate_anchor(k, pose, matches, config.ransac_config(), rng))
+            estimates.append(
+                estimate_anchor(k, pose, matches, config.ransac_config(FOCAL_PX), rng)
+            )
         except MvlocError:
             continue
     order = draw(st.permutations(range(len(estimates))))
@@ -573,7 +658,7 @@ class TestCli:
     def test_config_file_and_unknown_keys(self, tmp_path):
         _, manifest = scene_dataset(tmp_path / "data")
         config = tmp_path / "config.json"
-        config.write_text('{"top_k": 5, "epi_threshold": 0.002}\n')
+        config.write_text('{"top_k": 5, "epi_threshold_px": 1.6}\n')
         assert main(["localize", "--manifest", str(manifest),
                      "--output-dir", str(tmp_path / "ok"), "--config", str(config)]) == 0
         config.write_text('{"not_a_knob": 1}\n')
@@ -587,11 +672,16 @@ class TestCli:
             {"top_k": 0},
             {"top_k": True},
             {"min_matches": 8.5},
-            {"epi_threshold": -0.001},
+            {"epi_threshold_px": -0.8},
             {"theta_ray_deg": None},
             {"tau_reproj": 0},
             {"huber_scale": 0.0},
             {"ransac_confidence": 1.0},
+            {"epi_threshold_px": 0},
+            {"epi_threshold_px": "6"},
+            {"epi_threshold_px": True},
+            {"epi_threshold_px": float("inf")},
+            {"epi_threshold_px": float("nan")},
         ],
     )
     def test_invalid_config_values_exit_2(self, tmp_path, capsys, raw):
@@ -604,8 +694,21 @@ class TestCli:
         assert next(iter(raw)) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_old_gate_key_exits_2_naming_the_pixel_key(self, tmp_path, capsys):
+        _, manifest = scene_dataset(tmp_path / "data")
+        config = tmp_path / "config.json"
+        config.write_text('{"epi_threshold": 0.001}\n')
+        code = main(["localize", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epi_threshold_px" in err and "pixels" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigurationError, match="epi_threshold_px"):
+            PipelineConfig.from_dict({"epi_threshold": 1e-3, "epi_threshold_px": 0.8})
+
     def test_valid_config_values_accepted(self):
-        PipelineConfig(top_k=np.int64(5), epi_threshold=2e-3, theta_ray_deg=3, huber_scale=0.5)
+        PipelineConfig(top_k=np.int64(5), epi_threshold_px=1.6, theta_ray_deg=3, huber_scale=0.5)
         PipelineConfig(huber_scale=None, min_matches=0)
 
     def test_corrupt_match_file_fails_only_its_query(self, tmp_path):
