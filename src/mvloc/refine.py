@@ -74,9 +74,17 @@ class RefineConfig:
     max_iters: int = 100
     damping_init: float = 1e-4
     damping_factor: float = 10.0
+    # absolute bound on an accepted step's norm, in parameter units; the
+    # triangulation LM also stops on the relative cost test of COST_RTOL
     step_tol: float = 1e-12
     tau_reproj: float = 0.01
     huber_scale: Optional[float] = None  # None disables the robust loss
+
+
+# Relative cost change at which the triangulation LM has converged: an
+# accepted step that lowers the cost by no more, or a rejected step in front
+# of every camera that moves it by no more, changes nothing at this precision.
+COST_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,14 +100,16 @@ def _select_reference(centers, point):
     """Index of the reference view: first member of the widest-angle pair
     of viewing directions at the initial point.
 
-    Each Gram entry is its own 3-term BLAS dot, so it carries the bits of
-    ``dirs[i] @ dirs[j]`` (a gemm Gram rounds some entries differently).
-    The argmin over the strict upper triangle scans pairs (i, j), i < j, in
-    row-major order, so the first minimal pair wins ties.
+    The Gram matrix is built elementwise as ``(dx_i dx_j + dy_i dy_j) +
+    dz_i dz_j``, a fixed sum order that does not depend on how a BLAS
+    rounds. The argmin over the strict upper triangle scans pairs (i, j),
+    i < j, in row-major order, so the first minimal pair wins ties.
     """
-    dirs = unit_rows(point - centers)
-    m = len(dirs)
-    gram = (dirs[:, None, None, :] @ dirs[None, :, :, None])[:, :, 0, 0]
+    dx, dy, dz = unit_rows(point - centers).T
+    m = len(dx)
+    gram = np.multiply.outer(dx, dx)
+    gram += np.multiply.outer(dy, dy)
+    gram += np.multiply.outer(dz, dz)
     gram[np.tri(m, dtype=bool)] = np.inf
     return int(np.argmin(gram)) // m
 
@@ -145,9 +155,14 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
     Minimizes the anchor reprojection energy over the reference-view feature
     and log-depth by Levenberg-Marquardt. ``init`` is an optional world-point
     initializer; by default the first two anchor views are triangulated
-    pairwise. Raises InitializationError when the starting point is behind a
-    camera, DegenerateGeometryError from a degenerate initializer, and
-    DivergenceError when iterations run out far above the starting energy.
+    pairwise. The iteration stops once it has converged: after an accepted
+    step that lowers the cost by at most ``COST_RTOL`` of it, after a
+    rejected step in front of every camera that moves the cost by at most
+    that much, after an accepted step shorter than ``config.step_tol``, or
+    when the damping passes 1e16. Raises InitializationError when the
+    starting point is behind a camera, DegenerateGeometryError from a
+    degenerate initializer, and DivergenceError when iterations run out far
+    above the starting energy.
     """
     if config is None:
         config = RefineConfig()
@@ -182,14 +197,17 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
         )
         cost_new = r_new @ r_new
         if min_depth <= DEPTH_EPS or not cost_new < cost:
+            if min_depth > DEPTH_EPS and abs(cost_new - cost) <= COST_RTOL * cost:
+                break
             damping *= config.damping_factor
             if damping > 1e16:
                 break
             continue
+        converged = cost - cost_new <= COST_RTOL * cost
         x, y, log_rho = cand
         r, jac, cost = r_new, jac_new, cost_new
         damping /= config.damping_factor
-        if np.linalg.norm(step) < config.step_tol:
+        if converged or np.linalg.norm(step) < config.step_tol:
             break
     else:
         if cost > 10.0 * initial_cost:

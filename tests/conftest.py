@@ -175,6 +175,81 @@ def loop_query_jacobian(rotation, points, cam, w):
     return jac
 
 
+# ------------------------------------------ triangulation LM without early stop
+#
+# Reference for ``refine.triangulate_track``: the same Levenberg-Marquardt
+# with only the step-length and damping exits, so it keeps iterating after
+# the cost has converged. The converged-stop loop must end at the same point
+# up to rounding, never at a lower cost.
+
+
+def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None, config=None):
+    from mvloc import _kernels
+    from mvloc.errors import DivergenceError, InitializationError
+    from mvloc.geometry import DEPTH_EPS
+    from mvloc.refine import LatentPoint, RefineConfig, _track_arrays
+
+    if config is None:
+        config = RefineConfig()
+    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
+
+    x, y = cam0[0] / cam0[2], cam0[1] / cam0[2]
+    log_rho = np.log(cam0[2])
+
+    r, jac, min_depth = _kernels.e1_residual_jac(ref_feat, obs, rots, trans, x, y, np.exp(log_rho))
+    if min_depth <= DEPTH_EPS:
+        raise InitializationError(
+            f"track {track.track_id!r}: initial point is behind an anchor view"
+        )
+    cost = r @ r
+    initial_cost = cost
+    damping = config.damping_init
+
+    for _ in range(config.max_iters):
+        rho = np.exp(log_rho)
+        jac_p = jac.copy()
+        jac_p[:, 2] *= rho  # chain rule for the log-depth parameterization
+        jtj = jac_p.T @ jac_p
+        jtr = jac_p.T @ r
+        try:
+            step = np.linalg.solve(jtj + damping * np.eye(3), -jtr)
+        except np.linalg.LinAlgError:
+            damping *= config.damping_factor
+            continue
+        cand = (x + step[0], y + step[1], log_rho + step[2])
+        r_new, jac_new, min_depth = _kernels.e1_residual_jac(
+            ref_feat, obs, rots, trans, cand[0], cand[1], np.exp(cand[2])
+        )
+        cost_new = r_new @ r_new
+        if min_depth <= DEPTH_EPS or not cost_new < cost:
+            damping *= config.damping_factor
+            if damping > 1e16:
+                break
+            continue
+        x, y, log_rho = cand
+        r, jac, cost = r_new, jac_new, cost_new
+        damping /= config.damping_factor
+        if np.linalg.norm(step) < config.step_tol:
+            break
+    else:
+        if cost > 10.0 * initial_cost:
+            raise DivergenceError(
+                f"track {track.track_id!r}: no convergence after {config.max_iters} iterations"
+            )
+
+    rho = np.exp(log_rho)
+    cam = rho * np.array([x, y, 1.0])
+    world = ref_pose.rotation.T @ (cam - ref_pose.translation)
+    return LatentPoint(
+        track_id=track.track_id,
+        world_point=world,
+        reference_view=track.anchors[ref][0],
+        ref_feature=np.array([x, y]),
+        ref_depth=float(rho),
+        e1_residual=float(cost),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -3,7 +3,8 @@
 ``perfbench/run.py --trace 1`` exits when a wrapped layer records no calls,
 which is how a renamed or moved function shows up there. This runs the same
 check on one small ``mvloc localize`` run, so such a rename fails here in
-seconds instead.
+seconds instead. It also checks that refinement triangulates each track it
+is handed once, through ``refine.triangulate_track``.
 """
 
 import contextlib
@@ -45,3 +46,8 @@ def test_localize_calls_every_wrapped_layer(perfbench, tmp_path):
     _, uncalled = tracer.layer_metrics(trace, [])
     missing = uncalled - workloads.WORKLOADS["localize-k150"].idle
     assert not missing, f"wrapped layers recorded no calls (renamed or moved?): {sorted(missing)}"
+    # one triangulation per track handed to refinement: a batched path that
+    # goes round the per-track layer shows up here
+    triangulations = trace.summary()["refine.triangulate_track"][1]
+    assert trace.counters["refine.tracks"] > 0
+    assert triangulations == trace.counters["refine.tracks"]

@@ -9,6 +9,7 @@ from conftest import (
     loop_query_jacobian,
     e1_direct,
     grid_polish_minimum,
+    lm_triangulate_without_convergence_stop,
     random_rotation,
     random_unit,
     reference_relative_poses,
@@ -31,7 +32,7 @@ from mvloc import (
     triangulate_track,
 )
 from mvloc import _kernels
-from mvloc.errors import DivergenceError, InitializationError
+from mvloc.errors import DivergenceError, InitializationError, MvlocError
 from mvloc.geometry import rotvec_to_rotation, unit, unproject
 from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
 from mvloc.relpose import midpoint_triangulate
@@ -172,18 +173,72 @@ class TestTriangulateTrack:
         assert a.e1_residual == b.e1_residual
 
 
-def widest_pair_oracle(poses, point):
+class TestConvergenceStop:
+    """The LM stops once the cost has converged, at the point the loop
+    without that stop (conftest) reaches, up to rounding."""
+
+    @pytest.mark.parametrize("views", [2, 3, 6, 20, 150])
+    def test_matches_the_loop_without_early_stop(self, views, monkeypatch):
+        kernel = _kernels.e1_residual_jac
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "e1_residual_jac", counted)
+        stopped_calls = n_tracks = 0
+        for layout in ("ring", "line"):
+            for k, sigma in enumerate((0.0, 1e-4, 1.25e-3)):
+                seed = 1000 + 10 * views + 2 * k + (layout == "line")
+                _, poses, tracks = scene_tracks(
+                    seed, n_points=10, n_anchors=views, sigma=sigma,
+                    rng=np.random.default_rng(seed), layout=layout,
+                )
+                for track in tracks:
+                    try:
+                        expected = lm_triangulate_without_convergence_stop(track, poses)
+                    except MvlocError as exc:
+                        with pytest.raises(MvlocError) as info:
+                            triangulate_track(track, poses)
+                        assert type(info.value) is type(exc)
+                        continue
+                    before = len(calls)
+                    got = triangulate_track(track, poses)
+                    stopped_calls += len(calls) - before
+                    n_tracks += 1
+                    assert got.reference_view == expected.reference_view
+                    # the stop ends on an iterate of the longer loop, whose
+                    # accepted steps only ever lower the cost
+                    assert got.e1_residual >= expected.e1_residual
+                    assert got.e1_residual - expected.e1_residual <= (
+                        1e-11 * expected.e1_residual + 1e-24
+                    )
+                    assert np.linalg.norm(got.world_point - expected.world_point) <= (
+                        1e-8 * np.linalg.norm(expected.world_point)
+                    )
+        assert n_tracks > 0
+        # the loop without the stop makes about 10 kernel calls per track
+        assert stopped_calls / n_tracks <= 6.0
+
+
+def widest_pair_oracle(poses, point, dot=np.dot):
     """First member of the first minimal (i, j) pair, i < j in row-major
     order, of viewing-direction dot products at ``point``: the brute-force
-    pair loop."""
+    pair loop. Each dot is a BLAS dot unless ``dot`` says otherwise."""
     dirs = [unit(point - pose.center()) for pose in poses]
     best, best_i = np.inf, 0
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
-            dot = dirs[i] @ dirs[j]
-            if dot < best:
-                best, best_i = dot, i
+            value = dot(dirs[i], dirs[j])
+            if value < best:
+                best, best_i = value, i
     return best_i
+
+
+def ordered_dot(a, b):
+    """The 3-term dot summed as (a0 b0 + a1 b1) + a2 b2."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -191,30 +246,59 @@ vec3 = st.tuples(coords, coords, coords).map(np.array)
 
 
 @st.composite
-def viewing_setups(draw):
-    """2-40 anchor poses, some repeated (exact direction ties), and a point."""
-    n_distinct = draw(st.integers(1, 40))
+def viewing_setups(draw, point_on_line=False):
+    """2-150 anchor poses, some repeated (exact direction ties), and a point.
+
+    The distinct centers are either spread over a box or all on one line (a
+    line layout). With ``point_on_line`` the point lies on that line too, so
+    every viewing direction is the line's, up to rounding. Coordinates come
+    from a drawn seed: 150 poses drawn float by float would not fit in one
+    Hypothesis example.
+    """
+    n_distinct = draw(st.integers(1, 150))
+    layout = "line, point on it" if point_on_line else draw(st.sampled_from(["box", "line"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin, direction = gen.uniform(-10.0, 10.0, (2, 3))
+    if layout == "box":
+        centers = gen.uniform(-10.0, 10.0, (n_distinct, 3))
+    else:
+        centers = origin + gen.uniform(-3.0, 3.0, (n_distinct, 1)) * direction
     distinct = []
-    for _ in range(n_distinct):
-        rotation = rotvec_to_rotation(draw(vec3) * 0.3)
-        distinct.append(Pose(rotation, -rotation @ draw(vec3)))
-    picks = draw(st.lists(st.integers(0, n_distinct - 1), min_size=2, max_size=40))
-    return [distinct[k] for k in picks], draw(vec3)
+    for center in centers:
+        rotation = rotvec_to_rotation(gen.uniform(-3.0, 3.0, 3))
+        distinct.append(Pose(rotation, -rotation @ center))
+    picks = gen.integers(0, n_distinct, draw(st.integers(2, 150)))
+    if layout == "line, point on it":
+        point = origin + draw(st.floats(-5.0, 5.0)) * direction
+    else:
+        point = draw(vec3)
+    return [distinct[k] for k in picks], point
 
 
 class TestReferenceSelection:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(viewing_setups())
-    def test_matches_pair_loop_oracle(self, setup):
+    @staticmethod
+    def assert_matches_pair_loop(setup, dot=np.dot):
         poses, point = setup
         centers = np.array([pose.center() for pose in poses])
         try:
-            expected = widest_pair_oracle(poses, point)
+            expected = widest_pair_oracle(poses, point, dot)
         except DegenerateGeometryError:
             with pytest.raises(DegenerateGeometryError):
                 _select_reference(centers, point)
             return
         assert _select_reference(centers, point) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(viewing_setups())
+    def test_matches_pair_loop_oracle(self, setup):
+        self.assert_matches_pair_loop(setup)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(viewing_setups(point_on_line=True))
+    def test_rounding_ties_follow_the_fixed_sum_order(self, setup):
+        # a point on the line of the centers: the dots tie up to rounding, so
+        # the choice is the elementwise sum's, whatever a BLAS dot would say
+        self.assert_matches_pair_loop(setup, dot=ordered_dot)
 
     @pytest.mark.parametrize(
         "looks, expected",
