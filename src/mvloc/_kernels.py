@@ -9,6 +9,8 @@ same floating-point operations as a one-shot (P, K, 3) pass.
 
 import numpy as np
 
+from .geometry import PARALLEL_RAY_EPS
+
 # Name of the implementation, stamped into every perfbench record.
 BACKEND = "pure"
 
@@ -87,21 +89,15 @@ def e1_value(ref_feat, obs, rots, trans, x, y, rho):
     return value, min_depth
 
 
-def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
-    """Inlier counts of every pair hypothesis against all observations.
+def pair_hypotheses(origins, dirs, quats, pairs):
+    """Query pose hypotheses of observation pairs.
 
-    Each pair (i, j) defines a hypothesis: query center at the midpoint of
-    rays i and j, query rotation the normalized quaternion sum. An
-    observation is an inlier when its ray points at the hypothesis center
-    within the ray threshold and its chained rotation is within the rotation
-    threshold. Hypotheses whose rays are near-parallel, share an origin, or
-    whose own members fail the inlier test score -1.
+    Pair (i, j) puts the query center at the midpoint of the common
+    perpendicular of rays i and j, and the query rotation at the normalized
+    sum of their quaternions (q_j's sign flipped to agree with q_i). Returns
+    ``(valid, centers, hyp_q)``; ``valid`` is False where the rays are
+    parallel within PARALLEL_RAY_EPS radians or share an origin.
     """
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    quats = np.asarray(quats, dtype=np.float64)
-    pairs = np.asarray(pairs, dtype=np.int64)
-
     i_idx = pairs[:, 0]
     j_idx = pairs[:, 1]
     o1, o2 = origins[i_idx], origins[j_idx]
@@ -111,9 +107,9 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     denom = 1.0 - b * b
     w_vec = o1 - o2
     baseline = np.linalg.norm(w_vec, axis=1)
-    valid = (denom > 1e-12) & (baseline > 1e-12)
+    valid = (denom > PARALLEL_RAY_EPS**2) & (baseline > 1e-12)
 
-    safe = np.where(denom > 1e-12, denom, 1.0)
+    safe = np.where(denom > PARALLEL_RAY_EPS**2, denom, 1.0)
     d = np.einsum("ij,ij->i", d1, w_vec)
     e = np.einsum("ij,ij->i", d2, w_vec)
     t1 = (b * e - d) / safe
@@ -124,32 +120,57 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     sign = np.where(np.einsum("ij,ij->i", q1, q2) < 0.0, -1.0, 1.0)
     hyp_q = q1 + sign[:, None] * q2
     hyp_q /= np.linalg.norm(hyp_q, axis=1, keepdims=True)
+    return valid, centers, hyp_q
 
-    # (P, K) inlier tests, one block of hypotheses at a time and one
-    # coordinate at a time, so no (P, K, 3) temporary is built. Every sum
-    # has a fixed order, so counts do not depend on how BLAS tiles a product.
+
+def inlier_tests(centers, hyp_q, origins, dirs, quats, cos_ray, cos_half_rot):
+    """(P, K) inlier tests of P hypotheses against K observations.
+
+    An observation passes when its ray points at the hypothesis center
+    within the ray threshold (a center on the ray origin passes) and its
+    quaternion is within the rotation threshold of the hypothesis. Each cell
+    is computed on its own, one coordinate at a time, so a hypothesis tests
+    the same in any block and no (P, K, 3) temporary is built. Every sum has
+    a fixed order, so no result depends on how BLAS tiles a product.
+    """
+    ox, oy, oz = origins.T
+    dx, dy, dz = dirs.T
+    qw, qx, qy, qz = quats.T
+    ux = centers[:, 0:1] - ox
+    uy = centers[:, 1:2] - oy
+    uz = centers[:, 2:3] - oz
+    dist = np.sqrt(ux * ux + uy * uy + uz * uz)
+    # summed in the order numpy's einsum uses for a length-3 dot product
+    along = (dx * ux + dz * uz) + dy * uy
+    ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
+    qdot = ((hyp_q[:, 0:1] * qw + hyp_q[:, 1:2] * qx) + hyp_q[:, 2:3] * qy) + hyp_q[:, 3:4] * qz
+    return ray_ok & (np.abs(qdot) >= cos_half_rot)
+
+
+def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
+    """Inlier counts of every pair hypothesis against all observations.
+
+    Each pair's hypothesis comes from ``pair_hypotheses`` and is tested
+    against every observation by ``inlier_tests``, in blocks of about
+    BLOCK_CELLS cells. Hypotheses that are not valid, or whose own members
+    fail the inlier test, score -1.
+    """
+    origins = np.asarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    quats = np.asarray(quats, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    valid, centers, hyp_q = pair_hypotheses(origins, dirs, quats, pairs)
+    # column-major copies, so inlier_tests reads each coordinate contiguously
+    columns = [np.asfortranarray(a) for a in (origins, dirs, quats)]
     n, k = len(pairs), len(origins)
-    ox, oy, oz = (np.ascontiguousarray(origins[:, c]) for c in range(3))
-    dx, dy, dz = (np.ascontiguousarray(dirs[:, c]) for c in range(3))
-    qw, qx, qy, qz = (np.ascontiguousarray(quats[:, c]) for c in range(4))
     counts = np.empty(n, dtype=np.int64)
     self_ok = np.empty(n, dtype=bool)
     rows = max(1, BLOCK_CELLS // max(k, 1))
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        ux = centers[start:stop, 0:1] - ox
-        uy = centers[start:stop, 1:2] - oy
-        uz = centers[start:stop, 2:3] - oz
-        dist = np.sqrt(ux * ux + uy * uy + uz * uz)
-        # summed in the order numpy's einsum uses for a length-3 dot product
-        along = (dx * ux + dz * uz) + dy * uy
-        ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
-        h = hyp_q[start:stop]
-        qdot = ((h[:, 0:1] * qw + h[:, 1:2] * qx) + h[:, 2:3] * qy) + h[:, 3:4] * qz
-        rot_ok = np.abs(qdot) >= cos_half_rot
-        ok = ray_ok & rot_ok
-        counts[start:stop] = ok.sum(axis=1)
+        block = slice(start, min(start + rows, n))
+        ok = inlier_tests(centers[block], hyp_q[block], *columns, cos_ray, cos_half_rot)
+        counts[block] = ok.sum(axis=1)
         local = np.arange(len(ok))
-        self_ok[start:stop] = ok[local, i_idx[start:stop]] & ok[local, j_idx[start:stop]]
+        self_ok[block] = ok[local, pairs[block, 0]] & ok[local, pairs[block, 1]]
     counts[~(valid & self_ok)] = -1
     return counts

@@ -1,11 +1,13 @@
 """Anchor-level consensus: which relative-pose estimates agree with each
 other, and the decoupled query pose from the agreeing set.
 
-A pair of observations fully determines a query pose hypothesis (two center
-rays meet at a point; two chained rotations average). RANSAC over pairs
-scores every observation against each hypothesis with separate ray-angle and
-rotation-angle thresholds, keeps the largest consistent set, and the final
-pose is re-estimated from that set with the decoupled averaging operations.
+A pair of observations determines a query pose hypothesis: the midpoint of
+their two center-locus rays and the normalized sum of their chained-rotation
+quaternions (``_kernels.pair_hypotheses``). RANSAC over pairs scores each
+hypothesis by how many observations pass one inlier test, with separate
+ray-angle and rotation-angle thresholds (``_kernels.inlier_tests``), and
+keeps the winner's own inlier set. The final pose is re-estimated from that
+set with the decoupled averaging operations.
 """
 
 from dataclasses import dataclass
@@ -20,14 +22,13 @@ from .averaging import (
     locus_ray,
     markley_rotation_average,
 )
-from .errors import InsufficientDataError, NoConsensusError
-from .geometry import Pose, ray_pair_midpoint, rotation_to_quat
+from .errors import DegenerateGeometryError, InsufficientDataError, NoConsensusError
+from .geometry import Pose, quat_to_rotation, rotation_to_quat
 
-# Exhaustive pair enumeration is used up to this many observations; beyond
-# it, hypotheses are sampled. C(150, 2) = 11175 keeps exhaustive mode cheap
-# at the default neighborhood size.
-EXHAUSTIVE_LIMIT = 150
-DEFAULT_MAX_HYPOTHESES = 11175
+# Every pair hypothesis is scored when there are at most this many pairs;
+# beyond, this many are sampled. C(150, 2) = 11175 scores every pair at the
+# default neighborhood size of 150 anchors.
+MAX_HYPOTHESES = 11175
 
 
 @dataclass(frozen=True)
@@ -41,18 +42,24 @@ class AnchorConsensus:
 
 
 def pair_hypothesis(obs_a, obs_b):
-    """Query pose determined by two anchor observations.
+    """Query pose determined by two anchor observations, as anchor_ransac
+    forms it for a pair.
 
     Center: midpoint of the two center-locus rays (DegenerateGeometryError
-    when the rays are parallel or the anchors coincide). Rotation: chordal
-    mean of the two chained rotations.
+    when the rays are parallel within PARALLEL_RAY_EPS radians or the
+    anchors coincide). Rotation: normalized sum of the two chained-rotation
+    quaternions, their geodesic midpoint; two rotations 180 degrees apart
+    give one of the two midpoints rather than an error.
     """
-    ray_a = locus_ray(obs_a)
-    ray_b = locus_ray(obs_b)
-    center = ray_pair_midpoint(ray_a.origin, ray_a.direction, ray_b.origin, ray_b.direction)
-    rotation = markley_rotation_average(
-        [chained_rotation(obs_a), chained_rotation(obs_b)]
-    )
+    origins, dirs, quats = _observation_arrays([obs_a, obs_b])
+    valid, centers, hyp_q = _kernels.pair_hypotheses(origins, dirs, quats, np.array([[0, 1]]))
+    if not valid[0]:
+        raise DegenerateGeometryError("center-locus rays are parallel or share an origin")
+    return _hypothesis_pose(centers[0], hyp_q[0])
+
+
+def _hypothesis_pose(center, quat):
+    rotation = quat_to_rotation(quat)
     return Pose(rotation, -rotation @ center)
 
 
@@ -68,63 +75,32 @@ def _observation_arrays(observations):
     return origins, dirs, quats
 
 
-def hypothesis_inliers(pose, observations, theta_ray_deg=5.0, theta_rot_deg=10.0):
-    """Boolean mask of observations consistent with a query pose hypothesis.
-
-    An observation passes when (a) its center-locus ray points at the
-    hypothesis center within ``theta_ray_deg`` (a center exactly on the ray
-    origin passes trivially) and (b) its chained rotation is within
-    ``theta_rot_deg`` geodesic of the hypothesis rotation.
-    """
-    origins, dirs, quats = _observation_arrays(observations)
-    return _inlier_mask(pose, origins, dirs, quats, theta_ray_deg, theta_rot_deg)
-
-
-def _inlier_mask(pose, origins, dirs, quats, theta_ray_deg, theta_rot_deg):
-    center = pose.center()
-    hyp_q = rotation_to_quat(pose.rotation)
-    u = center - origins
-    dist = np.linalg.norm(u, axis=1)
-    along = np.einsum("ij,ij->i", dirs, u)
-    ray_ok = (dist < 1e-12) | (along >= np.cos(np.radians(theta_ray_deg)) * dist)
-    rot_ok = np.abs(quats @ hyp_q) >= np.cos(np.radians(theta_rot_deg) / 2.0)
-    return ray_ok & rot_ok
-
-
-def _candidate_pairs(n, mode, seed, max_hypotheses):
+def _candidate_pairs(n, seed):
+    """Every pair (i < j) of n observations when there are at most
+    MAX_HYPOTHESES, else MAX_HYPOTHESES of them drawn with ``seed``; either
+    way in lexicographic order."""
     iu, ju = np.triu_indices(n, k=1)
-    all_pairs = np.column_stack([iu, ju]).astype(np.int64)
-    if mode == "exhaustive" or (mode == "auto" and n <= EXHAUSTIVE_LIMIT):
-        return all_pairs
-    if mode not in ("auto", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if len(all_pairs) <= max_hypotheses:
-        return all_pairs
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    chosen = rng.choice(len(all_pairs), size=max_hypotheses, replace=False)
-    chosen.sort()  # pairs in lexicographic order, as in exhaustive mode
-    return all_pairs[chosen]
+    pairs = np.column_stack([iu, ju]).astype(np.int64)
+    if len(pairs) <= MAX_HYPOTHESES:
+        return pairs
+    chosen = np.random.default_rng(seed).choice(len(pairs), size=MAX_HYPOTHESES, replace=False)
+    chosen.sort()
+    return pairs[chosen]
 
 
-def anchor_ransac(
-    observations,
-    theta_ray_deg=5.0,
-    theta_rot_deg=10.0,
-    mode="auto",
-    seed=None,
-    max_hypotheses=DEFAULT_MAX_HYPOTHESES,
-):
+def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=None):
     """Largest set of mutually consistent anchor observations.
 
-    Enumerates pair hypotheses (exhaustively up to EXHAUSTIVE_LIMIT
-    observations in ``auto`` mode, sampled beyond), scores each against all
-    observations, and returns the best hypothesis with its inlier set. Ties
-    on inlier count resolve to the pair whose anchor ids sort first, as
-    strings by length and then by character (``a2`` before ``a10``), so in
-    exhaustive mode the result does not depend on the order of
-    ``observations``. Raises
-    NoConsensusError when no pair yields a valid hypothesis with both of its
-    own members consistent.
+    The observations are first put in anchor-id order: ids as strings, by
+    length and then by character (``a2`` before ``a10``). Pairs, their
+    orientation, the sample drawn with ``seed`` (only when there are more
+    than MAX_HYPOTHESES pairs) and ties all follow that order, so the result
+    does not depend on the order of ``observations``. Every pair hypothesis
+    is scored against all observations by ``_kernels.consensus_scores``; the
+    first pair with the highest score wins, and the winner's own row of
+    inlier tests is the inlier set, so ``inlier_count`` is its score.
+    Raises NoConsensusError when no pair yields a valid hypothesis with both
+    of its own members consistent.
     """
     observations = list(observations)
     if len(observations) < 2:
@@ -132,34 +108,24 @@ def anchor_ransac(
             f"consensus needs >= 2 observations, got {len(observations)}"
         )
     check_unique_ids(observations)
+    observations.sort(key=lambda o: (len(str(o.anchor_id)), str(o.anchor_id)))
 
     origins, dirs, quats = _observation_arrays(observations)
-    pairs = _candidate_pairs(len(observations), mode, seed, max_hypotheses)
-    counts = _kernels.consensus_scores(
-        origins,
-        dirs,
-        quats,
-        pairs,
-        np.cos(np.radians(theta_ray_deg)),
-        np.cos(np.radians(theta_rot_deg) / 2.0),
-    )
-    top = np.flatnonzero(counts == counts.max())
-    if counts[top[0]] < 2:
+    pairs = _candidate_pairs(len(observations), seed)
+    cos_ray = np.cos(np.radians(theta_ray_deg))
+    cos_half_rot = np.cos(np.radians(theta_rot_deg) / 2.0)
+    counts = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot)
+    best = int(np.argmax(counts))
+    if counts[best] < 2:
         raise NoConsensusError("no pair hypothesis is consistent with its own members")
-    ids = [str(o.anchor_id) for o in observations]
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[sorted(range(len(ids)), key=lambda k: (len(ids[k]), ids[k]))] = np.arange(len(ids))
-    ranked = np.sort(rank[pairs[top]], axis=1)
-    best = int(top[np.lexsort((ranked[:, 1], ranked[:, 0]))[0]])
 
-    i, j = map(int, pairs[best])
-    pose = pair_hypothesis(observations[i], observations[j])
-    mask = _inlier_mask(pose, origins, dirs, quats, theta_ray_deg, theta_rot_deg)
-    ids = frozenset(observations[k].anchor_id for k in np.flatnonzero(mask))
+    _, center, quat = _kernels.pair_hypotheses(origins, dirs, quats, pairs[best:best + 1])
+    inliers = _kernels.inlier_tests(center, quat, origins, dirs, quats, cos_ray, cos_half_rot)[0]
+    i, j = pairs[best]
     return AnchorConsensus(
-        inlier_ids=ids,
-        hypothesis_pose=pose,
-        inlier_count=int(mask.sum()),
+        inlier_ids=frozenset(observations[k].anchor_id for k in np.flatnonzero(inliers)),
+        hypothesis_pose=_hypothesis_pose(center[0], quat[0]),
+        inlier_count=int(inliers.sum()),
         pair_ids=(observations[i].anchor_id, observations[j].anchor_id),
     )
 

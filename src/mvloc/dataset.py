@@ -248,6 +248,8 @@ def _parse_match_lines(path, lines):
             raise ParseError(path, line_no, f"keypoint id must be an integer: {tokens[0]!r}") from None
         if kp_id < 0:
             raise ParseError(path, line_no, "keypoint id must be >= 0")
+        if kp_id >= 2**63:
+            raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
         if kp_id in seen:
             raise ParseError(path, line_no, f"duplicate keypoint id {kp_id}")
         seen.add(kp_id)

@@ -33,7 +33,7 @@ ACCURACY_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
 # PipelineConfig fields: integers with their minimum, reals with (0, upper).
 _INTEGER_MINIMA = {"top_k": 1, "min_matches": 0, "ransac_max_iters": 1, "seed": 0}
 _REAL_BOUNDS = {"epi_threshold_px": math.inf, "ransac_confidence": 1.0, "theta_ray_deg": math.inf,
-                "theta_rot_deg": math.inf, "tau_reproj": math.inf, "huber_scale": math.inf}
+                "theta_rot_deg": math.inf, "tau_reproj": math.inf}
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class PipelineConfig:
     theta_ray_deg: float = 5.0
     theta_rot_deg: float = 10.0
     tau_reproj: float = 0.01
-    huber_scale: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class PipelineConfig:
                 raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
         for name, upper in _REAL_BOUNDS.items():
             value = getattr(self, name)
-            if value is None and name == "huber_scale":
-                continue
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < upper:
                 raise ConfigurationError(f"{name} must be a number in (0, {upper}), got {value!r}")
 
@@ -95,7 +92,7 @@ class PipelineConfig:
         )
 
     def refine_config(self):
-        return RefineConfig(tau_reproj=self.tau_reproj, huber_scale=self.huber_scale)
+        return RefineConfig(tau_reproj=self.tau_reproj)
 
 
 @dataclass(frozen=True)

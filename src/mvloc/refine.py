@@ -8,7 +8,7 @@ minimizing its reprojection error onto the fixed latent points.
 """
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class RefineConfig:
     # triangulation LM also stops on the relative cost test of COST_RTOL
     step_tol: float = 1e-12
     tau_reproj: float = 0.01
-    huber_scale: Optional[float] = None  # None disables the robust loss
 
 
 # Relative cost change at which the triangulation LM has converged: an
@@ -296,15 +295,6 @@ def _query_jacobian(rotation, points, cam, w):
     return jac.reshape(2 * n, 6)
 
 
-def _huber_weights(r, scale):
-    """Per-residual-pair IRLS weights for the Huber loss."""
-    norms = np.linalg.norm(r.reshape(-1, 2), axis=1)
-    w = np.ones_like(norms)
-    over = norms > scale
-    w[over] = np.sqrt(scale / norms[over])
-    return np.repeat(w, 2)
-
-
 def refine_pose(tracks, anchor_poses, init_pose, config=None):
     """Refine a query pose against triangulated latent points.
 
@@ -347,10 +337,6 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
     r, cam, w = _query_residuals(rotation, translation, points, feats)
     if r is None:
         raise InitializationError("initial pose puts a gated point behind the camera")
-    weights = None
-    if config.huber_scale is not None:
-        weights = _huber_weights(r, config.huber_scale)
-        r = weights * r
     cost = r @ r
     e2_initial = cost
     damping = config.damping_init
@@ -359,8 +345,6 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
     for _ in range(config.max_iters):
         iterations += 1
         jac = _query_jacobian(rotation, points, cam, w)
-        if weights is not None:
-            jac = weights[:, None] * jac
         jtj = jac.T @ jac
         jtr = jac.T @ r
         try:
@@ -371,9 +355,6 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
         rot_new = rotation @ rotvec_to_rotation(step[:3])
         trans_new = translation + step[3:]
         r_new, cam_new, w_new = _query_residuals(rot_new, trans_new, points, feats)
-        if r_new is not None and weights is not None:
-            weights_new = _huber_weights(r_new, config.huber_scale)
-            r_new = weights_new * r_new
         if r_new is None or not (r_new @ r_new) < cost:
             damping *= config.damping_factor
             if damping > 1e16:
@@ -381,8 +362,6 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
             continue
         rotation, translation = rot_new, trans_new
         r, cam, w = r_new, cam_new, w_new
-        if weights is not None:
-            weights = weights_new
         cost = r @ r
         damping /= config.damping_factor
         if np.linalg.norm(step) < config.step_tol:

@@ -515,6 +515,8 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     k_values = [int(k) for k in k_values]
     if min(k_values) < 2:
         raise ConfigurationError("k values must be >= 2")
+    if len(set(k_values)) != len(k_values):
+        raise ConfigurationError(f"k_values must be distinct, got {k_values}")
     if max(k_values) > scene_config.n_anchors:
         raise ConfigurationError(
             f"k={max(k_values)} exceeds the scene's {scene_config.n_anchors} anchors"

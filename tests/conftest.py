@@ -465,22 +465,26 @@ def one_shot_quaternion_dots(hyp_q, quats):
     ] * q[..., 3]
 
 
-def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
+def one_shot_inlier_tests(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
+    """(valid, ok): each pair hypothesis's validity and its (P, K) inlier
+    tests against every observation."""
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     quats = np.asarray(quats, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
     valid, centers, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
-
-    i_idx, j_idx = pairs[:, 0], pairs[:, 1]
     dist, along = one_shot_ray_terms(origins, dirs, centers)
     ray_ok = (dist < 1e-12) | (along >= cos_ray * dist)
     rot_ok = np.abs(one_shot_quaternion_dots(hyp_q, quats)) >= cos_half_rot
-    ok = ray_ok & rot_ok
+    return valid, ray_ok & rot_ok
 
+
+def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
+    pairs = np.asarray(pairs, dtype=np.int64)
+    valid, ok = one_shot_inlier_tests(origins, dirs, quats, pairs, cos_ray, cos_half_rot)
     counts = ok.sum(axis=1).astype(np.int64)
     n = len(pairs)
-    self_ok = ok[np.arange(n), i_idx] & ok[np.arange(n), j_idx]
+    self_ok = ok[np.arange(n), pairs[:, 0]] & ok[np.arange(n), pairs[:, 1]]
     counts[~(valid & self_ok)] = -1
     return counts
 
@@ -566,6 +570,8 @@ def line_by_line_parse_matches(path):
             raise ParseError(path, line_no, f"keypoint id must be an integer: {tokens[0]!r}") from None
         if kp_id < 0:
             raise ParseError(path, line_no, "keypoint id must be >= 0")
+        if kp_id >= 2**63:
+            raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
         if kp_id in seen:
             raise ParseError(path, line_no, f"duplicate keypoint id {kp_id}")
         seen.add(kp_id)

@@ -465,7 +465,7 @@ def test_criterion_08_outlier_rejection():
         clean_ids = {o.anchor_id for k, o in enumerate(observations)
                      if k not in outlier_idx}
 
-        consensus = anchor_ransac(planted, mode="exhaustive")
+        consensus = anchor_ransac(planted)
         count, mask = brute_force_consensus(planted)
         brute_ids = {planted[k].anchor_id for k in np.flatnonzero(mask)}
 

@@ -11,6 +11,7 @@ from conftest import (
     consistent_observations,
     one_shot_consensus_scores,
     one_shot_hypotheses,
+    one_shot_inlier_tests,
     one_shot_quaternion_dots,
     one_shot_ray_terms,
     random_rotation,
@@ -31,10 +32,24 @@ from mvloc import (
     pair_hypothesis,
 )
 from mvloc import _kernels, consensus
-from mvloc.consensus import hypothesis_inliers
+from mvloc.averaging import chained_rotation, locus_ray
 from mvloc.geometry import rotvec_to_rotation
 
 X = np.array([1.0, 0.0, 0.0])
+
+
+def half_angle_threshold_deg(target):
+    """The largest theta (degrees) with cos(radians(theta) / 2) >= target,
+    computed as anchor_ransac computes its rotation threshold."""
+    lo, hi = 0.0, 360.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if np.cos(np.radians(mid) / 2.0) >= target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def scrambled(obs, rng):
@@ -140,8 +155,8 @@ class TestAnchorRansac:
     def test_exhaustive_mode_is_deterministic(self, rng):
         obs, _ = consistent_observations(rng, 12)
         mixed = [scrambled(o, rng) if i in (2, 5) else o for i, o in enumerate(obs)]
-        a = anchor_ransac(mixed, mode="exhaustive")
-        b = anchor_ransac(mixed, mode="exhaustive")
+        a = anchor_ransac(mixed)
+        b = anchor_ransac(mixed)
         assert a.inlier_ids == b.inlier_ids
         assert a.pair_ids == b.pair_ids
 
@@ -153,14 +168,16 @@ class TestAnchorRansac:
         second, _ = consistent_observations(rng, 3)
         second = [AnchorObservation(f"b{i}", o.anchor_pose, o.rel) for i, o in enumerate(second)]
         for order in (first + second, second + first, (first + second)[::-1]):
-            winner = anchor_ransac(order, mode="exhaustive")
+            winner = anchor_ransac(order)
             assert winner.inlier_ids == {"a0", "a1", "a2"}
             assert set(winner.pair_ids) == {"a0", "a1"}
 
-    def test_sampled_mode_is_seeded(self, rng):
+    def test_sampled_mode_is_seeded(self, rng, monkeypatch):
+        # 66 pairs of 12 observations, 30 of them sampled
+        monkeypatch.setattr(consensus, "MAX_HYPOTHESES", 30)
         obs, _ = consistent_observations(rng, 12)
-        a = anchor_ransac(obs, mode="sampled", seed=5)
-        b = anchor_ransac(obs, mode="sampled", seed=5)
+        a = anchor_ransac(obs, seed=5)
+        b = anchor_ransac(obs, seed=5)
         assert a.inlier_ids == b.inlier_ids
         np.testing.assert_array_equal(
             a.hypothesis_pose.rotation, b.hypothesis_pose.rotation
@@ -180,12 +197,78 @@ class TestAnchorRansac:
         assert grown >= base
 
     def test_winning_inliers_revalidate(self, rng):
+        # the inlier set is exactly the observations whose ray points at the
+        # winning hypothesis's center within 5 degrees and whose chained
+        # rotation is within 10 degrees of its rotation
         obs, _ = consistent_observations(rng, 15)
         mixed = [scrambled(o, rng) if i in (1, 6, 9) else o for i, o in enumerate(obs)]
         consensus = anchor_ransac(mixed, seed=2)
-        mask = hypothesis_inliers(consensus.hypothesis_pose, mixed)
-        passing = {o.anchor_id for o, ok in zip(mixed, mask) if ok}
-        assert consensus.inlier_ids <= passing
+        pose = consensus.hypothesis_pose
+        passing = set()
+        for o in mixed:
+            ray = locus_ray(o)
+            to_center = pose.center() - ray.origin
+            cos_angle = ray.direction @ to_center / np.linalg.norm(to_center)
+            ray_deg = np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
+            if ray_deg <= 5.0 and geodesic_angle(chained_rotation(o), pose.rotation) <= 10.0:
+                passing.add(o.anchor_id)
+        assert consensus.inlier_ids == passing
+        assert consensus.inlier_count == len(passing) == 12
+
+    def test_winner_is_its_own_scored_row_at_boundary_thresholds(self):
+        # rotation thresholds on (and one ulp above) single cells' |q . q'|
+        # put those cells at the edge of the inlier test: the winner's inlier
+        # set must still be its own scored row, not a second test's
+        cos_ray = np.cos(np.radians(5.0))
+        pairs = np.column_stack(np.triu_indices(6, 1))
+        calls = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            obs, _ = consistent_observations(rng, 6)
+            origins, dirs, quats = consensus._observation_arrays(obs)
+            _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
+            dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
+            for value in rng.choice(dots.ravel(), size=15, replace=False):
+                for target in (value, np.nextafter(value, 2.0)):
+                    theta_rot = half_angle_threshold_deg(target)
+                    cos_half_rot = np.cos(np.radians(theta_rot) / 2.0)
+                    counts = one_shot_consensus_scores(
+                        origins, dirs, quats, pairs, cos_ray, cos_half_rot
+                    )
+                    if counts.max() < 2:
+                        with pytest.raises(NoConsensusError):
+                            anchor_ransac(obs, theta_rot_deg=theta_rot)
+                        continue
+                    winner = anchor_ransac(obs, theta_rot_deg=theta_rot)
+                    calls += 1
+                    best = int(np.argmax(counts))
+                    _, ok = one_shot_inlier_tests(
+                        origins, dirs, quats, pairs[best:best + 1], cos_ray, cos_half_rot
+                    )
+                    assert winner.inlier_count == counts.max()
+                    assert set(winner.pair_ids) <= winner.inlier_ids
+                    assert winner.inlier_ids == {obs[k].anchor_id for k in np.flatnonzero(ok[0])}
+        assert calls > 300
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(151, 260),
+        outliers=st.sampled_from([0.0, 0.2, 0.4]),
+    )
+    def test_reversed_observations_give_the_same_consensus(self, seed, k, outliers):
+        # above 150 observations the pairs are sampled; the sample, like the
+        # pairs' orientation and ties, follows anchor ids, not list order
+        rng = np.random.default_rng(seed)
+        obs, _ = consistent_observations(rng, k)
+        obs = [scrambled(o, rng) if rng.random() < outliers else o for o in obs]
+        forward = anchor_ransac(obs, seed=3)
+        backward = anchor_ransac(obs[::-1], seed=3)
+        assert forward.inlier_ids == backward.inlier_ids
+        assert forward.pair_ids == backward.pair_ids
+        for a, b in ((forward.hypothesis_pose.rotation, backward.hypothesis_pose.rotation),
+                     (forward.hypothesis_pose.translation, backward.hypothesis_pose.translation)):
+            assert a.tobytes() == b.tobytes()
 
 
 # -------------------------------------------------------------- decoupled
@@ -339,21 +422,22 @@ class TestBlockedScores:
                 assert actual.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [193, 204, 260])
-    def test_sampled_consensus_counts_as_the_one_shot_scores(self, k):
+    def test_sampled_consensus_counts_as_the_one_shot_scores(self, k, monkeypatch):
         # above 150 observations anchor_ransac samples its pairs; every
         # sampled pair counts as in the one-shot pass, also at thresholds
         # on (and one ulp above) the dots of cells in blocks' last rows
         rng = np.random.default_rng(k)
         obs, _ = consistent_observations(rng, k)
         obs = [scrambled(o, rng) if rng.random() < 0.2 else o for o in obs]
-        origins, dirs, quats = consensus._observation_arrays(obs)
-        pairs = consensus._candidate_pairs(k, "auto", 7, 2000)
+        monkeypatch.setattr(consensus, "MAX_HYPOTHESES", 2000)
+        origins, dirs, quats = consensus._observation_arrays(obs)  # ids a0 < a1 < ...
+        pairs = consensus._candidate_pairs(k, 7)
         assert len(pairs) == 2000
         cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
         expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
         actual = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
         assert actual.tobytes() == expected.tobytes()
-        winner = anchor_ransac(obs, mode="auto", seed=7, max_hypotheses=2000)
+        winner = anchor_ransac(obs, seed=7)
         i, j = pairs[int(np.argmax(expected))]
         assert winner.pair_ids == (obs[i].anchor_id, obs[j].anchor_id)
 

@@ -708,8 +708,8 @@ class TestCli:
             PipelineConfig.from_dict({"epi_threshold": 1e-3, "epi_threshold_px": 0.8})
 
     def test_valid_config_values_accepted(self):
-        PipelineConfig(top_k=np.int64(5), epi_threshold_px=1.6, theta_ray_deg=3, huber_scale=0.5)
-        PipelineConfig(huber_scale=None, min_matches=0)
+        PipelineConfig(top_k=np.int64(5), epi_threshold_px=1.6, theta_ray_deg=3, tau_reproj=0.5)
+        PipelineConfig(min_matches=0)
 
     def test_corrupt_match_file_fails_only_its_query(self, tmp_path):
         root = tmp_path / "data"
@@ -765,6 +765,7 @@ class TestCli:
             ("ksweep", {"k_values": []}),
             ("ksweep", {"k_values": 5}),
             ("ksweep", {"k_values": [1, 5]}),
+            ("ksweep", {"k_values": [2, 5, 5]}),
             ("noise", {"sigmas_deg": [1.0, None]}),
             ("noise", {"sigmas_deg": 2.0}),
         ],

@@ -221,6 +221,13 @@ class TestKSweep:
         with pytest.raises(ConfigurationError):
             run_k_sweep(cfg, k_values=(9,), trials=5)
 
+    def test_repeated_k_is_rejected(self):
+        # a repeated K would write one row per request, each counting the
+        # same trials
+        cfg = SceneConfig(n_anchors=8, layout="line")
+        with pytest.raises(ConfigurationError, match="k_values"):
+            run_k_sweep(cfg, k_values=(2, 5, 5), trials=3)
+
 
 # ------------------------------------------------------------------ writers
 
