@@ -765,9 +765,9 @@ class TestCli:
             ("ksweep", {"k_values": []}),
             ("ksweep", {"k_values": 5}),
             ("ksweep", {"k_values": [1, 5]}),
-            ("ksweep", {"k_values": [2, 5, 5]}),
             ("noise", {"sigmas_deg": [1.0, None]}),
             ("noise", {"sigmas_deg": 2.0}),
+            ("ksweep", {"k_values": [2, 5, 5]}),
         ],
     )
     def test_simulate_rejects_bad_config_values(self, tmp_path, capsys, study, raw):
