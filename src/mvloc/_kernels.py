@@ -4,7 +4,8 @@
 (``_kernels.e1_residual_jac``), so a wrapper set on the module attribute sees
 every call. The kernels work on whole arrays: ``consensus_scores`` runs its
 (P, K) inlier tests in blocks of hypotheses, one coordinate at a time, in the
-same floating-point operations as a one-shot (P, K, 3) pass.
+same floating-point operations as a one-shot (P, K, 3) pass, and stops after
+the first block that holds a unanimous pair.
 """
 
 import numpy as np
@@ -148,12 +149,18 @@ def inlier_tests(centers, hyp_q, origins, dirs, quats, cos_ray, cos_half_rot):
 
 
 def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
-    """Inlier counts of every pair hypothesis against all observations.
+    """Inlier counts of pair hypotheses against all K observations, in pair
+    order, up to the first block that holds a unanimous pair.
 
     Each pair's hypothesis comes from ``pair_hypotheses`` and is tested
     against every observation by ``inlier_tests``, in blocks of about
     BLOCK_CELLS cells. Hypotheses that are not valid, or whose own members
-    fail the inlier test, score -1.
+    fail the inlier test, score -1. Scoring stops after the first block that
+    holds a valid hypothesis counting all K observations: no count can
+    exceed K, and the first of equal counts wins, so no later pair can take
+    the lead. The result is the prefix of the every-pair counts that ends
+    with that block (all of them when no pair is unanimous), and its first
+    argmax is the every-pair first argmax.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -164,13 +171,14 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     columns = [np.asfortranarray(a) for a in (origins, dirs, quats)]
     n, k = len(pairs), len(origins)
     counts = np.empty(n, dtype=np.int64)
-    self_ok = np.empty(n, dtype=bool)
     rows = max(1, BLOCK_CELLS // max(k, 1))
     for start in range(0, n, rows):
         block = slice(start, min(start + rows, n))
         ok = inlier_tests(centers[block], hyp_q[block], *columns, cos_ray, cos_half_rot)
-        counts[block] = ok.sum(axis=1)
+        scored = ok.sum(axis=1)
         local = np.arange(len(ok))
-        self_ok[block] = ok[local, pairs[block, 0]] & ok[local, pairs[block, 1]]
-    counts[~(valid & self_ok)] = -1
+        good = valid[block] & ok[local, pairs[block, 0]] & ok[local, pairs[block, 1]]
+        counts[block] = np.where(good, scored, -1)
+        if np.any(good & (scored == k)):
+            return counts[:block.stop]
     return counts

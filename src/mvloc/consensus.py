@@ -88,16 +88,18 @@ def _candidate_pairs(n, seed):
     return pairs[chosen]
 
 
-def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=None):
+def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
     """Largest set of mutually consistent anchor observations.
 
     The observations are first put in anchor-id order: ids as strings, by
     length and then by character (``a2`` before ``a10``). Pairs, their
     orientation, the sample drawn with ``seed`` (only when there are more
     than MAX_HYPOTHESES pairs) and ties all follow that order, so the result
-    does not depend on the order of ``observations``. Every pair hypothesis
-    is scored against all observations by ``_kernels.consensus_scores``; the
-    first pair with the highest score wins, and the winner's own row of
+    does not depend on the order of ``observations``. ``seed`` is a
+    Generator or a seed; the default 0 makes repeated calls draw the same
+    sample. The pair hypotheses are scored against all observations by
+    ``_kernels.consensus_scores``, which stops at the first unanimous pair;
+    the first pair with the highest score wins, and the winner's own row of
     inlier tests is the inlier set, so ``inlier_count`` is its score.
     Raises NoConsensusError when no pair yields a valid hypothesis with both
     of its own members consistent.

@@ -164,6 +164,18 @@ class RelativePoseEstimate:
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "direction", direction)
 
+    @classmethod
+    def _from_validated(cls, rotation, direction):
+        """An estimate from a rotation that ``ensure_rotation`` returned and a
+        direction that ``unit`` returned, frozen in place with no second
+        check or copy (the caller hands over both arrays)."""
+        rotation.flags.writeable = False
+        direction.flags.writeable = False
+        estimate = object.__new__(cls)
+        object.__setattr__(estimate, "rotation", rotation)
+        object.__setattr__(estimate, "direction", direction)
+        return estimate
+
     def __setattr__(self, name, value):
         raise AttributeError("RelativePoseEstimate is immutable")
 

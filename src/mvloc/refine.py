@@ -7,6 +7,7 @@ pose cannot bias the structure). Stage two refines the query pose by
 minimizing its reprojection error onto the fixed latent points.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -101,39 +102,65 @@ def _select_reference(centers, point):
 
     The Gram matrix is built elementwise as ``(dx_i dx_j + dy_i dy_j) +
     dz_i dz_j``, a fixed sum order that does not depend on how a BLAS
-    rounds. The argmin over the strict upper triangle scans pairs (i, j),
-    i < j, in row-major order, so the first minimal pair wins ties.
+    rounds. Each product commutes and each sum keeps its order, so the
+    matrix is exactly symmetric: with the diagonal masked to inf, the first
+    row-major minimum is the first minimal pair (i, j), i < j, since a cell
+    below the diagonal comes after its mirror.
     """
     dx, dy, dz = unit_rows(point - centers).T
-    m = len(dx)
     gram = np.multiply.outer(dx, dx)
     gram += np.multiply.outer(dy, dy)
     gram += np.multiply.outer(dz, dz)
-    gram[np.tri(m, dtype=bool)] = np.inf
-    return int(np.argmin(gram)) // m
+    np.fill_diagonal(gram, np.inf)
+    return int(np.argmin(gram)) // len(dx)
+
+
+class _AnchorStack(Mapping):
+    """Anchor id -> Pose over the given ids found in ``anchor_poses``, with
+    their rotations, translations and centers stacked once, so that each
+    track indexes rows instead of stacking Pose objects again."""
+
+    def __init__(self, anchor_poses, ids):
+        self._poses = {aid: anchor_poses[aid] for aid in dict.fromkeys(ids) if aid in anchor_poses}
+        self.rows = {aid: k for k, aid in enumerate(self._poses)}
+        self.rotations = np.array([p.rotation for p in self._poses.values()]).reshape(-1, 3, 3)
+        self.translations = np.array([p.translation for p in self._poses.values()]).reshape(-1, 3)
+        self.centers = -(self.rotations.transpose(0, 2, 1) @ self.translations[:, :, None])[:, :, 0]
+
+    def __getitem__(self, aid):
+        return self._poses[aid]
+
+    def __iter__(self):
+        return iter(self._poses)
+
+    def __len__(self):
+        return len(self._poses)
 
 
 def _track_arrays(track, anchor_poses, init):
     """Resolve poses, pick the reference view, and build the relative-pose
-    arrays the energy kernels consume."""
-    poses = []
+    arrays the energy kernels consume. ``anchor_poses`` is a query's
+    ``_AnchorStack`` or any id -> Pose mapping, of which only the track's
+    own anchors are stacked."""
+    if not isinstance(anchor_poses, _AnchorStack):
+        anchor_poses = _AnchorStack(anchor_poses, [aid for aid, _ in track.anchors])
+    rows = []
     for aid, _ in track.anchors:
-        if aid not in anchor_poses:
+        if aid not in anchor_poses.rows:
             raise KeyError(f"track {track.track_id!r} references unknown anchor {aid!r}")
-        poses.append(anchor_poses[aid])
+        rows.append(anchor_poses.rows[aid])
 
     if init is None:
         (aid_a, feat_a), (aid_b, feat_b) = track.anchors[0], track.anchors[1]
-        init = midpoint_triangulate(poses[0], poses[1], feat_a, feat_b)
+        init = midpoint_triangulate(anchor_poses[aid_a], anchor_poses[aid_b], feat_a, feat_b)
     else:
         init = np.asarray(init, dtype=np.float64)
 
-    rot_all = np.array([p.rotation for p in poses])
-    trans_all = np.array([p.translation for p in poses])
-    centers = -(rot_all.transpose(0, 2, 1) @ trans_all[:, :, None])[:, :, 0]
-    ref = _select_reference(centers, init)
-    ref_pose = poses[ref]
-    others = np.delete(np.arange(len(poses)), ref)
+    rot_all = anchor_poses.rotations[rows]
+    trans_all = anchor_poses.translations[rows]
+    ref = _select_reference(anchor_poses.centers[rows], init)
+    ref_pose = anchor_poses[track.anchors[ref][0]]
+    others = np.delete(np.arange(len(rows)), ref)
     obs = np.array([f for _, f in track.anchors])[others]
     # (R_k R_1^T, T_k - R_k1 T_1) for the non-reference views
     rots = rot_all[others] @ ref_pose.rotation.T
@@ -308,12 +335,14 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
     if config is None:
         config = RefineConfig()
     tracks = list(tracks)
+    # one pose stack per query, over the anchors the tracks reference
+    stack = _AnchorStack(anchor_poses, (aid for track in tracks for aid, _ in track.anchors))
 
     points = []
     feats = []
     for track in tracks:
         try:
-            latent = triangulate_track(track, anchor_poses, config=config)
+            latent = triangulate_track(track, stack, config=config)
         except (DegenerateGeometryError, InitializationError, DivergenceError, KeyError):
             continue
         try:

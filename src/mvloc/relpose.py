@@ -20,6 +20,7 @@ from .errors import (
 from .geometry import (
     PARALLEL_RAY_EPS,
     RelativePoseEstimate,
+    ensure_rotation,
     ray_pair_midpoint,
     skew,
     unit,
@@ -298,7 +299,8 @@ def decompose_essential(e):
 
     Candidates are returned as RelativePoseEstimates in the order
     (R1, +t), (R1, -t), (R2, +t), (R2, -t) with determinant-corrected SVD
-    factors. The caller disambiguates by cheirality.
+    factors. R1, R2 and t are validated once each and shared by the
+    candidates that hold them. The caller disambiguates by cheirality.
     """
     e = np.asarray(e, dtype=np.float64)
     u, svals, vt = np.linalg.svd(e)
@@ -312,52 +314,55 @@ def decompose_essential(e):
     if np.linalg.det(vt) < 0:
         vt = -vt
     w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    r1 = u @ w @ vt
-    r2 = u @ w.T @ vt
-    t = u[:, 2]
+    r1 = ensure_rotation(u @ w @ vt)
+    r2 = ensure_rotation(u @ w.T @ vt)
+    t = unit(u[:, 2]).copy()
+    # -unit(t) is unit(-t) to the bit: the norm and the division are sign-free
     return [
-        RelativePoseEstimate(r1, t),
-        RelativePoseEstimate(r1, -t),
-        RelativePoseEstimate(r2, t),
-        RelativePoseEstimate(r2, -t),
+        RelativePoseEstimate._from_validated(r, d)
+        for r, d in ((r1, t), (r1, -t), (r2, t), (r2, -t))
     ]
 
 
-def _depth_signs(candidate, ah, ah_norm, d1):
-    """Number of matches in front of both cameras for one candidate.
+def _front_counts(rotations, directions, ah, ah_norm, d1):
+    """Number of matches in front of both cameras under each of c
+    candidates, given as (c, 3, 3) rotations and (c, 3) directions.
 
     ``ah`` holds the homogeneous query features, ``ah_norm`` their norms and
     ``d1`` the unit anchor-frame rays. Triangulates every match by the
-    ray-midpoint construction in the anchor frame; near-parallel rays are
-    excluded from the vote.
+    ray-midpoint construction in the anchor frame, all candidates in one
+    stacked (c, n) pass; near-parallel rays are excluded from the vote.
+    Each element goes through the arithmetic of a one-candidate pass: a
+    product with a 3-vector is a stacked (3, 1) column matmul, the same BLAS
+    call as one matrix-vector product (a (3, c) matrix would not be).
     """
-    r, t = candidate.rotation, candidate.direction
-    d2 = ah @ r / ah_norm  # query rays rotated back
-    o2 = -r.T @ t  # query center in the anchor frame
+    d2 = ah @ rotations / ah_norm  # (c, n, 3) query rays rotated back
+    o2 = -np.swapaxes(rotations, 1, 2) @ directions[:, :, None]  # query centers, anchor frame
+    w_vec = -o2  # o1 - o2 with o1 = 0, as (c, 3, 1) columns
 
-    b = np.einsum("ij,ij->i", d1, d2)
+    b = np.einsum("ij,cij->ci", d1, d2)
     denom = 1.0 - b * b
     valid = denom > PARALLEL_RAY_EPS**2
-    w_vec = -o2  # o1 - o2 with o1 = 0
-    d = d1 @ w_vec
-    ee = d2 @ w_vec
+    d = (d1 @ w_vec)[:, :, 0]
+    ee = (d2 @ w_vec)[:, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (b * ee - d) / denom
         t2 = (ee - b * d) / denom
-    p1 = t1[:, None] * d1
-    p2 = o2 + t2[:, None] * d2
+    p1 = t1[:, :, None] * d1
+    p2 = np.swapaxes(o2, 1, 2) + t2[:, :, None] * d2
     x = 0.5 * (p1 + p2)
-    z_anchor = x[:, 2]
-    z_query = x @ r.T[:, 2] + t[2]
+    z_anchor = x[:, :, 2]
+    z_query = (x @ rotations[:, 2, :, None])[:, :, 0] + directions[:, 2:]
     front = valid & (z_anchor > 0) & (z_query > 0)
-    return int(front.sum())
+    return front.sum(axis=1)
 
 
 def cheirality_select(candidates, matches):
     """Pick the decomposition candidate placing the most matches in front of
     both cameras.
 
-    Raises NoValidPoseError when no candidate has a positive vote and
+    All candidates are voted in one stacked pass over the matches. Raises
+    NoValidPoseError when no candidate has a positive vote and
     AmbiguousCheiralityError when the top two candidates tie.
     """
     if len(matches) == 0:
@@ -366,7 +371,9 @@ def cheirality_select(candidates, matches):
     bh = np.column_stack([matches.anchor, np.ones(len(matches))])
     d1 = bh / np.linalg.norm(bh, axis=1, keepdims=True)  # anchor-frame rays from origin
     ah_norm = np.linalg.norm(ah, axis=1, keepdims=True)
-    votes = [_depth_signs(c, ah, ah_norm, d1) for c in candidates]
+    rotations = np.array([c.rotation for c in candidates]).reshape(-1, 3, 3)
+    directions = np.array([c.direction for c in candidates]).reshape(-1, 3)
+    votes = _front_counts(rotations, directions, ah, ah_norm, d1).tolist()
     order = np.argsort(votes)
     best = order[-1]
     if votes[best] == 0:

@@ -20,6 +20,7 @@ from conftest import (
 )
 
 from mvloc import (
+    AnchorConsensus,
     AnchorObservation,
     DegenerateGeometryError,
     InsufficientDataError,
@@ -33,7 +34,7 @@ from mvloc import (
 )
 from mvloc import _kernels, consensus
 from mvloc.averaging import chained_rotation, locus_ray
-from mvloc.geometry import rotvec_to_rotation
+from mvloc.geometry import quat_to_rotation, rotvec_to_rotation
 
 X = np.array([1.0, 0.0, 0.0])
 
@@ -270,6 +271,60 @@ class TestAnchorRansac:
                      (forward.hypothesis_pose.translation, backward.hypothesis_pose.translation)):
             assert a.tobytes() == b.tobytes()
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.one_of(st.integers(2, 40), st.integers(151, 260)),
+        dissent=st.sampled_from(["none", "one", "fifth"]),
+    )
+    def test_consensus_is_the_first_argmax_of_every_pair_score(self, seed, k, dissent):
+        # unanimous sets stop scoring after the first block, a dissenting
+        # anchor can keep any pair from being unanimous; from 151 anchors
+        # the pairs are sampled (2000 of them, which keeps the one-shot
+        # oracle's (P, K, 3) temporaries small)
+        rng = np.random.default_rng(seed)
+        obs, _ = consistent_observations(rng, k)
+        if dissent == "one":
+            i = int(rng.integers(k))
+            obs[i] = scrambled(obs[i], rng)
+        elif dissent == "fifth":
+            obs = [scrambled(o, rng) if rng.random() < 0.2 else o for o in obs]
+        ordered = sorted(obs, key=lambda o: (len(o.anchor_id), o.anchor_id))
+        origins, dirs, quats = consensus._observation_arrays(ordered)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "MAX_HYPOTHESES", 2000)
+            pairs = consensus._candidate_pairs(k, 5)
+            cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
+            scores = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
+            rng.shuffle(obs)
+            if scores.max() < 2:
+                with pytest.raises(NoConsensusError):
+                    anchor_ransac(obs, seed=5)
+                return
+            winner = anchor_ransac(obs, seed=5)
+        best = int(np.argmax(scores))
+        _, centers, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs[best:best + 1])
+        _, ok = one_shot_inlier_tests(
+            origins, dirs, quats, pairs[best:best + 1], cos_ray, cos_rot
+        )
+        rotation = quat_to_rotation(hyp_q[0])
+        i, j = pairs[best]
+        assert winner == AnchorConsensus(
+            inlier_ids=frozenset(ordered[m].anchor_id for m in np.flatnonzero(ok[0])),
+            hypothesis_pose=Pose(rotation, -rotation @ centers[0]),
+            inlier_count=int(scores[best]),
+            pair_ids=(ordered[i].anchor_id, ordered[j].anchor_id),
+        )
+
+    def test_default_seed_repeats_a_sampled_consensus(self):
+        # 200 anchors: 19900 pairs, of which MAX_HYPOTHESES are sampled
+        rng = np.random.default_rng(12)
+        obs, _ = consistent_observations(rng, 200)
+        obs = [scrambled(o, rng) if rng.random() < 0.3 else o for o in obs]
+        runs = [anchor_ransac(obs) for _ in range(5)]
+        assert len({run.pair_ids for run in runs}) == 1
+        assert all(run == runs[0] for run in runs)
+
 
 # -------------------------------------------------------------- decoupled
 
@@ -328,6 +383,18 @@ def pair_scene(rng, k, spread):
     return center, origins, dirs, quats
 
 
+def assert_scored_prefix(actual, expected, pairs, k):
+    """``actual`` is the prefix of the one-shot ``expected`` that ends with
+    the block holding the first unanimous valid pair (a count of k), or all
+    of ``expected`` when no pair is unanimous."""
+    rows = max(1, _kernels.BLOCK_CELLS // k)
+    unanimous = np.flatnonzero(expected == k)
+    stop = len(pairs) if len(unanimous) == 0 else min(len(pairs), (unanimous[0] // rows + 1) * rows)
+    assert actual.dtype == expected.dtype
+    assert len(actual) == stop
+    assert actual.tobytes() == expected[:len(actual)].tobytes()
+
+
 class TestBlockedScores:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -375,8 +442,7 @@ class TestBlockedScores:
 
         expected = one_shot_consensus_scores(origins, dirs, quats, pairs, *thresholds)
         actual = _kernels.consensus_scores(origins, dirs, quats, pairs, *thresholds)
-        assert actual.dtype == expected.dtype
-        assert actual.tobytes() == expected.tobytes()
+        assert_scored_prefix(actual, expected, pairs, k)
 
     @pytest.mark.parametrize("extra", [1, 2, 53])
     def test_rotation_test_rounds_as_the_one_shot_product(self, extra):
@@ -395,7 +461,7 @@ class TestBlockedScores:
             for threshold in (value, np.nextafter(value, 2.0)):
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
                 actual = _kernels.consensus_scores(origins, dirs, quats, pairs, -1.0, threshold)
-                assert actual.tobytes() == expected.tobytes()
+                assert_scored_prefix(actual, expected, pairs, k)
 
     def test_ray_test_rounds_as_the_one_shot_terms(self):
         # for a cell, the largest cos_ray that still passes it in the
@@ -419,7 +485,7 @@ class TestBlockedScores:
             for cos_ray in (boundary, np.nextafter(boundary, 2.0)):
                 expected = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
                 actual = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, -1.0)
-                assert actual.tobytes() == expected.tobytes()
+                assert_scored_prefix(actual, expected, pairs, k)
 
     @pytest.mark.parametrize("k", [193, 204, 260])
     def test_sampled_consensus_counts_as_the_one_shot_scores(self, k, monkeypatch):
@@ -463,6 +529,23 @@ class TestBlockedScores:
         cos_5 = np.cos(np.radians(5.0))
         scores = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_5, cos_5)
         assert scores.tolist() == [-1, -1]
+
+    def test_only_a_valid_unanimous_pair_stops_scoring(self, monkeypatch):
+        # anchors 0 and 1 sit on the query center: their pair has no
+        # baseline, so it is not valid, yet its hypothesis (that center)
+        # passes every observation; pair (0, 2) is valid and unanimous
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", 5)  # one pair per block
+        rng = np.random.default_rng(6)
+        center = rng.normal(size=3)
+        origins = np.vstack([center, center, center + rng.normal(scale=3.0, size=(3, 3))])
+        dirs = np.vstack([random_unit(rng), random_unit(rng), center - origins[2:]])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        quat = rng.normal(size=4)
+        quats = np.tile(quat / np.linalg.norm(quat), (5, 1))
+        pairs = np.column_stack(np.triu_indices(5, 1))
+        cos_5 = np.cos(np.radians(5.0))
+        scores = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_5, cos_5)
+        assert scores.tolist() == [-1, 5]
 
     def test_peak_allocation_stays_small_at_150_anchors(self):
         # the one-shot form allocated (11175, 150, 3) temporaries, over 100 MB

@@ -1,5 +1,7 @@
 """Latent-point triangulation and query pose refinement."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from mvloc import (
     refine_pose,
     triangulate_track,
 )
-from mvloc import _kernels
+from mvloc import _kernels, refine
 from mvloc.errors import DivergenceError, InitializationError, MvlocError
 from mvloc.geometry import rotvec_to_rotation, unit, unproject
 from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
@@ -308,6 +310,11 @@ class TestReferenceSelection:
             # minimal pairs (1, 3) and (2, 3) from a repeated view
             (["+z", "+x", "+x", "-x"], 1),
             (["+z", "+x", "-x", "+x", "-x"], 1),
+            # palindromes: every minimal pair is mirrored about both
+            # diagonals, so minimal cells come in exactly tied quadruples
+            (["+x", "-x", "-x", "+x"], 0),
+            (["+z", "+x", "-x", "+x", "+z"], 1),
+            (["+y", "+z", "+x", "-x", "+x", "+z", "+y"], 2),
         ],
     )
     def test_exact_ties_pick_first_minimal_pair(self, looks, expected):
@@ -459,6 +466,109 @@ class TestE1Objective:
 
 
 # -------------------------------------------------------------- refinement
+
+
+def looking_at(pose, point):
+    """The pose at ``pose``'s center turned to look at ``point``, rolled by
+    its own x axis (the pose itself when the point is on its center)."""
+    center = pose.center()
+    if np.linalg.norm(point - center) < 1e-9:
+        return pose
+    z = unit(point - center)
+    x = pose.rotation[0] - (pose.rotation[0] @ z) * z
+    if np.linalg.norm(x) < 1e-6:
+        x = pose.rotation[1] - (pose.rotation[1] @ z) * z
+    x = unit(x)
+    rotation = np.vstack([x, np.cross(z, x), z])
+    return Pose(rotation, -rotation @ center)
+
+
+def view_tracks(poses, point, rng):
+    """Tracks of the points around ``point`` seen in views ``v0``, ``v1``,
+    ... (one id per pose, repeated poses included, each turned to look at
+    ``point``), some over all views and some over a drawn subset; features
+    are the camera-frame ratios, so a point behind a view still has one."""
+    poses = [looking_at(pose, point) for pose in poses]
+    anchor_poses = {f"v{i}": pose for i, pose in enumerate(poses)}
+    tracks = []
+    for t in range(4):
+        target = point + rng.normal(scale=0.5, size=3) * (t > 0)
+        views = np.arange(len(poses))
+        if t % 2:
+            views = np.sort(rng.choice(len(poses), size=int(rng.integers(2, len(poses) + 1)),
+                                       replace=False))
+        anchors = []
+        for k in views:
+            cam = poses[k].apply(target)
+            anchors.append((f"v{k}", cam[:2] / cam[2]))
+        tracks.append(CorrespondenceTrack(t, rng.normal(size=2), tuple(anchors)))
+    return anchor_poses, tracks
+
+
+def triangulation_outcome(track, anchor_poses):
+    """A LatentPoint's fields as bytes, or the class of the error raised."""
+    try:
+        latent = triangulate_track(track, anchor_poses)
+    except (MvlocError, KeyError) as exc:
+        return type(exc)
+    return (
+        latent.track_id, latent.world_point.tobytes(), latent.reference_view,
+        latent.ref_feature.tobytes(), latent.ref_depth, latent.e1_residual,
+    )
+
+
+class TestQueryPoseStack:
+    """refine_pose stacks its anchors' poses once per query; every track
+    triangulates as it does against a plain dict."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(viewing_setups(), st.integers(0, 2**32 - 1))
+    def test_stacked_tracks_triangulate_as_plain_dict_tracks(self, setup, seed):
+        poses, point = setup
+        anchor_poses, tracks = view_tracks(poses, point, np.random.default_rng(seed))
+        # a pose no track names, which the query's stack leaves out
+        anchor_poses["unused"] = Pose(np.eye(3), np.ones(3))
+        expected = [triangulation_outcome(track, anchor_poses) for track in tracks]
+        original = refine.triangulate_track
+        seen = []
+
+        def recording(track, stack, **kwargs):
+            assert "unused" not in stack
+            seen.append(triangulation_outcome(track, stack))
+            return original(track, stack, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(refine, "triangulate_track", recording)
+            with contextlib.suppress(MvlocError):  # too few usable tracks
+                refine_pose(tracks, anchor_poses, Pose(np.eye(3), np.zeros(3)))
+        assert seen == expected
+
+    def test_refine_pose_hands_each_track_the_query_stack(self, monkeypatch):
+        scene, poses, tracks = scene_tracks(seed=23, n_points=8, n_anchors=6)
+        original = refine.triangulate_track
+        stacks = []
+
+        def recording(track, anchor_poses, **kwargs):
+            stacks.append(anchor_poses)
+            return original(track, anchor_poses, **kwargs)
+
+        monkeypatch.setattr(refine, "triangulate_track", recording)
+        refine_pose(tracks, poses, scene.query_pose)
+        assert len(stacks) == len(tracks)
+        assert all(stack is stacks[0] for stack in stacks)
+        assert isinstance(stacks[0], refine._AnchorStack)
+        assert dict(stacks[0]) == poses
+
+    def test_unknown_anchor_skips_only_its_track(self):
+        scene, poses, tracks = scene_tracks(seed=24, n_points=10, n_anchors=5)
+        ghost = CorrespondenceTrack(
+            "ghost", tracks[0].query_feature, tracks[0].anchors + (("a99", np.zeros(2)),)
+        )
+        with pytest.raises(KeyError, match="a99"):
+            triangulate_track(ghost, poses)
+        res = refine_pose(tracks[:5] + [ghost] + tracks[5:], poses, scene.query_pose)
+        assert res.points_used == len(tracks)
+        assert res.pose == refine_pose(tracks, poses, scene.query_pose).pose
 
 
 class TestRefinePose:

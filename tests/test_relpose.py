@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     per_candidate_cheirality_select,
+    per_candidate_depth_signs,
     random_rotation,
     random_unit,
     sequential_eight_point,
@@ -574,6 +575,43 @@ class TestCheiralitySelect:
 
         with np.errstate(invalid="ignore"):
             assert outcome(cheirality_select) == outcome(per_candidate_cheirality_select)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(3, 3, 0, 0), (0, 4, 0, 4), (2, 0, 2, 0), (5, 0, 3, 3), (2, 2, 2, 2), (0, 1, 1, 0)],
+    )
+    @pytest.mark.parametrize("order", ["as decomposed", "reversed", "two"])
+    def test_tied_votes_decide_as_per_candidate_votes(self, counts, order):
+        # counts[c] matches in front of both cameras under candidate c only:
+        # ties at the top, ties below a clear winner, and four-way ties
+        rng = np.random.default_rng(sum(counts))
+        rel = RelativePoseEstimate(
+            rotvec_to_rotation(rng.normal(scale=0.2, size=3)), random_unit(rng)
+        )
+        candidates = decompose_essential(essential_from_relative(rel))
+        points, in_anchor = [], []
+        for candidate, m in zip(candidates, counts):
+            drawn = rng.uniform(-10.0, 10.0, (50 * m + 400, 3))
+            seen = (drawn - candidate.direction) @ candidate.rotation
+            keep = (drawn[:, 2] > 0.5) & (seen[:, 2] > 0.5)
+            points.append(drawn[keep][:m])
+            in_anchor.append(seen[keep][:m])
+        points, in_anchor = np.concatenate(points), np.concatenate(in_anchor)
+        matches = MatchSet(points[:, :2] / points[:, 2:], in_anchor[:, :2] / in_anchor[:, 2:])
+        assert [per_candidate_depth_signs(c, matches) for c in candidates] == list(counts)
+        chosen = {
+            "as decomposed": candidates,
+            "reversed": candidates[::-1],
+            "two": [candidates[1], candidates[3]],
+        }[order]
+
+        def outcome(select):
+            try:
+                return chosen.index(select(chosen, matches))
+            except MvlocError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(cheirality_select) == outcome(per_candidate_cheirality_select)
 
     def test_empty_matches_rejected(self):
         candidates = decompose_essential(
