@@ -64,7 +64,6 @@ from .pipeline import (
 from .refine import (
     CorrespondenceTrack,
     LatentPoint,
-    RefineConfig,
     RefinementResult,
     e1_gradient,
     e1_objective,

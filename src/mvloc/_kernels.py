@@ -66,30 +66,6 @@ def e1_residual_jac(ref_feat, obs, rots, trans, x, y, rho):
     return r, jac, min_depth
 
 
-def e1_value(ref_feat, obs, rots, trans, x, y, rho):
-    """Closed-form value of the anchor reprojection energy.
-
-    Evaluates, per non-reference view, ``|g_k|^2 - 2 g_k.u/w + |u|^2 / w^2``
-    in homogeneous coordinates plus the reference-feature consistency term.
-    Returns ``(value, min_depth)``.
-    """
-    obs = np.asarray(obs, dtype=np.float64)
-    rots = np.asarray(rots, dtype=np.float64)
-    trans = np.asarray(trans, dtype=np.float64)
-
-    g = np.array([x, y, 1.0])
-    u = rho * (rots @ g) + trans
-    w = u[:, 2]
-    min_depth = float(w.min()) if len(obs) else np.inf
-
-    g_sq = obs[:, 0] ** 2 + obs[:, 1] ** 2 + 1.0
-    dot = obs[:, 0] * u[:, 0] + obs[:, 1] * u[:, 1] + u[:, 2]
-    u_sq = np.einsum("ij,ij->i", u, u)
-    terms = g_sq - 2.0 * dot / w + u_sq / (w * w)
-    value = float(terms.sum()) + (ref_feat[0] - x) ** 2 + (ref_feat[1] - y) ** 2
-    return value, min_depth
-
-
 def pair_hypotheses(origins, dirs, quats, pairs):
     """Query pose hypotheses of observation pairs.
 

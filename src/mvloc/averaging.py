@@ -25,6 +25,7 @@ from .geometry import (
     Pose,
     RelativePoseEstimate,
     canonicalize_quat,
+    nearest_rotation,
     quat_left_matrix,
     quat_to_rotation,
     rotation_to_quat,
@@ -35,6 +36,11 @@ from .geometry import (
 # A center normal matrix above this condition number does not localize the
 # query in all directions.
 CENTER_CONDITION_LIMIT = 1e8
+
+# Reweighting budget of govindu_translation_average, and the solution step
+# below which it has converged.
+TRANSLATION_MAX_ITERS = 50
+TRANSLATION_STEP_TOL = 1e-9
 
 # Dominant-eigenvalue gap below which the rotation average is ambiguous.
 AMBIGUITY_EIG_TOL = 1e-9
@@ -63,9 +69,6 @@ class Ray:
         n = np.linalg.norm(self.direction)
         if not np.isclose(n, 1.0, atol=1e-9):
             raise ValueError(f"ray direction must be unit, norm {n:.12f}")
-
-    def point_at(self, t):
-        return self.origin + t * self.direction
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,15 @@ def scene_scale(centers):
     return float(spread) if spread > 1e-12 else 1.0
 
 
-def govindu_translation_average(observations, max_iters=50, tol=1e-9, lambda_floor=None):
+def govindu_translation_average(observations):
     """Metric query translation from stacked cross-product constraints.
 
     Each observation contributes ``[t_kq]_x (T_k - R_kq T_q) = 0``; the
     stacked 3K x 3 system is solved for T_q by least squares, then
     iteratively reweighted by the inverse estimated per-anchor scale
-    ``1 / max(lam_k, lambda_floor)`` until the solution moves less than
-    ``tol`` or ``max_iters`` is hit.
+    ``1 / max(lam_k, floor)``, with ``floor`` 1e-6 of the anchors'
+    :func:`scene_scale`, until the solution moves less than
+    TRANSLATION_STEP_TOL or TRANSLATION_MAX_ITERS reweightings are done.
 
     Unlike the ray formulation this couples in the relative rotations, which
     is exactly the coupling the decoupled center estimate avoids.
@@ -178,8 +182,7 @@ def govindu_translation_average(observations, max_iters=50, tol=1e-9, lambda_flo
             f"translation average needs >= 2 observations, got {len(observations)}"
         )
     check_unique_ids(observations)
-    if lambda_floor is None:
-        lambda_floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
+    floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
 
     blocks = []
     rhs = []
@@ -200,18 +203,18 @@ def govindu_translation_average(observations, max_iters=50, tol=1e-9, lambda_flo
     if rank < 3:
         raise DegenerateGeometryError(f"translation system rank {rank} < 3")
 
-    for _ in range(max_iters):
+    for _ in range(TRANSLATION_MAX_ITERS):
         lams = np.array(
             [np.linalg.norm(tk - rk @ solution) for rk, tk in zip(rots_kq, t_anchor)]
         )
-        weights = 1.0 / np.maximum(lams, lambda_floor)
+        weights = 1.0 / np.maximum(lams, floor)
         scale = np.repeat(weights, 3)[:, None]
         new_solution, _, rank, _ = np.linalg.lstsq(scale * a, scale.ravel() * b, rcond=None)
         if rank < 3:
             raise DegenerateGeometryError("translation system lost rank while reweighting")
         step = np.linalg.norm(new_solution - solution)
         solution = new_solution
-        if step < tol:
+        if step < TRANSLATION_STEP_TOL:
             break
     return solution
 
@@ -290,8 +293,4 @@ def chordal_l2_mean(rotations):
     total = np.zeros((3, 3))
     for rot in rotations:
         total += np.asarray(rot, dtype=np.float64)
-    u, _, vt = np.linalg.svd(total)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    return nearest_rotation(total)

@@ -89,10 +89,12 @@ def _cmd_localize(args):
     return EXIT_NO_POSE if not results else EXIT_OK
 
 
-def _scene_config(raw):
-    scene_raw = raw.get("scene", {})
-    known = set(SceneConfig.__dataclass_fields__)
-    unknown = set(scene_raw) - known
+def _scene_config(scene_raw):
+    """SceneConfig of a study config's ``scene`` object, or None (the
+    study's own scene) for an empty one."""
+    if not isinstance(scene_raw, dict):
+        raise ConfigurationError(f"scene must be a JSON object, got {scene_raw!r}")
+    unknown = set(scene_raw) - set(SceneConfig.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown scene keys: {sorted(unknown)}")
     return SceneConfig(**scene_raw) if scene_raw else None
@@ -120,6 +122,15 @@ _STUDY_VALUES = {
 }
 
 
+# Each study: its function, the CLI's trial count, and config key -> the
+# function's keyword. A key the config leaves out keeps the function default.
+_STUDIES = {
+    "noise": (run_noise_study, 100, {"sigmas_deg": "noise_grid"}),
+    "ksweep": (run_k_sweep, 20, {"k_values": "k_values", "sigma_feat": "sigma_feat"}),
+    "ablation": (run_averaging_ablation, 100, {"sigma_deg": "noise"}),
+}
+
+
 def _cmd_simulate(args):
     raw = _load_json_config(args.config)
     unknown = set(raw) - set(_STUDY_VALUES) - {"scene"}
@@ -130,33 +141,11 @@ def _cmd_simulate(args):
     for key, (kind, check) in _STUDY_VALUES.items():
         if key in raw and not check(raw[key]):
             raise ConfigurationError(f"{key} must be {kind}, got {raw[key]!r}")
-    scene = _scene_config(raw)
-    trials = raw.get("trials")
-
-    if args.study == "noise":
-        result = run_noise_study(
-            scene_config=scene if scene else None,
-            noise_grid=raw.get("sigmas_deg", (1.0, 2.0, 5.0, 10.0)),
-            trials=trials if trials is not None else 100,
-            seed=args.seed,
-        )
-    elif args.study == "ksweep":
-        if scene is None and "k_values" in raw:
-            scene = SceneConfig(n_anchors=max(raw["k_values"]), layout="line")
-        result = run_k_sweep(
-            scene_config=scene,
-            k_values=raw.get("k_values", (2, 5, 10, 25, 50)),
-            sigma_feat=raw.get("sigma_feat", 1e-3),
-            trials=trials if trials is not None else 20,
-            seed=args.seed,
-        )
-    else:
-        result = run_averaging_ablation(
-            scene_config=scene if scene else None,
-            noise=raw.get("sigma_deg", 5.0),
-            trials=trials if trials is not None else 100,
-            seed=args.seed,
-        )
+    study, default_trials, keywords = _STUDIES[args.study]
+    kwargs = {keyword: raw[key] for key, keyword in keywords.items() if key in raw}
+    if "scene" in raw:
+        kwargs["scene_config"] = _scene_config(raw["scene"])
+    result = study(trials=raw.get("trials", default_trials), seed=args.seed, **kwargs)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,6 +25,9 @@ DEPTH_EPS = 1e-8
 # Orthonormality / determinant tolerance for accepting a rotation matrix.
 ROTATION_TOL = 1e-9
 
+# Vectors shorter than this have no direction.
+NORM_EPS = 1e-15
+
 # Rays meeting at less than this angle (radians) do not localize a point.
 PARALLEL_RAY_EPS = 1e-6
 
@@ -50,11 +53,11 @@ def skew(v):
     )
 
 
-def unit(v, eps=1e-15):
+def unit(v):
     """Return v / ||v||, raising on (near-)zero input."""
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v)
-    if n < eps:
+    if n < NORM_EPS:
         raise DegenerateGeometryError("cannot normalize a zero-length vector")
     # dividing by a norm of 1.0 +/- 1ulp churns the low bits of an already
     # unit vector, so inputs that are unit to rounding pass through untouched
@@ -63,13 +66,13 @@ def unit(v, eps=1e-15):
     return v / n
 
 
-def unit_rows(v, eps=1e-15):
+def unit_rows(v):
     """Row-wise :func:`unit` of an (N, 3) array, bit-for-bit equal to it."""
     v = np.asarray(v, dtype=np.float64)
     # a stacked (1, 3) @ (3, 1) product is the same BLAS dot that
     # np.linalg.norm takes on one vector; a reduction along axis 1 is not
     n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    if np.any(n < eps):
+    if np.any(n < NORM_EPS):
         raise DegenerateGeometryError("cannot normalize a zero-length vector")
     return np.where(np.abs(n - 1.0)[:, None] <= 1e-9, v, v / n[:, None])
 
@@ -84,18 +87,19 @@ def nearest_rotation(mat):
     return r
 
 
-def ensure_rotation(mat, strict=False, tol=ROTATION_TOL):
+def ensure_rotation(mat):
     """Validate a rotation matrix, re-orthonormalizing small drift.
 
-    With ``strict=True`` any violation of ``R.T @ R = I`` or ``det R = +1``
-    beyond ``tol`` raises InvalidRotationError instead of being repaired.
+    A matrix within ROTATION_TOL of ``R.T @ R = I`` and ``det R = +1`` is
+    returned as is; drift up to 1e-6 with a positive determinant is
+    projected onto SO(3), and anything else raises InvalidRotationError.
     """
     mat = _as_float_array(mat, (3, 3), "rotation")
     err = np.abs(mat.T @ mat - np.eye(3)).max()
     det = np.linalg.det(mat)
-    if err <= tol and abs(det - 1.0) <= tol:
+    if err <= ROTATION_TOL and abs(det - 1.0) <= ROTATION_TOL:
         return mat
-    if strict or det < 0 or err > 1e-6:
+    if det < 0 or err > 1e-6:
         raise InvalidRotationError(
             f"not a rotation matrix (orthonormality error {err:.3e}, det {det:.6f})"
         )
@@ -105,14 +109,14 @@ def ensure_rotation(mat, strict=False, tol=ROTATION_TOL):
 class Pose:
     """World-to-camera rigid transform: x_cam = rotation @ x_world + translation.
 
-    Arrays are copied and frozen on construction. ``strict=True`` rejects any
-    rotation drift instead of re-orthonormalizing it.
+    Arrays are copied and frozen on construction; small rotation drift is
+    re-orthonormalized (see :func:`ensure_rotation`).
     """
 
     __slots__ = ("rotation", "translation")
 
-    def __init__(self, rotation, translation, strict=False):
-        rotation = ensure_rotation(rotation, strict=strict)
+    def __init__(self, rotation, translation):
+        rotation = ensure_rotation(rotation)
         translation = _as_float_array(translation, (3,), "translation").copy()
         rotation = rotation.copy()
         rotation.flags.writeable = False
@@ -155,8 +159,8 @@ class RelativePoseEstimate:
 
     __slots__ = ("rotation", "direction")
 
-    def __init__(self, rotation, direction, strict=False):
-        rotation = ensure_rotation(rotation, strict=strict).copy()
+    def __init__(self, rotation, direction):
+        rotation = ensure_rotation(rotation).copy()
         direction = _as_float_array(direction, (3,), "direction")
         direction = unit(direction).copy()
         rotation.flags.writeable = False

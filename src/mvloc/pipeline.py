@@ -25,7 +25,7 @@ from .consensus import anchor_ransac, decoupled_pose
 from .dataset import pose_from_values
 from .errors import ConfigurationError, InsufficientDataError, MvlocError, ParseError
 from .geometry import Pose, geodesic_angle, rotation_to_quat
-from .refine import CorrespondenceTrack, RefineConfig, refine_pose
+from .refine import CorrespondenceTrack, refine_pose
 from .relpose import RansacConfig, cheirality_select, decompose_essential, estimate_essential
 
 ACCURACY_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
@@ -90,9 +90,6 @@ class PipelineConfig:
             max_iters=self.ransac_max_iters,
             min_inliers=max(self.min_matches, 8),
         )
-
-    def refine_config(self):
-        return RefineConfig(tau_reproj=self.tau_reproj)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,7 @@ def solve_pose(observations, inlier_matches, anchor_poses, config, rng):
     )
 
     try:
-        refinement = refine_pose(tracks, anchor_poses, stage1, config=config.refine_config())
+        refinement = refine_pose(tracks, anchor_poses, stage1, tau_reproj=config.tau_reproj)
     except MvlocError as exc:
         return consensus, stage1, None, f"stage1-only: {exc}"
     return consensus, stage1, refinement, "ok"

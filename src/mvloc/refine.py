@@ -68,18 +68,13 @@ class LatentPoint:
     e1_residual: float
 
 
-@dataclass(frozen=True)
-class RefineConfig:
-    """Shared Levenberg-Marquardt settings for both refinement stages."""
-
-    max_iters: int = 100
-    damping_init: float = 1e-4
-    damping_factor: float = 10.0
-    # absolute bound on an accepted step's norm, in parameter units; the
-    # triangulation LM also stops on the relative cost test of COST_RTOL
-    step_tol: float = 1e-12
-    tau_reproj: float = 0.01
-
+# Levenberg-Marquardt settings shared by both refinement stages. STEP_TOL is
+# an absolute bound on an accepted step's norm, in parameter units; the
+# triangulation LM also stops on the relative cost test of COST_RTOL.
+MAX_ITERS = 100
+DAMPING_INIT = 1e-4
+DAMPING_FACTOR = 10.0
+STEP_TOL = 1e-12
 
 # Relative cost change at which the triangulation LM has converged: an
 # accepted step that lowers the cost by no more, or a rejected step in front
@@ -175,7 +170,7 @@ def _track_arrays(track, anchor_poses, init):
     return ref, ref_pose, ref_feat, obs, rots, trans, cam
 
 
-def triangulate_track(track, anchor_poses, init=None, config=None):
+def triangulate_track(track, anchor_poses, init=None):
     """Triangulate one track against its anchor observations.
 
     Minimizes the anchor reprojection energy over the reference-view feature
@@ -184,14 +179,12 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
     pairwise. The iteration stops once it has converged: after an accepted
     step that lowers the cost by at most ``COST_RTOL`` of it, after a
     rejected step in front of every camera that moves the cost by at most
-    that much, after an accepted step shorter than ``config.step_tol``, or
+    that much, after an accepted step shorter than ``STEP_TOL``, or
     when the damping passes 1e16. Raises InitializationError when the
     starting point is behind a camera, DegenerateGeometryError from a
     degenerate initializer, and DivergenceError when iterations run out far
     above the starting energy.
     """
-    if config is None:
-        config = RefineConfig()
     ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
 
     x, y = cam0[0] / cam0[2], cam0[1] / cam0[2]
@@ -204,9 +197,9 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
         )
     cost = r @ r
     initial_cost = cost
-    damping = config.damping_init
+    damping = DAMPING_INIT
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         rho = np.exp(log_rho)
         jac_p = jac.copy()
         jac_p[:, 2] *= rho  # chain rule for the log-depth parameterization
@@ -215,7 +208,7 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
         try:
             step = np.linalg.solve(jtj + damping * np.eye(3), -jtr)
         except np.linalg.LinAlgError:
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             continue
         cand = (x + step[0], y + step[1], log_rho + step[2])
         r_new, jac_new, min_depth = _kernels.e1_residual_jac(
@@ -225,25 +218,23 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
         if min_depth <= DEPTH_EPS or not cost_new < cost:
             if min_depth > DEPTH_EPS and abs(cost_new - cost) <= COST_RTOL * cost:
                 break
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             if damping > 1e16:
                 break
             continue
         converged = cost - cost_new <= COST_RTOL * cost
         x, y, log_rho = cand
         r, jac, cost = r_new, jac_new, cost_new
-        damping /= config.damping_factor
-        if converged or np.linalg.norm(step) < config.step_tol:
+        damping /= DAMPING_FACTOR
+        if converged or np.linalg.norm(step) < STEP_TOL:
             break
     else:
         if cost > 10.0 * initial_cost:
             raise DivergenceError(
-                f"track {track.track_id!r}: no convergence after {config.max_iters} iterations"
+                f"track {track.track_id!r}: no convergence after {MAX_ITERS} iterations"
             )
 
     rho = np.exp(log_rho)
-    # cost is the residual-vector sum of squares at the accepted iterate;
-    # the homogeneous closed form would add a cancellation floor near eps
     cam = rho * np.array([x, y, 1.0])
     world = ref_pose.rotation.T @ (cam - ref_pose.translation)
     return LatentPoint(
@@ -256,27 +247,9 @@ def triangulate_track(track, anchor_poses, init=None, config=None):
     )
 
 
-def e1_objective(track, anchor_poses, gamma1, rho1, init=None):
-    """Anchor reprojection energy at given reference-view parameters.
-
-    The reference view is chosen exactly as in :func:`triangulate_track`
-    (pass the same ``init`` to reproduce a solve's configuration; default is
-    the pairwise triangulation of the first two views). Raises
-    BehindCameraError when any candidate depth is non-positive.
-    """
-    if rho1 <= 0 or not np.isfinite(rho1):
-        raise ValueError(f"rho1 must be positive, got {rho1}")
-    _, _, ref_feat, obs, rots, trans, _ = _track_arrays(track, anchor_poses, init)
-    gamma1 = np.asarray(gamma1, dtype=np.float64)
-    value, min_depth = _kernels.e1_value(ref_feat, obs, rots, trans, gamma1[0], gamma1[1], rho1)
-    if min_depth <= DEPTH_EPS:
-        raise BehindCameraError(f"candidate depth {min_depth:.3e} <= {DEPTH_EPS}")
-    return float(value)
-
-
-def e1_gradient(track, anchor_poses, gamma1, rho1, init=None):
-    """Gradient of the energy w.r.t. (x, y, rho); same conventions as
-    :func:`e1_objective`."""
+def _e1_residuals(track, anchor_poses, gamma1, rho1, init):
+    """Residuals and Jacobian of the anchor energy at (gamma1, rho1), with
+    the reference view chosen as in :func:`triangulate_track`."""
     if rho1 <= 0 or not np.isfinite(rho1):
         raise ValueError(f"rho1 must be positive, got {rho1}")
     _, _, ref_feat, obs, rots, trans, _ = _track_arrays(track, anchor_poses, init)
@@ -286,6 +259,25 @@ def e1_gradient(track, anchor_poses, gamma1, rho1, init=None):
     )
     if min_depth <= DEPTH_EPS:
         raise BehindCameraError(f"candidate depth {min_depth:.3e} <= {DEPTH_EPS}")
+    return r, jac
+
+
+def e1_objective(track, anchor_poses, gamma1, rho1, init=None):
+    """Anchor reprojection energy at given reference-view parameters.
+
+    The reference view is chosen exactly as in :func:`triangulate_track`
+    (pass the same ``init`` to reproduce a solve's configuration; default is
+    the pairwise triangulation of the first two views). Raises
+    BehindCameraError when any candidate depth is non-positive.
+    """
+    r, _ = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
+    return float(r @ r)
+
+
+def e1_gradient(track, anchor_poses, gamma1, rho1, init=None):
+    """Gradient of the energy w.r.t. (x, y, rho); same conventions as
+    :func:`e1_objective`."""
+    r, jac = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
     return 2.0 * (jac.T @ r)
 
 
@@ -322,18 +314,16 @@ def _query_jacobian(rotation, points, cam, w):
     return jac.reshape(2 * n, 6)
 
 
-def refine_pose(tracks, anchor_poses, init_pose, config=None):
+def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     """Refine a query pose against triangulated latent points.
 
     Tracks failing triangulation, projecting behind the initial query pose,
-    or with initial query reprojection error above ``config.tau_reproj`` are
+    or with initial query reprojection error above ``tau_reproj`` are
     excluded; at least 3 usable points are required. The pose is then
     optimized by Levenberg-Marquardt over a right-multiplicative axis-angle
     and translation increment. The final energy never exceeds the initial
     one.
     """
-    if config is None:
-        config = RefineConfig()
     tracks = list(tracks)
     # one pose stack per query, over the anchors the tracks reference
     stack = _AnchorStack(anchor_poses, (aid for track in tracks for aid, _ in track.anchors))
@@ -342,14 +332,14 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
     feats = []
     for track in tracks:
         try:
-            latent = triangulate_track(track, stack, config=config)
+            latent = triangulate_track(track, stack)
         except (DegenerateGeometryError, InitializationError, DivergenceError, KeyError):
             continue
         try:
             predicted = project(init_pose, latent.world_point)
         except BehindCameraError:
             continue
-        if np.linalg.norm(track.query_feature - predicted) > config.tau_reproj:
+        if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
             continue
         points.append(latent.world_point)
         feats.append(track.query_feature)
@@ -368,10 +358,10 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
         raise InitializationError("initial pose puts a gated point behind the camera")
     cost = r @ r
     e2_initial = cost
-    damping = config.damping_init
+    damping = DAMPING_INIT
     iterations = 0
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         iterations += 1
         jac = _query_jacobian(rotation, points, cam, w)
         jtj = jac.T @ jac
@@ -379,21 +369,21 @@ def refine_pose(tracks, anchor_poses, init_pose, config=None):
         try:
             step = np.linalg.solve(jtj + damping * np.eye(6), -jtr)
         except np.linalg.LinAlgError:
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             continue
         rot_new = rotation @ rotvec_to_rotation(step[:3])
         trans_new = translation + step[3:]
         r_new, cam_new, w_new = _query_residuals(rot_new, trans_new, points, feats)
         if r_new is None or not (r_new @ r_new) < cost:
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             if damping > 1e16:
                 break
             continue
         rotation, translation = rot_new, trans_new
         r, cam, w = r_new, cam_new, w_new
         cost = r @ r
-        damping /= config.damping_factor
-        if np.linalg.norm(step) < config.step_tol:
+        damping /= DAMPING_FACTOR
+        if np.linalg.norm(step) < STEP_TOL:
             break
 
     if cost > e2_initial:

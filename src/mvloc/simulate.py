@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,10 +63,14 @@ class SceneConfig:
     extent: float = 1.5
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ValueError("n_points must be >= 8")
-        if self.n_anchors < 2:
-            raise ValueError("n_anchors must be >= 2")
+        for name, minimum in (("n_points", 8), ("n_anchors", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        for name in ("radius", "extent"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.layout not in ("ring", "line"):
             raise ValueError(f"layout must be 'ring' or 'line', got {self.layout!r}")
         if not 0 < self.extent < self.radius / 2:

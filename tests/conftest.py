@@ -183,14 +183,19 @@ def loop_query_jacobian(rotation, points, cam, w):
 # up to rounding, never at a lower cost.
 
 
-def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None, config=None):
+def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
     from mvloc import _kernels
     from mvloc.errors import DivergenceError, InitializationError
     from mvloc.geometry import DEPTH_EPS
-    from mvloc.refine import LatentPoint, RefineConfig, _track_arrays
+    from mvloc.refine import (
+        DAMPING_FACTOR,
+        DAMPING_INIT,
+        MAX_ITERS,
+        STEP_TOL,
+        LatentPoint,
+        _track_arrays,
+    )
 
-    if config is None:
-        config = RefineConfig()
     ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
 
     x, y = cam0[0] / cam0[2], cam0[1] / cam0[2]
@@ -203,9 +208,9 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None, conf
         )
     cost = r @ r
     initial_cost = cost
-    damping = config.damping_init
+    damping = DAMPING_INIT
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         rho = np.exp(log_rho)
         jac_p = jac.copy()
         jac_p[:, 2] *= rho  # chain rule for the log-depth parameterization
@@ -214,7 +219,7 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None, conf
         try:
             step = np.linalg.solve(jtj + damping * np.eye(3), -jtr)
         except np.linalg.LinAlgError:
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             continue
         cand = (x + step[0], y + step[1], log_rho + step[2])
         r_new, jac_new, min_depth = _kernels.e1_residual_jac(
@@ -222,19 +227,19 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None, conf
         )
         cost_new = r_new @ r_new
         if min_depth <= DEPTH_EPS or not cost_new < cost:
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
             if damping > 1e16:
                 break
             continue
         x, y, log_rho = cand
         r, jac, cost = r_new, jac_new, cost_new
-        damping /= config.damping_factor
-        if np.linalg.norm(step) < config.step_tol:
+        damping /= DAMPING_FACTOR
+        if np.linalg.norm(step) < STEP_TOL:
             break
     else:
         if cost > 10.0 * initial_cost:
             raise DivergenceError(
-                f"track {track.track_id!r}: no convergence after {config.max_iters} iterations"
+                f"track {track.track_id!r}: no convergence after {MAX_ITERS} iterations"
             )
 
     rho = np.exp(log_rho)

@@ -24,7 +24,6 @@ from mvloc import (
     CorrespondenceTrack,
     MatchSet,
     RansacConfig,
-    RefineConfig,
     RelativePoseEstimate,
     SceneConfig,
     anchor_ransac,
@@ -344,7 +343,7 @@ def test_criterion_06_refinement_improves():
         pose_map = {k: p for k, p in enumerate(scene.anchor_poses)}
         # wide reprojection gate: stage 1 can sit several cm off under this
         # noise, and the criterion wants every trial refined, not pre-filtered
-        result = refine_pose(tracks, pose_map, stage1, config=RefineConfig(tau_reproj=0.2))
+        result = refine_pose(tracks, pose_map, stage1, tau_reproj=0.2)
 
         truth = scene.query_pose.center()
         err_stage1 = np.linalg.norm(stage1.center() - truth)

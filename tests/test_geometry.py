@@ -78,10 +78,6 @@ class TestEnsureRotation:
         fixed = ensure_rotation(drifted)
         np.testing.assert_allclose(fixed @ fixed.T, np.eye(3), atol=1e-12)
 
-    def test_strict_mode_rejects_drift(self):
-        with pytest.raises(InvalidRotationError):
-            ensure_rotation(rot_z(30.0) + 1e-8, strict=True)
-
     def test_large_error_rejected_even_when_lenient(self):
         with pytest.raises(InvalidRotationError):
             ensure_rotation(np.eye(3) * 1.5)

@@ -2,9 +2,11 @@
 
 ``perfbench/run.py --trace 1`` exits when a wrapped layer records no calls,
 which is how a renamed or moved function shows up there. This runs the same
-check on one small ``mvloc localize`` run, so such a rename fails here in
-seconds instead. It also checks that refinement triangulates each track it
-is handed once, through ``refine.triangulate_track``.
+check on one small ``mvloc localize`` run and on one small round of the
+three studies (the only callers of the ``govindu_*`` averages), so such a
+rename fails here in seconds instead. It also checks that refinement
+triangulates each track it is handed once, through
+``refine.triangulate_track``.
 """
 
 import contextlib
@@ -51,3 +53,18 @@ def test_localize_calls_every_wrapped_layer(perfbench, tmp_path):
     triangulations = trace.summary()["refine.triangulate_track"][1]
     assert trace.counters["refine.tracks"] > 0
     assert triangulations == trace.counters["refine.tracks"]
+
+
+def test_studies_call_every_wrapped_layer(perfbench):
+    tracer, workloads = perfbench
+    with tracer.instrument(tracer.Tracer(), tracer.TARGETS) as trace:
+        results = (
+            simulate.run_k_sweep(k_values=(2, 5), trials=1, seed=11),
+            simulate.run_noise_study(noise_grid=(1.0,), trials=2, seed=11),
+            simulate.run_averaging_ablation(trials=2, seed=11),
+        )
+    # a skipped trial could leave a layer uncalled for a reason of its own
+    assert all(row["skipped"] == 0 for result in results for row in result.rows)
+    _, uncalled = tracer.layer_metrics(trace, [])
+    missing = uncalled - workloads.WORKLOADS["studies"].idle
+    assert not missing, f"wrapped layers recorded no calls (renamed or moved?): {sorted(missing)}"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     consistent_observations,
     dict_keypoint_tracks,
+    random_rotation,
     rot_x,
     sequential_essential,
     stable_geodesic_deg,
@@ -342,6 +343,40 @@ class TestPixelGate:
             aid: gate / np.sqrt(800.0 * focal) for aid, focal in focals.items()
         }
         assert result.status == "ok" and result.error_m < 1e-6
+
+
+class TestWorldFrameEquivariance:
+    """Mapping the world through a similarity ``X' = s Q X + t`` and every
+    pose through ``R' = R Q^T``, ``T' = s T - R Q^T t`` leaves each camera's
+    image of each point unchanged, so localization must give the same
+    decisions and errors scaled by s (ROADMAP 6(i))."""
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_similarity_of_the_world_frame(self, tmp_path, seed):
+        _, manifest = scene_dataset(tmp_path, seed=seed, sigma_feat=1.25e-3, n_points=60,
+                                    n_anchors=10)
+        dataset = load_dataset(manifest)
+        (base,), _ = localize_run(dataset)
+        assert base.status == "ok"
+        rng = np.random.default_rng(seed)
+
+        def moved(pose, s, q, t):
+            rotation = pose.rotation @ q.T
+            return Pose(rotation, s * pose.translation - rotation @ t)
+
+        for s in (1e-3, 1.0, 1e3, 1e5):
+            q, t = random_rotation(rng), rng.normal(scale=10.0 * s, size=3)
+            mapped = dataclasses.replace(
+                dataset,
+                anchors={aid: moved(p, s, q, t) for aid, p in dataset.anchors.items()},
+                ground_truth={qid: moved(p, s, q, t) for qid, p in dataset.ground_truth.items()},
+            )
+            (result,), _ = localize_run(mapped)
+            assert result.status == base.status
+            assert result.tracks_used == base.tracks_used
+            assert result.inlier_anchor_ids == base.inlier_anchor_ids
+            assert abs(result.error_m / s - base.error_m) <= 1e-6 * base.error_m
+            assert abs(result.error_deg - base.error_deg) <= 1e-7
 
 
 class TestLocalizeRun:
@@ -768,6 +803,13 @@ class TestCli:
             ("noise", {"sigmas_deg": [1.0, None]}),
             ("noise", {"sigmas_deg": 2.0}),
             ("ksweep", {"k_values": [2, 5, 5]}),
+            ("ablation", {"scene": 5}),
+            ("ablation", {"scene": {"n_points": "60"}}),
+            ("ablation", {"scene": {"radius": "5"}}),
+            ("ablation", {"scene": {"n_points": 60.5}}),
+            ("ablation", {"scene": {"extent": None}}),
+            ("noise", {"scene": []}),
+            ("ablation", {"scene": {"n_anchors": 20.0}}),
         ],
     )
     def test_simulate_rejects_bad_config_values(self, tmp_path, capsys, study, raw):
@@ -776,7 +818,11 @@ class TestCli:
         out = tmp_path / "o"
         code = main(["simulate", study, "--output-dir", str(out), "--config", str(config)])
         assert code == 2
-        assert f"{next(iter(raw))} must be" in capsys.readouterr().err
+        # a bad field of the scene object is named by its own key
+        key, value = next(iter(raw.items()))
+        if isinstance(value, dict):
+            key = next(iter(value))
+        assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_rejects_bad_trials_flag(self, tmp_path, capsys):
@@ -792,6 +838,28 @@ class TestCli:
         assert main(["simulate", "ksweep", "--output-dir", str(out),
                      "--config", str(config)]) == 0
         assert (out / "k_sweep.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "study, defaults",
+        [
+            ("noise", {"sigmas_deg": [1.0, 2.0, 5.0, 10.0],
+                       "scene": {"n_anchors": 20, "layout": "line"}}),
+            ("ksweep", {"k_values": [2, 5, 10, 25, 50], "sigma_feat": 1e-3,
+                        "scene": {"n_anchors": 50, "layout": "line"}}),
+            ("ablation", {"sigma_deg": 5.0, "scene": {"n_anchors": 20, "layout": "line"}}),
+        ],
+    )
+    def test_simulate_spelled_out_defaults_change_nothing(self, tmp_path, study, defaults):
+        written = []
+        for name, raw in (("empty", {}), ("spelled", defaults)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(raw))
+            out = tmp_path / name
+            assert main(["simulate", study, "--output-dir", str(out), "--config", str(config),
+                         "--trials", "1", "--seed", "3"]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) == 2
+        assert written[0] == written[1]
 
     def test_simulate_rejects_unknown_config(self, tmp_path):
         config = tmp_path / "study.json"

@@ -24,7 +24,6 @@ from mvloc import (
     DegenerateGeometryError,
     InsufficientDataError,
     Pose,
-    RefineConfig,
     SceneConfig,
     e1_gradient,
     e1_objective,
@@ -67,7 +66,7 @@ def scene_tracks(seed, n_points=20, n_anchors=5, sigma=0.0, rng=None, layout="ri
 
 
 def kernel_inputs(seed, m):
-    """Random arguments of the triangulation kernels: a reference feature,
+    """Random arguments of the triangulation kernel: a reference feature,
     m non-reference views and a parameter point (x, y, rho)."""
     rng = np.random.default_rng(seed)
     ref_feat = rng.normal(0, 0.3, 2)
@@ -409,17 +408,12 @@ class TestE1Objective:
 
     @pytest.mark.parametrize("seed, m", [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 0)])
     def test_closed_form_value_equals_residual_norm(self, seed, m):
-        # one energy through two routes: the closed form against the sum of
-        # squared residuals, equal up to the closed form's cancellation; with
-        # no non-reference view only the reference block is left
+        # with no non-reference view only the reference block is left
         args = kernel_inputs(seed, m)
-        value, value_depth = _kernels.e1_value(*args)
         r, jac, min_depth = _kernels.e1_residual_jac(*args)
         assert r.shape == (2 + 2 * m,)
         assert jac.shape == (2 + 2 * m, 3)
-        assert value_depth == min_depth
         assert (min_depth == np.inf) == (m == 0)
-        assert abs(value - r @ r) < 1e-9 * max(1.0, value)
 
     def test_gradient_matches_central_differences(self, rng):
         h = 1e-6
@@ -599,11 +593,10 @@ class TestRefinePose:
     def test_converges_from_perturbed_start(self):
         rng = np.random.default_rng(77)
         # wide gate so the perturbed start keeps its tracks
-        config = RefineConfig(tau_reproj=0.2)
         for seed in range(5):
             scene, poses, tracks = scene_tracks(seed=30 + seed, n_points=15, n_anchors=5)
             start = perturbed_pose(scene.query_pose, 0.05, 2.0, rng)
-            res = refine_pose(tracks, poses, start, config)
+            res = refine_pose(tracks, poses, start, tau_reproj=0.2)
             err_m = np.linalg.norm(res.pose.center() - scene.query_pose.center())
             err_deg = stable_geodesic_deg(res.pose.rotation, scene.query_pose.rotation)
             assert err_m < 1e-6
@@ -619,7 +612,7 @@ class TestRefinePose:
                 seed=1000 + trial, n_points=50, n_anchors=8, sigma=1e-3, rng=rng
             )
             start = perturbed_pose(scene.query_pose, 0.05, 2.0, rng)
-            res = refine_pose(tracks, poses, start, RefineConfig(tau_reproj=0.2))
+            res = refine_pose(tracks, poses, start, tau_reproj=0.2)
             before = np.linalg.norm(start.center() - scene.query_pose.center())
             after = np.linalg.norm(res.pose.center() - scene.query_pose.center())
             improved += after < before
