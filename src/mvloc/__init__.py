@@ -33,7 +33,6 @@ from .errors import (
     BehindCameraError,
     ConfigurationError,
     DegenerateGeometryError,
-    DivergenceError,
     GenerationError,
     InitializationError,
     InsufficientDataError,

@@ -133,15 +133,17 @@ _STUDIES = {
 
 def _cmd_simulate(args):
     raw = _load_json_config(args.config)
-    unknown = set(raw) - set(_STUDY_VALUES) - {"scene"}
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    study, default_trials, keywords = _STUDIES[args.study]
+    for key in raw:
+        if key not in keywords and key not in ("trials", "scene"):
+            raise ConfigurationError(
+                f"{key} must be left out: the {args.study} study does not read it"
+            )
     if args.trials is not None:
         raw["trials"] = args.trials
     for key, (kind, check) in _STUDY_VALUES.items():
         if key in raw and not check(raw[key]):
             raise ConfigurationError(f"{key} must be {kind}, got {raw[key]!r}")
-    study, default_trials, keywords = _STUDIES[args.study]
     kwargs = {keyword: raw[key] for key, keyword in keywords.items() if key in raw}
     if "scene" in raw:
         kwargs["scene_config"] = _scene_config(raw["scene"])

@@ -2,7 +2,7 @@
 
 Geometric failure modes get their own classes so callers can tell a
 degenerate configuration (recoverable: drop the sample, try another pair)
-from bad input data or a diverging solve.
+from bad input data.
 """
 
 
@@ -45,11 +45,6 @@ class NoValidPoseError(MvlocError):
 
 class InitializationError(MvlocError):
     """Iterative solve cannot start from the supplied initial value."""
-
-
-class DivergenceError(MvlocError):
-    """Iterative solve exhausted its iterations while moving away from a
-    minimum."""
 
 
 class ParseError(MvlocError):

@@ -17,7 +17,6 @@ from . import _kernels
 from .errors import (
     BehindCameraError,
     DegenerateGeometryError,
-    DivergenceError,
     InitializationError,
     InsufficientDataError,
 )
@@ -68,17 +67,17 @@ class LatentPoint:
     e1_residual: float
 
 
-# Levenberg-Marquardt settings shared by both refinement stages. STEP_TOL is
-# an absolute bound on an accepted step's norm, in parameter units; the
-# triangulation LM also stops on the relative cost test of COST_RTOL.
+# Levenberg-Marquardt settings of ``_minimize``, the one loop both
+# refinement stages run. STEP_TOL is an absolute bound on an accepted step's
+# norm, in parameter units.
 MAX_ITERS = 100
 DAMPING_INIT = 1e-4
 DAMPING_FACTOR = 10.0
 STEP_TOL = 1e-12
 
-# Relative cost change at which the triangulation LM has converged: an
-# accepted step that lowers the cost by no more, or a rejected step in front
-# of every camera that moves it by no more, changes nothing at this precision.
+# Relative cost change at which the LM has converged: an accepted step that
+# lowers the cost by no more, or a rejected step in front of every camera
+# that moves it by no more, changes nothing at this precision.
 COST_RTOL = 1e-12
 
 
@@ -170,69 +169,79 @@ def _track_arrays(track, anchor_poses, init):
     return ref, ref_pose, ref_feat, obs, rots, trans, cam
 
 
-def triangulate_track(track, anchor_poses, init=None):
-    """Triangulate one track against its anchor observations.
+def _minimize(params, first, evaluate, retract):
+    """Levenberg-Marquardt from ``params``, where ``first`` = (r, jac) is
+    ``evaluate(params)``.
 
-    Minimizes the anchor reprojection energy over the reference-view feature
-    and log-depth by Levenberg-Marquardt. ``init`` is an optional world-point
-    initializer; by default the first two anchor views are triangulated
-    pairwise. The iteration stops once it has converged: after an accepted
-    step that lowers the cost by at most ``COST_RTOL`` of it, after a
-    rejected step in front of every camera that moves the cost by at most
-    that much, after an accepted step shorter than ``STEP_TOL``, or
-    when the damping passes 1e16. Raises InitializationError when the
-    starting point is behind a camera, DegenerateGeometryError from a
-    degenerate initializer, and DivergenceError when iterations run out far
-    above the starting energy.
+    ``evaluate(params)`` returns the residuals and their Jacobian in the
+    step's coordinates, or None where a point falls behind a camera;
+    ``retract(params, step)`` applies a step. The loop stops after an
+    accepted step that lowers the cost by at most ``COST_RTOL`` of it, after
+    a rejected step in front of every camera that moves the cost by at most
+    that much, after an accepted step shorter than ``STEP_TOL``, when the
+    damping passes 1e16, or after ``MAX_ITERS`` iterations. Returns
+    ``(params, cost, iterations)``; the cost never exceeds the first one.
     """
-    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
-
-    x, y = cam0[0] / cam0[2], cam0[1] / cam0[2]
-    log_rho = np.log(cam0[2])
-
-    r, jac, min_depth = _kernels.e1_residual_jac(ref_feat, obs, rots, trans, x, y, np.exp(log_rho))
-    if min_depth <= DEPTH_EPS:
-        raise InitializationError(
-            f"track {track.track_id!r}: initial point is behind an anchor view"
-        )
-    cost = r @ r
-    initial_cost = cost
+    r, jac = first
+    cost = initial_cost = r @ r
     damping = DAMPING_INIT
-
-    for _ in range(MAX_ITERS):
-        rho = np.exp(log_rho)
-        jac_p = jac.copy()
-        jac_p[:, 2] *= rho  # chain rule for the log-depth parameterization
-        jtj = jac_p.T @ jac_p
-        jtr = jac_p.T @ r
+    eye = np.eye(jac.shape[1])
+    iterations = 0
+    for iterations in range(1, MAX_ITERS + 1):
         try:
-            step = np.linalg.solve(jtj + damping * np.eye(3), -jtr)
+            step = np.linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ r))
         except np.linalg.LinAlgError:
             damping *= DAMPING_FACTOR
             continue
-        cand = (x + step[0], y + step[1], log_rho + step[2])
-        r_new, jac_new, min_depth = _kernels.e1_residual_jac(
-            ref_feat, obs, rots, trans, cand[0], cand[1], np.exp(cand[2])
-        )
-        cost_new = r_new @ r_new
-        if min_depth <= DEPTH_EPS or not cost_new < cost:
-            if min_depth > DEPTH_EPS and abs(cost_new - cost) <= COST_RTOL * cost:
+        cand = retract(params, step)
+        new = evaluate(cand)
+        cost_new = None if new is None else new[0] @ new[0]
+        if new is None or not cost_new < cost:
+            if new is not None and abs(cost_new - cost) <= COST_RTOL * cost:
                 break
             damping *= DAMPING_FACTOR
             if damping > 1e16:
                 break
             continue
         converged = cost - cost_new <= COST_RTOL * cost
-        x, y, log_rho = cand
-        r, jac, cost = r_new, jac_new, cost_new
+        params, (r, jac), cost = cand, new, cost_new
         damping /= DAMPING_FACTOR
         if converged or np.linalg.norm(step) < STEP_TOL:
             break
-    else:
-        if cost > 10.0 * initial_cost:
-            raise DivergenceError(
-                f"track {track.track_id!r}: no convergence after {MAX_ITERS} iterations"
-            )
+    if cost > initial_cost:
+        raise RuntimeError("energy increased during refinement; LM acceptance is broken")
+    return params, cost, iterations
+
+
+def triangulate_track(track, anchor_poses, init=None):
+    """Triangulate one track against its anchor observations.
+
+    Minimizes the anchor reprojection energy over the reference-view feature
+    and log-depth with ``_minimize``. ``init`` is an optional world-point
+    initializer; by default the first two anchor views are triangulated
+    pairwise. Raises InitializationError when the starting point is behind
+    a camera and DegenerateGeometryError from a degenerate initializer.
+    """
+    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
+
+    def evaluate(params):
+        rho = np.exp(params[2])
+        # through the module, so that a wrapped kernel sees every call
+        r, jac, min_depth = _kernels.e1_residual_jac(
+            ref_feat, obs, rots, trans, params[0], params[1], rho
+        )
+        if min_depth <= DEPTH_EPS:
+            return None
+        jac[:, 2] *= rho  # chain rule for the log-depth parameterization
+        return r, jac
+
+    params = np.array([cam0[0] / cam0[2], cam0[1] / cam0[2], np.log(cam0[2])])
+    first = evaluate(params)
+    if first is None:
+        raise InitializationError(
+            f"track {track.track_id!r}: initial point is behind an anchor view"
+        )
+    (x, y, log_rho), cost, _ = _minimize(params, first, evaluate, np.add)
 
     rho = np.exp(log_rho)
     cam = rho * np.array([x, y, 1.0])
@@ -320,9 +329,9 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     Tracks failing triangulation, projecting behind the initial query pose,
     or with initial query reprojection error above ``tau_reproj`` are
     excluded; at least 3 usable points are required. The pose is then
-    optimized by Levenberg-Marquardt over a right-multiplicative axis-angle
-    and translation increment. The final energy never exceeds the initial
-    one.
+    optimized with ``_minimize`` over a right-multiplicative axis-angle and
+    translation increment, with the converged stop of triangulation. The
+    final energy never exceeds the initial one.
     """
     tracks = list(tracks)
     # one pose stack per query, over the anchors the tracks reference
@@ -333,7 +342,7 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     for track in tracks:
         try:
             latent = triangulate_track(track, stack)
-        except (DegenerateGeometryError, InitializationError, DivergenceError, KeyError):
+        except (DegenerateGeometryError, InitializationError, KeyError):
             continue
         try:
             predicted = project(init_pose, latent.world_point)
@@ -351,43 +360,19 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     points = np.array(points)
     feats = np.array(feats)
 
-    rotation = init_pose.rotation.copy()
-    translation = init_pose.translation.copy()
-    r, cam, w = _query_residuals(rotation, translation, points, feats)
-    if r is None:
+    def evaluate(pose):
+        r, cam, w = _query_residuals(pose[0], pose[1], points, feats)
+        return None if r is None else (r, _query_jacobian(pose[0], points, cam, w))
+
+    def retract(pose, step):
+        return pose[0] @ rotvec_to_rotation(step[:3]), pose[1] + step[3:]
+
+    start = (init_pose.rotation, init_pose.translation)
+    first = evaluate(start)
+    if first is None:
         raise InitializationError("initial pose puts a gated point behind the camera")
-    cost = r @ r
-    e2_initial = cost
-    damping = DAMPING_INIT
-    iterations = 0
-
-    for _ in range(MAX_ITERS):
-        iterations += 1
-        jac = _query_jacobian(rotation, points, cam, w)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            step = np.linalg.solve(jtj + damping * np.eye(6), -jtr)
-        except np.linalg.LinAlgError:
-            damping *= DAMPING_FACTOR
-            continue
-        rot_new = rotation @ rotvec_to_rotation(step[:3])
-        trans_new = translation + step[3:]
-        r_new, cam_new, w_new = _query_residuals(rot_new, trans_new, points, feats)
-        if r_new is None or not (r_new @ r_new) < cost:
-            damping *= DAMPING_FACTOR
-            if damping > 1e16:
-                break
-            continue
-        rotation, translation = rot_new, trans_new
-        r, cam, w = r_new, cam_new, w_new
-        cost = r @ r
-        damping /= DAMPING_FACTOR
-        if np.linalg.norm(step) < STEP_TOL:
-            break
-
-    if cost > e2_initial:
-        raise RuntimeError("energy increased during refinement; LM acceptance is broken")
+    e2_initial = first[0] @ first[0]
+    (rotation, translation), cost, iterations = _minimize(start, first, evaluate, retract)
     return RefinementResult(
         pose=Pose(rotation, translation),
         e2_initial=float(e2_initial),

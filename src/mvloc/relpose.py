@@ -213,7 +213,7 @@ def minimal_samples(rng, size, n):
     return np.argpartition(rng.random((size, n)), MIN_MATCHES - 1, axis=1)[:, :MIN_MATCHES]
 
 
-def estimate_essential(matches, config=None, seed=None):
+def estimate_essential(matches, config=None, seed=0):
     """RANSAC essential-matrix estimate.
 
     Returns ``(E, inlier_mask)`` where the mask marks matches whose symmetric
@@ -225,9 +225,10 @@ def estimate_essential(matches, config=None, seed=None):
 
     Hypotheses are drawn (one ``minimal_samples`` call), fitted and scored
     in chunks that double from 8 up to ``CHUNK_ROWS // n``, then walked in
-    order until the budget is spent. ``seed`` is a Generator or a seed; a
-    generator should serve one pair only, since a whole chunk is drawn even
-    when the walk stops inside it.
+    order until the budget is spent. ``seed`` is a Generator or a seed
+    (default 0, so a call without one is reproducible); a generator should
+    serve one pair only, since a whole chunk is drawn even when the walk
+    stops inside it.
     """
     if config is None:
         config = RansacConfig()

@@ -83,10 +83,9 @@ class NoiseSpec:
 
     sigma_rot_deg: float = 0.0
     sigma_dir_deg: float = 0.0
-    sigma_feat: float = 0.0
 
     def __post_init__(self):
-        for name in ("sigma_rot_deg", "sigma_dir_deg", "sigma_feat"):
+        for name in ("sigma_rot_deg", "sigma_dir_deg"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
@@ -120,10 +119,9 @@ def _pose_at(center, target):
 def _scene_valid(points, poses, radius):
     """All points safely in front of every camera, no coincident cameras."""
     centers = np.array([p.center() for p in poses])
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if np.linalg.norm(centers[i] - centers[j]) < 1e-3 * radius:
-                return False
+    i, j = np.triu_indices(len(centers), k=1)
+    if np.any(np.linalg.norm(centers[i] - centers[j], axis=1) < 1e-3 * radius):
+        return False
     for pose in poses:
         feats, depths = project_many(pose, points)
         if depths.min() <= 0.2 * radius or np.abs(feats).max() >= 10.0:
@@ -445,17 +443,17 @@ def run_averaging_ablation(scene_config=None, noise=5.0, trials=500, seed=0):
     return result
 
 
-def export_scene_dataset(scene, root, sigma_feat=0.0, seed=0, query_id="query", intrinsics=None):
+def export_scene_dataset(scene, root, sigma_feat=0.0, seed=0, query_id="query"):
     """Write a scene as a pipeline dataset (manifest + files) under ``root``.
 
     Every scene point is matched between the query and every anchor, with
-    optional feature noise, through a shared pinhole intrinsic. Ground truth
-    for the query is included. Returns the manifest path.
+    optional feature noise, through one shared pinhole intrinsic of focal
+    length ``FOCAL_PX``. Ground truth for the query is included. Returns the
+    manifest path.
     """
     from .dataset import Intrinsics, write_dataset
 
-    if intrinsics is None:
-        intrinsics = Intrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=320.0, cy=240.0)
+    intrinsics = Intrinsics(fx=FOCAL_PX, fy=FOCAL_PX, cx=320.0, cy=240.0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, len(scene.points)]))
     q_feats, a_feats = noisy_features(scene, sigma_feat, rng)
 

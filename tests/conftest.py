@@ -185,7 +185,7 @@ def loop_query_jacobian(rotation, points, cam, w):
 
 def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
     from mvloc import _kernels
-    from mvloc.errors import DivergenceError, InitializationError
+    from mvloc.errors import InitializationError
     from mvloc.geometry import DEPTH_EPS
     from mvloc.refine import (
         DAMPING_FACTOR,
@@ -207,7 +207,6 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
             f"track {track.track_id!r}: initial point is behind an anchor view"
         )
     cost = r @ r
-    initial_cost = cost
     damping = DAMPING_INIT
 
     for _ in range(MAX_ITERS):
@@ -236,11 +235,6 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
         damping /= DAMPING_FACTOR
         if np.linalg.norm(step) < STEP_TOL:
             break
-    else:
-        if cost > 10.0 * initial_cost:
-            raise DivergenceError(
-                f"track {track.track_id!r}: no convergence after {MAX_ITERS} iterations"
-            )
 
     rho = np.exp(log_rho)
     cam = rho * np.array([x, y, 1.0])
@@ -253,6 +247,126 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
         ref_depth=float(rho),
         e1_residual=float(cost),
     )
+
+
+# --------------------------------------------- query LM without early stop
+#
+# Reference for ``refine.refine_pose``: the same track gates and the same
+# Levenberg-Marquardt over (R exp([w]_x), T + dt), with only the step-length
+# and damping exits. The converged-stop loop must end on one of its iterates.
+
+
+def lm_query_without_convergence_stop(tracks, anchor_poses, init_pose, tau_reproj=0.01):
+    from mvloc.errors import (
+        BehindCameraError,
+        DegenerateGeometryError,
+        InitializationError,
+        InsufficientDataError,
+    )
+    from mvloc.geometry import Pose, project, rotvec_to_rotation
+    from mvloc.refine import (
+        DAMPING_FACTOR,
+        DAMPING_INIT,
+        MAX_ITERS,
+        STEP_TOL,
+        RefinementResult,
+        _AnchorStack,
+        _query_jacobian,
+        _query_residuals,
+        triangulate_track,
+    )
+
+    tracks = list(tracks)
+    stack = _AnchorStack(anchor_poses, (aid for track in tracks for aid, _ in track.anchors))
+
+    points = []
+    feats = []
+    for track in tracks:
+        try:
+            latent = triangulate_track(track, stack)
+        except (DegenerateGeometryError, InitializationError, KeyError):
+            continue
+        try:
+            predicted = project(init_pose, latent.world_point)
+        except BehindCameraError:
+            continue
+        if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
+            continue
+        points.append(latent.world_point)
+        feats.append(track.query_feature)
+
+    if len(points) < 3:
+        raise InsufficientDataError(
+            f"only {len(points)} of {len(tracks)} tracks usable; need >= 3"
+        )
+    points = np.array(points)
+    feats = np.array(feats)
+
+    rotation = init_pose.rotation.copy()
+    translation = init_pose.translation.copy()
+    r, cam, w = _query_residuals(rotation, translation, points, feats)
+    if r is None:
+        raise InitializationError("initial pose puts a gated point behind the camera")
+    cost = r @ r
+    e2_initial = cost
+    damping = DAMPING_INIT
+    iterations = 0
+
+    for _ in range(MAX_ITERS):
+        iterations += 1
+        jac = _query_jacobian(rotation, points, cam, w)
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        try:
+            step = np.linalg.solve(jtj + damping * np.eye(6), -jtr)
+        except np.linalg.LinAlgError:
+            damping *= DAMPING_FACTOR
+            continue
+        rot_new = rotation @ rotvec_to_rotation(step[:3])
+        trans_new = translation + step[3:]
+        r_new, cam_new, w_new = _query_residuals(rot_new, trans_new, points, feats)
+        if r_new is None or not (r_new @ r_new) < cost:
+            damping *= DAMPING_FACTOR
+            if damping > 1e16:
+                break
+            continue
+        rotation, translation = rot_new, trans_new
+        r, cam, w = r_new, cam_new, w_new
+        cost = r @ r
+        damping /= DAMPING_FACTOR
+        if np.linalg.norm(step) < STEP_TOL:
+            break
+
+    if cost > e2_initial:
+        raise RuntimeError("energy increased during refinement; LM acceptance is broken")
+    return RefinementResult(
+        pose=Pose(rotation, translation),
+        e2_initial=float(e2_initial),
+        e2_final=float(cost),
+        iterations=iterations,
+        points_used=len(points),
+    )
+
+
+# ------------------------------------------------- scene validity pair loop
+#
+# Reference for ``simulate._scene_valid``: the camera-gap test as a loop
+# over center pairs, each distance a norm of its own.
+
+
+def pair_loop_scene_valid(points, poses, radius):
+    from mvloc.geometry import project_many
+
+    centers = np.array([p.center() for p in poses])
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if np.linalg.norm(centers[i] - centers[j]) < 1e-3 * radius:
+                return False
+    for pose in poses:
+        feats, depths = project_many(pose, points)
+        if depths.min() <= 0.2 * radius or np.abs(feats).max() >= 10.0:
+            return False
+    return True
 
 
 @pytest.fixture
@@ -339,7 +453,7 @@ def sequential_samples(rng, size, n):
     return np.argpartition(rng.random((size, n)), 7, axis=1)[:, :8]
 
 
-def sequential_essential(matches, config=None, seed=None, stats=None):
+def sequential_essential(matches, config=None, seed=0, stats=None):
     """Same signature, results and errors as ``relpose.estimate_essential``;
     ``stats``, when given, receives the hypothesis count (``iterations``)
     and how many samples were degenerate (``degenerate``)."""

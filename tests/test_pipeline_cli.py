@@ -810,6 +810,12 @@ class TestCli:
             ("ablation", {"scene": {"extent": None}}),
             ("noise", {"scene": []}),
             ("ablation", {"scene": {"n_anchors": 20.0}}),
+            ("ablation", {"k_values": [2, 3], "sigmas_deg": [1.0]}),
+            ("ablation", {"sigma_feat": 1e-3}),
+            ("noise", {"sigma_deg": 5.0, "trials": 1}),
+            ("noise", {"k_values": [2, 3]}),
+            ("ksweep", {"sigmas_deg": [1.0]}),
+            ("ksweep", {"sigma_deg": 5.0}),
         ],
     )
     def test_simulate_rejects_bad_config_values(self, tmp_path, capsys, study, raw):

@@ -145,6 +145,18 @@ class TestEstimateEssential:
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(m1, m2)
 
+    def test_default_seed_is_reproducible(self):
+        # 1 px noise at f = 800 and 20 outliers, so the sample draws decide E
+        matches, _ = two_view_matches(seed=7)
+        rng = np.random.default_rng(8)
+        q = matches.query + rng.normal(scale=1.0 / 800.0, size=matches.query.shape)
+        a = matches.anchor + rng.normal(scale=1.0 / 800.0, size=matches.anchor.shape)
+        q[:20], a[:20] = rng.uniform(-0.8, 0.8, (2, 20, 2))
+        runs = [estimate_essential(MatchSet(q, a)) for _ in range(5)]
+        for e, mask in runs[1:]:
+            assert e.tobytes() == runs[0][0].tobytes()
+            assert mask.tobytes() == runs[0][1].tobytes()
+
     def test_epipolar_identity_on_clean_matches(self):
         matches, rel = two_view_matches(seed=5)
         e = normalized(essential_from_relative(rel))

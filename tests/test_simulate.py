@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import stable_geodesic_deg
+from conftest import pair_loop_scene_valid, stable_geodesic_deg
 
 from mvloc import (
     AnchorObservation,
     ConfigurationError,
     NoiseSpec,
+    Pose,
     RelativePoseEstimate,
     SceneConfig,
     generate_scene,
@@ -25,6 +26,7 @@ from mvloc import (
 )
 from mvloc.simulate import (
     _check_skip_fraction,
+    _scene_valid,
     sign_test_pvalue,
     synthesize_observations,
     write_study_csv,
@@ -50,7 +52,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             NoiseSpec(sigma_rot_deg=-1.0)
         with pytest.raises(ValueError):
-            NoiseSpec(sigma_feat=float("nan"))
+            NoiseSpec(sigma_dir_deg=float("nan"))
 
 
 # ------------------------------------------------------------- scene shapes
@@ -83,6 +85,24 @@ class TestGenerateScene:
             for pose in cameras:
                 for point in scene.points:
                     project(pose, point)  # raises BehindCameraError on failure
+
+    @pytest.mark.parametrize("first, last", [(0, 1), (3, 149), (0, 149)])
+    def test_camera_gap_check_matches_the_pair_loop(self, first, last):
+        # a scene is invalid when two cameras are closer than 1e-3 of the
+        # radius; gaps within rounding of that bound decide as the loop does
+        scene = generate_scene(SceneConfig(n_anchors=149, layout="line"), seed=4)
+        cameras = list(scene.anchor_poses) + [scene.query_pose]
+        radius = scene.config.radius
+        assert _scene_valid(scene.points, cameras, radius)
+        near = 1e-3 * (1.0 + np.linspace(-1e-13, 1e-13, 21))
+        for gap in [0.999e-3, 1.001e-3, *near]:
+            pose = cameras[first]
+            moved = pose.center() + gap * radius * np.array([0.0, 0.0, 1.0])
+            cameras[last] = Pose(pose.rotation, -pose.rotation @ moved)
+            valid = _scene_valid(scene.points, cameras, radius)
+            assert valid is pair_loop_scene_valid(scene.points, cameras, radius)
+            if abs(gap - 1e-3) > 1e-6:
+                assert valid is (gap > 1e-3)
 
     def test_minimal_line_scene_supports_pair_hypothesis(self):
         scene = generate_scene(SceneConfig(n_anchors=2, layout="line"), seed=5)
