@@ -45,9 +45,7 @@ from .errors import (
 from .geometry import (
     Pose,
     RelativePoseEstimate,
-    compose_absolute,
     geodesic_angle,
-    invert_relative,
     project,
     quat_to_rotation,
     relative_from_poses,

@@ -29,7 +29,8 @@ from .geometry import (
     quat_left_matrix,
     quat_to_rotation,
     rotation_to_quat,
-    skew,
+    row_norms,
+    skew_rows,
     unit,
 )
 
@@ -184,29 +185,22 @@ def govindu_translation_average(observations):
     check_unique_ids(observations)
     floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
 
-    blocks = []
-    rhs = []
-    rots_kq = []
-    t_anchor = []
-    for obs in observations:
-        r_kq = obs.rel.rotation.T
-        t_kq = -r_kq @ obs.rel.direction
-        cross = skew(t_kq)
-        blocks.append(cross @ r_kq)
-        rhs.append(cross @ obs.anchor_pose.translation)
-        rots_kq.append(r_kq)
-        t_anchor.append(obs.anchor_pose.translation)
+    rel_rotations = np.array([o.rel.rotation for o in observations])
+    r_kq = np.swapaxes(rel_rotations, 1, 2)
+    t_kq = -(r_kq @ np.array([o.rel.direction for o in observations])[:, :, None])
+    cross = skew_rows(t_kq[:, :, 0])
+    t_anchor = np.array([o.anchor_pose.translation for o in observations])
 
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs)
+    a = (cross @ r_kq).reshape(-1, 3)
+    b = (cross @ t_anchor[:, :, None]).ravel()
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 3:
         raise DegenerateGeometryError(f"translation system rank {rank} < 3")
 
     for _ in range(TRANSLATION_MAX_ITERS):
-        lams = np.array(
-            [np.linalg.norm(tk - rk @ solution) for rk, tk in zip(rots_kq, t_anchor)]
-        )
+        # R_kq @ x is x @ R_qk: the BLAS product of one anchor at a time,
+        # which R_kq stacked as a C-ordered array would not round alike
+        lams = row_norms(t_anchor - solution @ rel_rotations)
         weights = 1.0 / np.maximum(lams, floor)
         scale = np.repeat(weights, 3)[:, None]
         new_solution, _, rank, _ = np.linalg.lstsq(scale * a, scale.ravel() * b, rcond=None)

@@ -41,16 +41,20 @@ def _as_float_array(value, shape, name):
     return arr
 
 
+def skew_rows(v):
+    """Cross-product matrices [v_k]_x of the rows of an (N, 3) array, as an
+    (N, 3, 3) stack."""
+    x, y, z = np.asarray(v, dtype=np.float64).T
+    k = np.zeros((len(x), 3, 3))
+    k[:, 0, 1], k[:, 0, 2] = -z, y
+    k[:, 1, 0], k[:, 1, 2] = z, -x
+    k[:, 2, 0], k[:, 2, 1] = -y, x
+    return k
+
+
 def skew(v):
     """Cross-product matrix [v]_x with [v]_x @ w == cross(v, w)."""
-    v = np.asarray(v, dtype=np.float64)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    return skew_rows(np.reshape(v, (1, 3)))[0]
 
 
 def unit(v):
@@ -66,12 +70,18 @@ def unit(v):
     return v / n
 
 
+def row_norms(v):
+    """Euclidean norm of each row of an (N, 3) array, bit-for-bit the
+    ``np.linalg.norm`` of that row."""
+    # a stacked (1, 3) @ (3, 1) product is the same BLAS dot that
+    # np.linalg.norm takes on one vector; a reduction along axis 1 is not
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def unit_rows(v):
     """Row-wise :func:`unit` of an (N, 3) array, bit-for-bit equal to it."""
     v = np.asarray(v, dtype=np.float64)
-    # a stacked (1, 3) @ (3, 1) product is the same BLAS dot that
-    # np.linalg.norm takes on one vector; a reduction along axis 1 is not
-    n = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    n = row_norms(v)
     if np.any(n < NORM_EPS):
         raise DegenerateGeometryError("cannot normalize a zero-length vector")
     return np.where(np.abs(n - 1.0)[:, None] <= 1e-9, v, v / n[:, None])
@@ -106,6 +116,31 @@ def ensure_rotation(mat):
     return nearest_rotation(mat)
 
 
+def ensure_rotations(mats):
+    """Row-wise :func:`ensure_rotation` of a (K, 3, 3) stack.
+
+    Each row comes back as ensure_rotation returns it, and the first row it
+    rejects raises as it would. Rows within half of ROTATION_TOL are accepted
+    in one stacked pass, where the few ulps by which stacked and one-matrix
+    arithmetic may differ cannot change the verdict; the rest (drifted,
+    non-finite or invalid rows) go through ensure_rotation one at a time.
+    The input is returned when every row passes, a copy otherwise.
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim != 3 or mats.shape[1:] != (3, 3):
+        raise ValueError(f"rotations must have shape (K, 3, 3), got {mats.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(mats)
+    ok = (err <= 0.5 * ROTATION_TOL) & (np.abs(det - 1.0) <= 0.5 * ROTATION_TOL)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        mats = mats.copy()
+        for k in rest:
+            mats[k] = ensure_rotation(mats[k])
+    return mats
+
+
 class Pose:
     """World-to-camera rigid transform: x_cam = rotation @ x_world + translation.
 
@@ -123,6 +158,18 @@ class Pose:
         translation.flags.writeable = False
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
+
+    @classmethod
+    def _from_validated(cls, rotation, translation):
+        """A pose from a rotation that ``ensure_rotation`` returned and a
+        finite (3,) translation, frozen in place with no second check or
+        copy (the caller hands over both arrays)."""
+        rotation.flags.writeable = False
+        translation.flags.writeable = False
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
 
     def __setattr__(self, name, value):
         raise AttributeError("Pose is immutable")
@@ -189,31 +236,6 @@ class RelativePoseEstimate:
         )
 
 
-def compose_absolute(rel, scale, anchor):
-    """Chain a relative pose onto an absolute anchor pose.
-
-    Given the anchor pose (R_k, T_k) and the relative pose (R_qk, t_qk) with
-    metric scale ``scale``, returns the query pose
-    ``(R_qk @ R_k, R_qk @ T_k + scale * t_qk)``.
-    """
-    if not np.isfinite(scale) or scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    rotation = rel.rotation @ anchor.rotation
-    translation = rel.rotation @ anchor.translation + scale * rel.direction
-    return Pose(rotation, translation)
-
-
-def invert_relative(rel):
-    """Reverse a relative pose: (R_qk, t_qk) -> (R_kq, t_kq).
-
-    R_kq = R_qk.T and the reversed direction is -R_qk.T @ t_qk (unit norm is
-    preserved exactly up to rounding).
-    """
-    rotation = rel.rotation.T
-    direction = -rel.rotation.T @ rel.direction
-    return RelativePoseEstimate(rotation, direction)
-
-
 def project(pose, point):
     """Pinhole projection of a world point into normalized image coordinates.
 
@@ -236,19 +258,6 @@ def project_many(pose, points):
     with np.errstate(divide="ignore", invalid="ignore"):
         feats = cam[:, :2] / depths[:, None]
     return feats, depths
-
-
-def unproject(pose, feature, depth):
-    """Inverse of project at a known camera-frame depth.
-
-    Returns the world point whose projection is ``feature`` and whose depth
-    is ``depth``.
-    """
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    feature = np.asarray(feature, dtype=np.float64)
-    cam = depth * np.array([feature[0], feature[1], 1.0])
-    return pose.rotation.T @ (cam - pose.translation)
 
 
 def quat_to_rotation(q):
@@ -330,15 +339,25 @@ def quat_left_matrix(p):
     )
 
 
+def rotvecs_to_rotations(w):
+    """Matrix exponentials of [w_k]_x (Rodrigues) for (K, 3) axis-angle
+    rows, as a (K, 3, 3) stack; rows shorter than 1e-12 give the identity."""
+    w = np.asarray(w, dtype=np.float64)
+    angle = row_norms(w)
+    moving = ~(angle < 1e-12)  # a NaN row stays NaN, as in the one-vector form
+    axis = np.zeros_like(w)
+    axis[moving] = w[moving] / angle[moving, None]
+    k = skew_rows(axis)
+    sin = np.sin(angle)[:, None, None]
+    cos = (1.0 - np.cos(angle))[:, None, None]
+    rotations = np.eye(3) + sin * k + cos * (k @ k)
+    rotations[~moving] = np.eye(3)
+    return rotations
+
+
 def rotvec_to_rotation(w):
     """Matrix exponential of [w]_x (Rodrigues); w is an axis-angle vector."""
-    w = np.asarray(w, dtype=np.float64)
-    angle = np.linalg.norm(w)
-    if angle < 1e-12:
-        return np.eye(3)
-    axis = w / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return rotvecs_to_rotations(np.reshape(w, (1, 3)))[0]
 
 
 def geodesic_angle(rot_a, rot_b):
@@ -348,15 +367,38 @@ def geodesic_angle(rot_a, rot_b):
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def relative_from_poses(query, anchor):
-    """Exact relative pose (R_qk, t_qk) between two absolute poses.
+def unit_directions(v):
+    """Row-wise unit directions of an (N, 3) array, with the checks of
+    :class:`RelativePoseEstimate`: non-finite rows raise ValueError and
+    zero-length rows DegenerateGeometryError."""
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("direction contains non-finite values")
+    return unit_rows(v)
 
-    The direction is the unit vector of T_q - R_qk @ T_k; raises
-    DegenerateGeometryError when the two centers coincide.
+
+def relative_poses(query, rotations, translations):
+    """Exact relative poses from K anchors to a query pose.
+
+    The anchors are given as (K, 3, 3) rotations and (K, 3) translations.
+    Returns the (K, 3, 3) rotations ``R_qk = R_q R_k^T``, checked by
+    :func:`ensure_rotations`, and the (K, 3) unit directions of
+    ``T_q - R_qk T_k``, each taken from the rotation before that check.
+    Raises DegenerateGeometryError when a query and an anchor center
+    coincide.
     """
-    rotation = query.rotation @ anchor.rotation.T
-    t = query.translation - rotation @ anchor.translation
-    return RelativePoseEstimate(rotation, t)
+    rel_rotations = query.rotation @ np.swapaxes(rotations, 1, 2)
+    directions = query.translation - (rel_rotations @ translations[:, :, None])[:, :, 0]
+    return ensure_rotations(rel_rotations), unit_directions(directions)
+
+
+def relative_from_poses(query, anchor):
+    """Exact relative pose (R_qk, t_qk) between two absolute poses: the one
+    anchor case of :func:`relative_poses`."""
+    rotations, directions = relative_poses(
+        query, anchor.rotation[None], anchor.translation[None]
+    )
+    return RelativePoseEstimate._from_validated(rotations[0], directions[0])
 
 
 def ray_pair_midpoint(origin_a, dir_a, origin_b, dir_b):

@@ -20,7 +20,7 @@ from .errors import (
     InitializationError,
     InsufficientDataError,
 )
-from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, unit_rows
+from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, skew_rows, unit_rows
 from .relpose import midpoint_triangulate
 
 
@@ -312,13 +312,8 @@ def _query_jacobian(rotation, points, cam, w):
     a[:, 0, 0] = a[:, 1, 1] = inv_w
     a[:, 0, 2] = -ux_w2
     a[:, 1, 2] = -uy_w2
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    skews = np.zeros((n, 3, 3))
-    skews[:, 0, 1], skews[:, 0, 2] = -z, y
-    skews[:, 1, 0], skews[:, 1, 2] = z, -x
-    skews[:, 2, 0], skews[:, 2, 1] = -y, x
     jac = np.empty((n, 2, 6))
-    jac[:, :, :3] = a @ rotation @ skews
+    jac[:, :, :3] = a @ rotation @ skew_rows(points)
     jac[:, :, 3:] = -a
     return jac.reshape(2 * n, 6)
 

@@ -36,11 +36,13 @@ from .errors import ConfigurationError, GenerationError, MvlocError
 from .geometry import (
     Pose,
     RelativePoseEstimate,
+    ensure_rotations,
     geodesic_angle,
-    project_many,
-    relative_from_poses,
-    rotvec_to_rotation,
-    unit,
+    relative_poses,
+    rotvecs_to_rotations,
+    row_norms,
+    unit_directions,
+    unit_rows,
 )
 from .pipeline import PipelineConfig, estimate_anchor, pose_error, solve_pose
 from .relpose import MatchSet
@@ -100,33 +102,65 @@ class SyntheticScene:
     seed: int
 
 
-def _look_at(center, target):
-    """World-to-camera rotation for a camera at ``center`` whose optical
-    axis passes through ``target``."""
-    forward = unit(np.asarray(target, dtype=np.float64) - center)
+def _look_at(centers, targets):
+    """World-to-camera rotations, as built and not yet validated, of
+    cameras at the (K, 3) ``centers`` whose optical axes pass through the
+    (K, 3) ``targets``."""
+    forward = unit_rows(targets - centers)
     x = np.cross([0.0, 0.0, 1.0], forward)
-    if np.linalg.norm(x) < 1e-9:
-        x = np.cross([1.0, 0.0, 0.0], forward)
-    x = unit(x)
-    return np.array([x, np.cross(forward, x), forward])
+    vertical = row_norms(x) < 1e-9
+    if np.any(vertical):
+        x[vertical] = np.cross([1.0, 0.0, 0.0], forward[vertical])
+    x = unit_rows(x)
+    return np.stack([x, np.cross(forward, x), forward], axis=1)
 
 
-def _pose_at(center, target):
-    rotation = _look_at(center, target)
-    return Pose(rotation, -rotation @ center)
+def _poses_at(centers, targets):
+    """Stacked look-at poses: (K, 3, 3) rotations and (K, 3) translations.
+
+    The translation is ``-R c`` of the look-at rotation as built, before
+    :func:`ensure_rotations` checks it. The rare rotation that the check
+    re-projects onto SO(3) keeps that translation, so its camera center is
+    not exactly ``c``.
+    """
+    raw = _look_at(centers, targets)
+    translations = -(raw @ centers[:, :, None])[:, :, 0]
+    rotations = ensure_rotations(raw)
+    if not np.all(np.isfinite(translations)):
+        raise ValueError("translation contains non-finite values")
+    return rotations, translations
 
 
-def _scene_valid(points, poses, radius):
-    """All points safely in front of every camera, no coincident cameras."""
-    centers = np.array([p.center() for p in poses])
+def _project(points, rotations, translations):
+    """Features (K, N, 2) and depths (K, N) of (N, 3) world points in K
+    cameras, one stacked ``points @ R^T + T``; rows behind a camera hold
+    garbage features, as in :func:`project_many`."""
+    cam = points @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
+    depths = cam[:, :, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        feats = cam[:, :, :2] / depths[:, :, None]
+    return feats, depths
+
+
+def _stack(poses):
+    """(K, 3, 3) rotations and (K, 3) translations of a sequence of poses."""
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    translations = np.array([p.translation for p in poses]).reshape(-1, 3)
+    return rotations, translations
+
+
+def _scene_valid(points, rotations, translations, radius):
+    """All points safely in front of every camera, no coincident cameras;
+    the cameras are given as stacked rotations and translations."""
+    centers = -(np.swapaxes(rotations, 1, 2) @ translations[:, :, None])[:, :, 0]
     i, j = np.triu_indices(len(centers), k=1)
     if np.any(np.linalg.norm(centers[i] - centers[j], axis=1) < 1e-3 * radius):
         return False
-    for pose in poses:
-        feats, depths = project_many(pose, points)
-        if depths.min() <= 0.2 * radius or np.abs(feats).max() >= 10.0:
-            return False
-    return True
+    feats, depths = _project(points, rotations, translations)
+    return not (
+        np.any(depths.min(axis=1) <= 0.2 * radius)
+        or np.any(np.abs(feats).max(axis=(1, 2)) >= 10.0)
+    )
 
 
 def generate_scene(config=None, seed=0):
@@ -134,7 +168,9 @@ def generate_scene(config=None, seed=0):
 
     Retries internal draws (with a derived sub-seed, so the scene is still a
     pure function of ``seed``) until the visibility constraints hold; raises
-    GenerationError if that never happens.
+    GenerationError if that never happens. All cameras are built in one
+    stacked look-at pass; each translation comes from the look-at rotation
+    before validation (see :func:`_poses_at`).
     """
     if config is None:
         config = SceneConfig()
@@ -178,14 +214,17 @@ def generate_scene(config=None, seed=0):
             )
 
         targets = centroid + rng.normal(0.0, 0.03 * config.extent, (n, 3))
-        anchor_poses = tuple(_pose_at(c, t) for c, t in zip(centers, targets))
-        query_pose = _pose_at(q_center, centroid + rng.normal(0.0, 0.03 * config.extent, 3))
+        q_target = centroid + rng.normal(0.0, 0.03 * config.extent, 3)
+        rotations, translations = _poses_at(
+            np.vstack([centers, q_center]), np.vstack([targets, q_target])
+        )
 
-        if _scene_valid(points, list(anchor_poses) + [query_pose], config.radius):
+        if _scene_valid(points, rotations, translations, config.radius):
+            poses = [Pose._from_validated(r, t) for r, t in zip(rotations, translations)]
             return SyntheticScene(
                 points=points,
-                anchor_poses=anchor_poses,
-                query_pose=query_pose,
+                anchor_poses=tuple(poses[:n]),
+                query_pose=poses[n],
                 config=config,
                 seed=seed,
             )
@@ -194,37 +233,45 @@ def generate_scene(config=None, seed=0):
     )
 
 
-def perturb_relative_pose(rel, noise, rng):
-    """Noisy copy of a relative pose.
+def _perturb(rotations, directions, noise, rng):
+    """Noisy copies of K relative poses given as (K, 3, 3) rotations and
+    (K, 3) unit directions.
 
-    The rotation is left-multiplied by exp([w]_x) with w ~ N(0, sigma_rot^2 I)
-    and the direction rotated the same way at sigma_dir. Both normal draws
-    happen regardless of the sigmas so the generator stream does not depend
-    on which are zero; a zero sigma leaves that component exactly unchanged.
+    Each rotation is left-multiplied by exp([w]_x) with w ~ N(0, sigma_rot^2 I)
+    and each direction rotated the same way at sigma_dir. One (K, 2, 3)
+    normal draw holds every pose's w and then v, the order of K
+    one-pose draws; both happen regardless of the sigmas so the generator
+    stream does not depend on which are zero, and a zero sigma leaves that
+    component exactly unchanged. Returns validated stacks.
     """
-    w = rng.normal(0.0, np.radians(noise.sigma_rot_deg), 3)
-    v = rng.normal(0.0, np.radians(noise.sigma_dir_deg), 3)
-    rotation = rel.rotation
-    direction = rel.direction
+    scale = np.radians([[noise.sigma_rot_deg], [noise.sigma_dir_deg]])
+    draws = rng.normal(0.0, scale, (len(rotations), 2, 3))
     if noise.sigma_rot_deg > 0:
-        rotation = rotvec_to_rotation(w) @ rotation
+        rotations = rotvecs_to_rotations(draws[:, 0]) @ rotations
     if noise.sigma_dir_deg > 0:
-        direction = rotvec_to_rotation(v) @ direction
-    return RelativePoseEstimate(rotation, direction)
+        directions = (rotvecs_to_rotations(draws[:, 1]) @ directions[:, :, None])[:, :, 0]
+    return ensure_rotations(rotations), unit_directions(directions)
+
+
+def perturb_relative_pose(rel, noise, rng):
+    """Noisy copy of a relative pose: the one-pose case of the perturbation
+    in :func:`synthesize_observations`."""
+    rotations, directions = _perturb(rel.rotation[None], rel.direction[None], noise, rng)
+    return RelativePoseEstimate._from_validated(rotations[0], directions[0])
 
 
 def synthesize_observations(scene, noise, rng, count=None):
     """AnchorObservations for the first ``count`` anchors (default all),
-    with exact relative poses perturbed per ``noise``."""
-    count = len(scene.anchor_poses) if count is None else count
-    observations = []
-    for k in range(count):
-        anchor_pose = scene.anchor_poses[k]
-        rel = perturb_relative_pose(
-            relative_from_poses(scene.query_pose, anchor_pose), noise, rng
-        )
-        observations.append(AnchorObservation(k, anchor_pose, rel))
-    return observations
+    with exact relative poses perturbed per ``noise``, all anchors in one
+    stacked pass."""
+    anchors = scene.anchor_poses[:count]
+    rotations, directions = _perturb(
+        *relative_poses(scene.query_pose, *_stack(anchors)), noise, rng
+    )
+    return [
+        AnchorObservation(k, pose, RelativePoseEstimate._from_validated(r, d))
+        for k, (pose, r, d) in enumerate(zip(anchors, rotations, directions))
+    ]
 
 
 def noisy_features(scene, sigma, rng):
@@ -233,15 +280,12 @@ def noisy_features(scene, sigma, rng):
     Returns ``(query (N, 2), anchors (K, N, 2))``, exact projections plus
     iid gaussian noise of the given sigma on each coordinate.
     """
-    q_feats, q_depths = project_many(scene.query_pose, scene.points)
-    if q_depths.min() <= 0:
+    feats, depths = _project(scene.points, *_stack((*scene.anchor_poses, scene.query_pose)))
+    if depths[-1].min() <= 0:
         raise GenerationError("scene point behind the query camera")
-    a_feats = np.empty((len(scene.anchor_poses), len(scene.points), 2))
-    for k, pose in enumerate(scene.anchor_poses):
-        feats, depths = project_many(pose, scene.points)
-        if depths.min() <= 0:
-            raise GenerationError("scene point behind an anchor camera")
-        a_feats[k] = feats
+    if depths[:-1].min() <= 0:
+        raise GenerationError("scene point behind an anchor camera")
+    q_feats, a_feats = feats[-1], feats[:-1]
     if sigma > 0:
         q_feats = q_feats + rng.normal(0.0, sigma, q_feats.shape)
         a_feats = a_feats + rng.normal(0.0, sigma, a_feats.shape)

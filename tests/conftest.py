@@ -4,6 +4,8 @@ Rotation constructors and random pose factories used across modules live
 here so expected values in tests are built from one set of primitives.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ def consistent_observations(rng, k, spread=3.0):
             anchor = random_pose(rng, spread)
         obs.append(AnchorObservation(f"a{i}", anchor, relative_from_poses(query, anchor)))
     return obs, query
+
+
+def proper_signed_permutations():
+    """The 24 rotations whose matrices are signed permutations: they move a
+    vector without rounding."""
+    mats = []
+    for perm in itertools.permutations(range(3)):
+        base = np.zeros((3, 3))
+        base[np.arange(3), perm] = 1.0
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            mat = base * np.array(signs)[:, None]
+            if np.linalg.det(mat) > 0.5:
+                mats.append(mat)
+    return mats
 
 
 def stable_geodesic_deg(a, b):
@@ -367,6 +383,220 @@ def pair_loop_scene_valid(points, poses, radius):
         if depths.min() <= 0.2 * radius or np.abs(feats).max() >= 10.0:
             return False
     return True
+
+
+# ------------------------------------------------- per-anchor synthesis
+#
+# References for the stacked synthesis in ``mvloc.simulate`` and the stacked
+# residuals of ``averaging.govindu_translation_average``: the same arithmetic
+# one anchor, pose or observation at a time, through the one-object
+# constructors that validate each pose. The stacked code must reproduce
+# them bit for bit and leave a generator where they leave it.
+
+
+def one_vector_skew(v):
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def one_vector_rotvec_to_rotation(w):
+    """Rodrigues for one axis-angle vector."""
+    w = np.asarray(w, dtype=np.float64)
+    angle = np.linalg.norm(w)
+    if angle < 1e-12:
+        return np.eye(3)
+    axis = w / angle
+    k = one_vector_skew(axis)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def one_pair_relative_pose(query, anchor):
+    from mvloc import RelativePoseEstimate
+
+    rotation = query.rotation @ anchor.rotation.T
+    t = query.translation - rotation @ anchor.translation
+    return RelativePoseEstimate(rotation, t)
+
+
+def _look_at(center, target):
+    from mvloc.geometry import unit
+
+    forward = unit(np.asarray(target, dtype=np.float64) - center)
+    x = np.cross([0.0, 0.0, 1.0], forward)
+    if np.linalg.norm(x) < 1e-9:
+        x = np.cross([1.0, 0.0, 0.0], forward)
+    x = unit(x)
+    return np.array([x, np.cross(forward, x), forward])
+
+
+def _pose_at(center, target):
+    # the translation comes from the look-at rotation before Pose validates it
+    rotation = _look_at(center, target)
+    return Pose(rotation, -rotation @ center)
+
+
+def per_anchor_generate_scene(config, seed):
+    """``simulate.generate_scene`` with one ``_pose_at`` per camera."""
+    from mvloc.errors import GenerationError
+    from mvloc.simulate import MAX_GENERATION_ATTEMPTS, SyntheticScene
+
+    n = config.n_anchors
+    for attempt in range(MAX_GENERATION_ATTEMPTS):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, attempt]))
+        points = rng.uniform(-config.extent, config.extent, (config.n_points, 3))
+        centroid = points.mean(axis=0)
+        if config.layout == "ring":
+            angles = 2 * np.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n) * (2 * np.pi / n)
+            heights = rng.uniform(-0.15, 0.15, n) * config.radius
+            centers = centroid + np.column_stack(
+                [config.radius * np.cos(angles), config.radius * np.sin(angles), heights]
+            )
+            q_angle = rng.uniform(0.0, 2 * np.pi)
+            q_radius = config.radius * rng.uniform(0.75, 0.9)
+            q_center = centroid + np.array(
+                [
+                    q_radius * np.cos(q_angle),
+                    q_radius * np.sin(q_angle),
+                    rng.uniform(-0.15, 0.15) * config.radius,
+                ]
+            )
+        else:
+            span = (np.arange(n) / max(n - 1, 1) - 0.5) * config.radius
+            heights = rng.uniform(-0.15, 0.15, n) * config.radius
+            centers = centroid + np.column_stack([span, np.full(n, -config.radius), heights])
+            q_center = centroid + np.array(
+                [
+                    rng.uniform(-0.25, 0.25) * config.radius,
+                    -config.radius * rng.uniform(0.75, 0.9),
+                    rng.uniform(-0.15, 0.15) * config.radius,
+                ]
+            )
+        targets = centroid + rng.normal(0.0, 0.03 * config.extent, (n, 3))
+        anchor_poses = tuple(_pose_at(c, t) for c, t in zip(centers, targets))
+        query_pose = _pose_at(q_center, centroid + rng.normal(0.0, 0.03 * config.extent, 3))
+        if pair_loop_scene_valid(points, list(anchor_poses) + [query_pose], config.radius):
+            return SyntheticScene(points, anchor_poses, query_pose, config, seed)
+    raise GenerationError(f"no valid scene in {MAX_GENERATION_ATTEMPTS} attempts for seed {seed}")
+
+
+def one_pose_perturb(rel, noise, rng):
+    """``simulate.perturb_relative_pose`` with two 3-vector draws."""
+    from mvloc import RelativePoseEstimate
+
+    w = rng.normal(0.0, np.radians(noise.sigma_rot_deg), 3)
+    v = rng.normal(0.0, np.radians(noise.sigma_dir_deg), 3)
+    rotation = rel.rotation
+    direction = rel.direction
+    if noise.sigma_rot_deg > 0:
+        rotation = one_vector_rotvec_to_rotation(w) @ rotation
+    if noise.sigma_dir_deg > 0:
+        direction = one_vector_rotvec_to_rotation(v) @ direction
+    return RelativePoseEstimate(rotation, direction)
+
+
+def per_anchor_observations(scene, noise, rng):
+    """``simulate.synthesize_observations`` one anchor at a time."""
+    from mvloc import AnchorObservation
+
+    return [
+        AnchorObservation(k, pose, one_pose_perturb(one_pair_relative_pose(scene.query_pose, pose), noise, rng))
+        for k, pose in enumerate(scene.anchor_poses)
+    ]
+
+
+def per_pose_noisy_features(scene, sigma, rng):
+    """``simulate.noisy_features`` with one projection per camera."""
+    from mvloc.geometry import project_many
+
+    q_feats, q_depths = project_many(scene.query_pose, scene.points)
+    assert q_depths.min() > 0
+    a_feats = np.empty((len(scene.anchor_poses), len(scene.points), 2))
+    for k, pose in enumerate(scene.anchor_poses):
+        feats, depths = project_many(pose, scene.points)
+        assert depths.min() > 0
+        a_feats[k] = feats
+    if sigma > 0:
+        q_feats = q_feats + rng.normal(0.0, sigma, q_feats.shape)
+        a_feats = a_feats + rng.normal(0.0, sigma, a_feats.shape)
+    return q_feats, a_feats
+
+
+def per_observation_translation_average(observations):
+    """``averaging.govindu_translation_average`` with one block and one
+    residual norm per observation."""
+    from mvloc.averaging import (
+        TRANSLATION_MAX_ITERS,
+        TRANSLATION_STEP_TOL,
+        scene_scale,
+    )
+
+    floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
+    blocks, rhs, rots_kq, t_anchor = [], [], [], []
+    for obs in observations:
+        r_kq = obs.rel.rotation.T
+        t_kq = -r_kq @ obs.rel.direction
+        cross = one_vector_skew(t_kq)
+        blocks.append(cross @ r_kq)
+        rhs.append(cross @ obs.anchor_pose.translation)
+        rots_kq.append(r_kq)
+        t_anchor.append(obs.anchor_pose.translation)
+    a = np.vstack(blocks)
+    b = np.concatenate(rhs)
+    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    assert rank == 3
+    for _ in range(TRANSLATION_MAX_ITERS):
+        lams = np.array([np.linalg.norm(tk - rk @ solution) for rk, tk in zip(rots_kq, t_anchor)])
+        weights = 1.0 / np.maximum(lams, floor)
+        scale = np.repeat(weights, 3)[:, None]
+        new_solution, _, rank, _ = np.linalg.lstsq(scale * a, scale.ravel() * b, rcond=None)
+        assert rank == 3
+        step = np.linalg.norm(new_solution - solution)
+        solution = new_solution
+        if step < TRANSLATION_STEP_TOL:
+            break
+    return solution
+
+
+# ------------------------------------------------- test-only pose helpers
+
+
+def compose_absolute(rel, scale, anchor):
+    """Chain a relative pose onto an absolute anchor pose.
+
+    Given the anchor pose (R_k, T_k) and the relative pose (R_qk, t_qk) with
+    metric scale ``scale``, returns the query pose
+    ``(R_qk @ R_k, R_qk @ T_k + scale * t_qk)``.
+    """
+    if not np.isfinite(scale) or scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    rotation = rel.rotation @ anchor.rotation
+    translation = rel.rotation @ anchor.translation + scale * rel.direction
+    return Pose(rotation, translation)
+
+
+def invert_relative(rel):
+    """Reverse a relative pose: (R_qk, t_qk) -> (R_kq, t_kq).
+
+    R_kq = R_qk.T and the reversed direction is -R_qk.T @ t_qk (unit norm is
+    preserved exactly up to rounding).
+    """
+    from mvloc import RelativePoseEstimate
+
+    rotation = rel.rotation.T
+    direction = -rel.rotation.T @ rel.direction
+    return RelativePoseEstimate(rotation, direction)
+
+
+def unproject(pose, feature, depth):
+    """Inverse of project at a known camera-frame depth.
+
+    Returns the world point whose projection is ``feature`` and whose depth
+    is ``depth``.
+    """
+    if depth <= 0:
+        raise ValueError(f"depth must be positive, got {depth}")
+    feature = np.asarray(feature, dtype=np.float64)
+    cam = depth * np.array([feature[0], feature[1], 1.0])
+    return pose.rotation.T @ (cam - pose.translation)
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 criterion. Each test prints a CRITERION line in the terminal summary."""
 
 import functools
-import itertools
 import json
 import time
 
@@ -12,6 +11,7 @@ from conftest import (
     consistent_observations,
     e1_direct,
     grid_polish_minimum,
+    proper_signed_permutations,
     random_rotation,
     random_unit,
     record,
@@ -112,18 +112,6 @@ def test_criterion_01_center_optimality():
     assert elapsed < 1.0, f"took {elapsed:.2f} s"
     return (f"100 bundles x 200 perturbations never beat the solution; "
             f"zero-noise recovery <= {worst_recovery:.1e} m; {elapsed:.2f} s")
-
-
-def proper_signed_permutations():
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        base = np.zeros((3, 3))
-        base[np.arange(3), perm] = 1.0
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            mat = base * np.array(signs)[:, None]
-            if np.linalg.det(mat) > 0.5:
-                mats.append(mat)
-    return mats
 
 
 @criterion(2)

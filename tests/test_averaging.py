@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    compose_absolute,
     consistent_observations,
+    per_observation_translation_average,
+    proper_signed_permutations,
     random_pose,
     random_rotation,
     random_unit,
@@ -22,7 +27,6 @@ from mvloc import (
     RelativePoseEstimate,
     center_average,
     chordal_l2_mean,
-    compose_absolute,
     geodesic_angle,
     govindu_rotation_average,
     govindu_translation_average,
@@ -31,6 +35,7 @@ from mvloc import (
     ray_from_backward_direction,
     relative_from_poses,
 )
+from mvloc.simulate import NoiseSpec, SceneConfig, generate_scene, synthesize_observations
 from mvloc.averaging import chained_rotation, check_unique_ids
 from mvloc.geometry import rotvec_to_rotation
 
@@ -214,6 +219,71 @@ class TestGovinduTranslation:
         obs, _ = clean_set
         with pytest.raises(InsufficientDataError):
             govindu_translation_average(obs[:1])
+
+
+# ------------------------------------------------- generated observation sets
+
+SEEDS = st.integers(0, 2**31 - 2)
+LAYOUTS = st.sampled_from(["ring", "line"])
+SIGMAS_DEG = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+def generated_observations(seed, k, layout, sig_rot, sig_dir):
+    scene = generate_scene(SceneConfig(n_anchors=k, layout=layout), seed=seed)
+    noise = NoiseSpec(sigma_rot_deg=sig_rot, sigma_dir_deg=sig_dir)
+    return synthesize_observations(scene, noise, np.random.default_rng(seed))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=SEEDS, k=st.integers(2, 150), layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+def test_translation_average_matches_per_observation_residuals(seed, k, layout, sig_rot, sig_dir):
+    # the stacked system and IRLS residual norms round as the per-observation
+    # blocks and norms did
+    obs = generated_observations(seed, k, layout, sig_rot, sig_dir)
+    np.testing.assert_array_equal(
+        govindu_translation_average(obs), per_observation_translation_average(obs)
+    )
+
+
+class TestDecouplingOnGeneratedSets:
+    """Bit-level decoupling over generated observation sets: the center
+    reads the relative rotations only through the anchor-frame direction,
+    and the rotation never reads the directions."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=st.integers(2, 60), layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_center_ignores_the_relative_rotations(self, seed, k, layout, sig_rot, sig_dir):
+        obs = generated_observations(seed, k, layout, sig_rot, sig_dir)
+        baseline = center_average([locus_ray(o) for o in obs]).center
+        # signed permutations carry the anchor-frame direction t_kq exactly
+        perms = proper_signed_permutations()
+        rng = np.random.default_rng(seed)
+        swapped = []
+        for o in obs:
+            p = perms[int(rng.integers(len(perms)))]
+            t_kq = -o.rel.rotation.T @ o.rel.direction
+            swapped.append(
+                AnchorObservation(o.anchor_id, o.anchor_pose, RelativePoseEstimate(p, -p @ t_kq))
+            )
+        assert all(not np.array_equal(s.rel.rotation, o.rel.rotation) for s, o in zip(swapped, obs))
+        center = center_average([locus_ray(o) for o in swapped]).center
+        np.testing.assert_array_equal(center, baseline)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=st.integers(2, 60), layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_rotation_ignores_the_directions(self, seed, k, layout, sig_rot, sig_dir):
+        obs = generated_observations(seed, k, layout, sig_rot, sig_dir)
+        baseline = markley_rotation_average([chained_rotation(o) for o in obs])
+        rng = np.random.default_rng(seed)
+        swapped = [
+            AnchorObservation(
+                o.anchor_id, o.anchor_pose, RelativePoseEstimate(o.rel.rotation, random_unit(rng))
+            )
+            for o in obs
+        ]
+        assert all(not np.array_equal(s.rel.direction, o.rel.direction) for s, o in zip(swapped, obs))
+        rotation = markley_rotation_average([chained_rotation(o) for o in swapped])
+        np.testing.assert_array_equal(rotation, baseline)
 
 
 # -------------------------------------------------------- rotation averaging

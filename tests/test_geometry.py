@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_pose, random_rotation, random_unit, rot_x, rot_z
+from conftest import (
+    compose_absolute,
+    invert_relative,
+    random_pose,
+    random_rotation,
+    random_unit,
+    rot_x,
+    rot_z,
+    unproject,
+)
 
 from mvloc import (
     BehindCameraError,
     InvalidRotationError,
     Pose,
     RelativePoseEstimate,
-    compose_absolute,
     geodesic_angle,
-    invert_relative,
     project,
     quat_to_rotation,
     relative_from_poses,
@@ -28,7 +35,6 @@ from mvloc.geometry import (
     rotvec_to_rotation,
     unit,
     unit_rows,
-    unproject,
 )
 
 Z = np.array([0.0, 0.0, 1.0])

@@ -17,6 +17,7 @@ from conftest import (
     random_unit,
     reference_relative_poses,
     stable_geodesic_deg,
+    unproject,
 )
 
 from mvloc import (
@@ -35,7 +36,7 @@ from mvloc import (
 )
 from mvloc import _kernels, refine
 from mvloc.errors import InitializationError, MvlocError
-from mvloc.geometry import rotvec_to_rotation, unit, unproject
+from mvloc.geometry import rotvec_to_rotation, unit
 from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
 from mvloc.relpose import midpoint_triangulate
 

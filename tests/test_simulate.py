@@ -4,8 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pair_loop_scene_valid, stable_geodesic_deg
+from conftest import (
+    _look_at,
+    _pose_at,
+    one_pose_perturb,
+    pair_loop_scene_valid,
+    per_anchor_generate_scene,
+    per_anchor_observations,
+    per_pose_noisy_features,
+    stable_geodesic_deg,
+)
 
 from mvloc import (
     AnchorObservation,
@@ -24,9 +35,13 @@ from mvloc import (
     run_k_sweep,
     run_noise_study,
 )
+from mvloc.geometry import ensure_rotation, rotvec_to_rotation
 from mvloc.simulate import (
     _check_skip_fraction,
+    _poses_at,
     _scene_valid,
+    _stack,
+    noisy_features,
     sign_test_pvalue,
     synthesize_observations,
     write_study_csv,
@@ -93,13 +108,13 @@ class TestGenerateScene:
         scene = generate_scene(SceneConfig(n_anchors=149, layout="line"), seed=4)
         cameras = list(scene.anchor_poses) + [scene.query_pose]
         radius = scene.config.radius
-        assert _scene_valid(scene.points, cameras, radius)
+        assert _scene_valid(scene.points, *_stack(cameras), radius)
         near = 1e-3 * (1.0 + np.linspace(-1e-13, 1e-13, 21))
         for gap in [0.999e-3, 1.001e-3, *near]:
             pose = cameras[first]
             moved = pose.center() + gap * radius * np.array([0.0, 0.0, 1.0])
             cameras[last] = Pose(pose.rotation, -pose.rotation @ moved)
-            valid = _scene_valid(scene.points, cameras, radius)
+            valid = _scene_valid(scene.points, *_stack(cameras), radius)
             assert valid is pair_loop_scene_valid(scene.points, cameras, radius)
             if abs(gap - 1e-3) > 1e-6:
                 assert valid is (gap > 1e-3)
@@ -293,3 +308,104 @@ def test_synthesized_observations_match_ground_truth(rng):
         expected = relative_from_poses(scene.query_pose, pose)
         np.testing.assert_allclose(o.rel.rotation, expected.rotation, atol=1e-12)
         np.testing.assert_allclose(o.rel.direction, expected.direction, atol=1e-12)
+
+
+# ------------------------------------------------------- stacked synthesis
+#
+# The stacked scene, observation and feature synthesis against the
+# one-anchor-at-a-time code in conftest: bit-equal outputs, and the
+# generator left in the same state.
+
+SEEDS = st.integers(0, 2**31 - 2)
+ANCHORS = st.integers(2, 150)
+LAYOUTS = st.sampled_from(["ring", "line"])
+SIGMAS_DEG = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+
+
+def assert_same_pose(a, b):
+    np.testing.assert_array_equal(a.rotation, b.rotation)
+    np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def assert_same_observations(stacked, loop):
+    assert len(stacked) == len(loop)
+    for a, b in zip(stacked, loop):
+        assert a.anchor_id == b.anchor_id
+        assert a.anchor_pose is b.anchor_pose
+        np.testing.assert_array_equal(a.rel.rotation, b.rel.rotation)
+        np.testing.assert_array_equal(a.rel.direction, b.rel.direction)
+
+
+class TestStackedSynthesis:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=ANCHORS, layout=LAYOUTS)
+    def test_scene_matches_the_per_anchor_loop(self, seed, k, layout):
+        config = SceneConfig(n_anchors=k, layout=layout)
+        stacked = generate_scene(config, seed=seed)
+        loop = per_anchor_generate_scene(config, seed)
+        np.testing.assert_array_equal(stacked.points, loop.points)
+        assert_same_pose(stacked.query_pose, loop.query_pose)
+        for a, b in zip(stacked.anchor_poses, loop.anchor_poses, strict=True):
+            assert_same_pose(a, b)
+
+    def test_reprojected_look_at_keeps_its_raw_translation(self):
+        # a forward vector 9e-10 longer than unit passes through unit()
+        # unscaled, so the look-at rows drift past ROTATION_TOL and the
+        # rotation is re-projected; the translation is -R c of the rotation
+        # as built, as in the per-anchor loop
+        center = np.array([1.0, 2.0, 3.0])
+        target = center + np.array([0.6, 0.0, 0.8]) * (1.0 + 9e-10)
+        rotations, translations = _poses_at(center[None], target[None])
+        raw = _look_at(center, target)
+        assert not np.array_equal(rotations[0], raw)
+        np.testing.assert_array_equal(rotations[0], ensure_rotation(raw))
+        np.testing.assert_array_equal(translations[0], -raw @ center)
+        assert_same_pose(Pose._from_validated(rotations[0], translations[0]), _pose_at(center, target))
+
+    def test_k_sweep_scene_with_a_reprojected_pose_matches_the_loop(self):
+        # anchor 22 of this scene (k sweep seed 14, trial 3) is re-projected
+        config = SceneConfig(n_anchors=50, layout="line")
+        stacked = generate_scene(config, seed=1326863568)
+        loop = per_anchor_generate_scene(config, 1326863568)
+        for a, b in zip(stacked.anchor_poses, loop.anchor_poses, strict=True):
+            assert_same_pose(a, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=ANCHORS, layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_observations_match_the_per_anchor_loop(self, seed, k, layout, sig_rot, sig_dir):
+        scene = generate_scene(SceneConfig(n_anchors=k, layout=layout), seed=seed)
+        noise = NoiseSpec(sigma_rot_deg=sig_rot, sigma_dir_deg=sig_dir)
+        rng_stacked = np.random.default_rng(seed)
+        rng_loop = np.random.default_rng(seed)
+        stacked = synthesize_observations(scene, noise, rng_stacked)
+        loop = per_anchor_observations(scene, noise, rng_loop)
+        assert_same_observations(stacked, loop)
+        assert rng_stacked.bit_generator.state == rng_loop.bit_generator.state
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=SEEDS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_perturb_relative_pose_is_the_one_pose_loop(self, seed, sig_rot, sig_dir):
+        rng = np.random.default_rng(seed)
+        rel = RelativePoseEstimate(
+            rotvec_to_rotation(rng.normal(size=3)), rng.normal(size=3)
+        )
+        noise = NoiseSpec(sigma_rot_deg=sig_rot, sigma_dir_deg=sig_dir)
+        rng_stacked = np.random.default_rng(seed + 1)
+        rng_loop = np.random.default_rng(seed + 1)
+        a = perturb_relative_pose(rel, noise, rng_stacked)
+        b = one_pose_perturb(rel, noise, rng_loop)
+        np.testing.assert_array_equal(a.rotation, b.rotation)
+        np.testing.assert_array_equal(a.direction, b.direction)
+        assert rng_stacked.bit_generator.state == rng_loop.bit_generator.state
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=ANCHORS, layout=LAYOUTS, sigma=st.sampled_from([0.0, 1e-4, 1e-3]))
+    def test_features_match_one_projection_per_camera(self, seed, k, layout, sigma):
+        scene = generate_scene(SceneConfig(n_anchors=k, layout=layout), seed=seed)
+        rng_stacked = np.random.default_rng(seed)
+        rng_loop = np.random.default_rng(seed)
+        q_a, a_a = noisy_features(scene, sigma, rng_stacked)
+        q_b, a_b = per_pose_noisy_features(scene, sigma, rng_loop)
+        np.testing.assert_array_equal(q_a, q_b)
+        np.testing.assert_array_equal(a_a, a_b)
+        assert rng_stacked.bit_generator.state == rng_loop.bit_generator.state
