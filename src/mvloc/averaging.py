@@ -16,6 +16,7 @@ rotation/translation averaging schemes used for comparison:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 import numpy as np
@@ -24,14 +25,15 @@ from .errors import AmbiguousAverageError, DegenerateGeometryError, Insufficient
 from .geometry import (
     Pose,
     RelativePoseEstimate,
+    camera_centers,
     canonicalize_quat,
     nearest_rotation,
-    quat_left_matrix,
+    quat_left_matrices,
     quat_to_rotation,
-    rotation_to_quat,
+    rotations_to_quats,
     row_norms,
     skew_rows,
-    unit,
+    unit_rows,
 )
 
 # A center normal matrix above this condition number does not localize the
@@ -81,25 +83,106 @@ class CenterSolution:
     residual_rms: float
 
 
-def check_unique_ids(observations):
-    """Raise ValueError when two observations share an anchor_id."""
-    seen = set()
-    for obs in observations:
-        if obs.anchor_id in seen:
-            raise ValueError(f"duplicate anchor_id {obs.anchor_id!r} in observation set")
-        seen.add(obs.anchor_id)
+class ObservationStack:
+    """K anchor observations of one query as arrays, row k holding one
+    observation.
+
+    The inputs are the anchor ids, which must be distinct (ValueError
+    otherwise), the anchor rotations (K, 3, 3) and translations (K, 3), and
+    the relative rotations (K, 3, 3) and unit directions (K, 3), already
+    validated. What the consensus and the
+    stage-1 averages read is built from them for all rows at once, on first
+    use: the anchor centers (the locus-ray origins), the locus-ray
+    directions, the chained rotations and their quaternions. Each row takes
+    the arithmetic of the one-observation functions (:func:`locus_ray`,
+    :func:`chained_rotation`, ``rotation_to_quat``), so it is the same in
+    any stack, and :meth:`take` keeps the rows already built.
+    """
+
+    def __init__(self, anchor_ids, anchor_rotations, anchor_translations, rel_rotations,
+                 rel_directions):
+        self.anchor_ids = tuple(anchor_ids)
+        seen = set()
+        for anchor_id in self.anchor_ids:
+            if anchor_id in seen:
+                raise ValueError(f"duplicate anchor_id {anchor_id!r} in observation set")
+            seen.add(anchor_id)
+        self.anchor_rotations = anchor_rotations
+        self.anchor_translations = anchor_translations
+        self.rel_rotations = rel_rotations
+        self.rel_directions = rel_directions
+
+    @classmethod
+    def of(cls, observations):
+        """The stack of a sequence of AnchorObservations, in their order; a
+        stack is returned as it is."""
+        if isinstance(observations, cls):
+            return observations
+        observations = list(observations)
+        return cls(
+            [o.anchor_id for o in observations],
+            np.array([o.anchor_pose.rotation for o in observations]).reshape(-1, 3, 3),
+            np.array([o.anchor_pose.translation for o in observations]).reshape(-1, 3),
+            np.array([o.rel.rotation for o in observations]).reshape(-1, 3, 3),
+            np.array([o.rel.direction for o in observations]).reshape(-1, 3),
+        )
+
+    def __len__(self):
+        return len(self.anchor_ids)
+
+    def take(self, rows):
+        """The stack of the given distinct rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        taken = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(taken, name, value[rows] if isinstance(value, np.ndarray) else value)
+        taken.anchor_ids = tuple(self.anchor_ids[k] for k in rows.tolist())
+        return taken
+
+    @cached_property
+    def centers(self):
+        """Anchor centers -R_k^T T_k, the locus-ray origins."""
+        return camera_centers(self.anchor_rotations, self.anchor_translations)
+
+    @cached_property
+    def ray_directions(self):
+        """Unit locus-ray directions R_k^T t_kq, with t_kq = -R_qk^T t_qk."""
+        t_kq = -(np.swapaxes(self.rel_rotations, 1, 2) @ self.rel_directions[:, :, None])
+        return _ray_directions(self.anchor_rotations, t_kq)
+
+    @cached_property
+    def chained_rotations(self):
+        """Per-anchor absolute rotation estimates R_qk R_k."""
+        return self.rel_rotations @ self.anchor_rotations
+
+    @cached_property
+    def quats(self):
+        """Canonical quaternions of the chained rotations."""
+        return rotations_to_quats(self.chained_rotations)
+
+
+def _ray_directions(anchor_rotations, t_kq):
+    """Unit rows of R_k^T t_kq for (K, 3, 1) columns t_kq."""
+    return unit_rows((np.swapaxes(anchor_rotations, 1, 2) @ t_kq)[:, :, 0])
+
+
+def _ordered_sum(terms):
+    """Sum of ``terms`` along axis 0 in index order from 0.0, bit for bit
+    what a loop of ``+=`` gives; numpy's own sum may pair terms up."""
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 def locus_ray(obs):
-    """Ray of possible query centers implied by one anchor observation.
+    """Ray of possible query centers implied by one anchor observation, the
+    one-row case of ``ObservationStack``.
 
     The query center lies on ``c_k + lam * R_k.T @ t_kq`` for lam >= 0, where
     t_kq is the reversed relative direction. Only the anchor pose and the
     direction enter; the relative rotation appears solely through that fixed
     reversal.
     """
-    t_kq = -obs.rel.rotation.T @ obs.rel.direction
-    return ray_from_backward_direction(obs.anchor_pose, t_kq)
+    stack = ObservationStack.of([obs])
+    return Ray(stack.centers[0], stack.ray_directions[0])
 
 
 def ray_from_backward_direction(anchor_pose, t_kq):
@@ -110,7 +193,9 @@ def ray_from_backward_direction(anchor_pose, t_kq):
     any dependence on the relative rotation: given the same t_kq input, the
     ray is bit-identical no matter what rotation produced it.
     """
-    return Ray(anchor_pose.center(), unit(anchor_pose.rotation.T @ np.asarray(t_kq, dtype=np.float64)))
+    rotation = anchor_pose.rotation[None]
+    t_kq = np.asarray(t_kq, dtype=np.float64).reshape(1, 3, 1)
+    return Ray(anchor_pose.center(), _ray_directions(rotation, t_kq)[0])
 
 
 def chained_rotation(obs):
@@ -119,24 +204,25 @@ def chained_rotation(obs):
 
 
 def center_average(rays):
-    """Closed-form least-squares point nearest to a bundle of rays.
+    """Closed-form least-squares point nearest to a bundle of rays: a
+    sequence of Rays, or the locus rays of an ObservationStack.
 
     Minimizes ``sum_k || (I - d_k d_k^T)(c - o_k) ||^2`` by solving the 3x3
-    normal system ``A c = b`` with ``A = sum (I - d_k d_k^T)``. Raises
-    DegenerateGeometryError when A's condition number exceeds
+    normal system ``A c = b`` with ``A = sum (I - d_k d_k^T)``, summed in ray
+    order. Raises DegenerateGeometryError when A's condition number exceeds
     CENTER_CONDITION_LIMIT (near-parallel ray bundle).
     """
-    rays = list(rays)
-    if len(rays) < 2:
-        raise InsufficientDataError(f"center average needs >= 2 rays, got {len(rays)}")
-    a = np.zeros((3, 3))
-    b = np.zeros(3)
-    projectors = []
-    for ray in rays:
-        p = np.eye(3) - np.outer(ray.direction, ray.direction)
-        projectors.append(p)
-        a += p
-        b += p @ ray.origin
+    if isinstance(rays, ObservationStack):
+        origins, dirs = rays.centers, rays.ray_directions
+    else:
+        rays = list(rays)
+        origins = np.array([ray.origin for ray in rays]).reshape(-1, 3)
+        dirs = np.array([ray.direction for ray in rays]).reshape(-1, 3)
+    if len(origins) < 2:
+        raise InsufficientDataError(f"center average needs >= 2 rays, got {len(origins)}")
+    projectors = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
+    a = _ordered_sum(projectors)
+    b = _ordered_sum((projectors @ origins[:, :, None])[:, :, 0])
     eigvals = np.linalg.eigvalsh(a)
     if eigvals[0] <= 0:
         condition = np.inf
@@ -147,11 +233,9 @@ def center_average(rays):
             f"ray bundle does not localize a point (condition {condition:.3e})"
         )
     center = np.linalg.solve(a, b)
-    sq = 0.0
-    for ray, p in zip(rays, projectors):
-        r = p @ (center - ray.origin)
-        sq += r @ r
-    residual_rms = float(np.sqrt(sq / len(rays)))
+    r = (projectors @ (center - origins)[:, :, None])[:, :, 0]
+    sq = _ordered_sum((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    residual_rms = float(np.sqrt(sq / len(origins)))
     return CenterSolution(center=center, condition=float(condition), residual_rms=residual_rms)
 
 
@@ -165,7 +249,8 @@ def scene_scale(centers):
 
 
 def govindu_translation_average(observations):
-    """Metric query translation from stacked cross-product constraints.
+    """Metric query translation from stacked cross-product constraints, of a
+    sequence of AnchorObservations or an ObservationStack.
 
     Each observation contributes ``[t_kq]_x (T_k - R_kq T_q) = 0``; the
     stacked 3K x 3 system is solved for T_q by least squares, then
@@ -177,19 +262,18 @@ def govindu_translation_average(observations):
     Unlike the ray formulation this couples in the relative rotations, which
     is exactly the coupling the decoupled center estimate avoids.
     """
-    observations = list(observations)
-    if len(observations) < 2:
+    stack = ObservationStack.of(observations)
+    if len(stack) < 2:
         raise InsufficientDataError(
-            f"translation average needs >= 2 observations, got {len(observations)}"
+            f"translation average needs >= 2 observations, got {len(stack)}"
         )
-    check_unique_ids(observations)
-    floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
+    floor = 1e-6 * scene_scale(stack.centers)
 
-    rel_rotations = np.array([o.rel.rotation for o in observations])
+    rel_rotations = stack.rel_rotations
     r_kq = np.swapaxes(rel_rotations, 1, 2)
-    t_kq = -(r_kq @ np.array([o.rel.direction for o in observations])[:, :, None])
+    t_kq = -(r_kq @ stack.rel_directions[:, :, None])
     cross = skew_rows(t_kq[:, :, 0])
-    t_anchor = np.array([o.anchor_pose.translation for o in observations])
+    t_anchor = stack.anchor_translations
 
     a = (cross @ r_kq).reshape(-1, 3)
     b = (cross @ t_anchor[:, :, None]).ravel()
@@ -214,35 +298,26 @@ def govindu_translation_average(observations):
 
 
 def govindu_rotation_average(observations):
-    """Query rotation from stacked quaternion constraints.
+    """Query rotation from stacked quaternion constraints, of a sequence of
+    AnchorObservations or an ObservationStack.
 
     Each observation gives ``L(q_kq) q_q = q_k`` with q_kq the quaternion of
     R_qk^T. Right-hand sides are sign-aligned (the double cover makes each
     equation's sign arbitrary), the 4K x 4 stack is solved by least squares
     and the result normalized to unit length.
     """
-    observations = list(observations)
-    if not observations:
+    stack = ObservationStack.of(observations)
+    if not len(stack):
         raise InsufficientDataError("rotation average needs >= 1 observation")
-    check_unique_ids(observations)
 
-    blocks = []
-    rhs = []
-    reference = None
-    for obs in observations:
-        q_kq = rotation_to_quat(obs.rel.rotation.T)
-        q_k = rotation_to_quat(obs.anchor_pose.rotation)
-        left = quat_left_matrix(q_kq)
-        candidate = left.T @ q_k  # the exact solution of this block alone
-        if reference is None:
-            reference = candidate
-        elif candidate @ reference < 0:
-            q_k = -q_k
-        blocks.append(left)
-        rhs.append(q_k)
-
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs)
+    q_k = rotations_to_quats(stack.anchor_rotations)
+    left = quat_left_matrices(rotations_to_quats(np.swapaxes(stack.rel_rotations, 1, 2)))
+    # the exact solution of each block alone, L(q_kq)^T q_k; a right-hand
+    # side flips when its block's solution points away from the first one's
+    candidates = np.swapaxes(left, 1, 2) @ q_k[:, :, None]
+    dots = (np.swapaxes(candidates, 1, 2) @ candidates[0])[:, 0, 0]
+    a = left.reshape(-1, 4)
+    b = np.where((dots < 0)[:, None], -q_k, q_k).ravel()
     q, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     n = np.linalg.norm(q)
     if n < 1e-12:
@@ -251,20 +326,23 @@ def govindu_rotation_average(observations):
 
 
 def markley_rotation_average(rotations):
-    """Chordal-L2 mean rotation via the quaternion outer-product accumulator.
+    """Chordal-L2 mean rotation via the quaternion outer-product accumulator:
+    of a sequence of rotations, or of the chained rotations of an
+    ObservationStack.
 
-    Accumulates ``M = sum q_k q_k^T`` (sign-free by construction) and returns
+    Accumulates ``M = sum q_k q_k^T`` in order (sign-free by construction)
+    and returns
     the rotation of the dominant eigenvector. Raises AmbiguousAverageError
     when the top two eigenvalues tie within AMBIGUITY_EIG_TOL, i.e. the
     minimizer is not unique.
     """
-    rotations = list(rotations)
-    if not rotations:
+    if isinstance(rotations, ObservationStack):
+        quats = rotations.quats
+    else:
+        quats = rotations_to_quats(np.array(list(rotations), dtype=np.float64).reshape(-1, 3, 3))
+    if not len(quats):
         raise InsufficientDataError("rotation average needs >= 1 rotation")
-    m = np.zeros((4, 4))
-    for rot in rotations:
-        q = rotation_to_quat(rot)
-        m += np.outer(q, q)
+    m = _ordered_sum(quats[:, :, None] * quats[:, None, :])
     eigvals, eigvecs = np.linalg.eigh(m)
     if eigvals[-1] - eigvals[-2] <= AMBIGUITY_EIG_TOL:
         raise AmbiguousAverageError(

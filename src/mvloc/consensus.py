@@ -16,14 +16,12 @@ import numpy as np
 
 from . import _kernels
 from .averaging import (
+    ObservationStack,
     center_average,
-    chained_rotation,
-    check_unique_ids,
-    locus_ray,
     markley_rotation_average,
 )
 from .errors import DegenerateGeometryError, InsufficientDataError, NoConsensusError
-from .geometry import Pose, quat_to_rotation, rotation_to_quat
+from .geometry import Pose, quat_to_rotation
 
 # Every pair hypothesis is scored when there are at most this many pairs;
 # beyond, this many are sampled. C(150, 2) = 11175 scores every pair at the
@@ -64,15 +62,8 @@ def _hypothesis_pose(center, quat):
 
 
 def _observation_arrays(observations):
-    origins = np.empty((len(observations), 3))
-    dirs = np.empty((len(observations), 3))
-    quats = np.empty((len(observations), 4))
-    for k, obs in enumerate(observations):
-        ray = locus_ray(obs)
-        origins[k] = ray.origin
-        dirs[k] = ray.direction
-        quats[k] = rotation_to_quat(chained_rotation(obs))
-    return origins, dirs, quats
+    stack = ObservationStack.of(observations)
+    return stack.centers, stack.ray_directions, stack.quats
 
 
 def _candidate_pairs(n, seed):
@@ -104,16 +95,15 @@ def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
     Raises NoConsensusError when no pair yields a valid hypothesis with both
     of its own members consistent.
     """
-    observations = list(observations)
-    if len(observations) < 2:
-        raise InsufficientDataError(
-            f"consensus needs >= 2 observations, got {len(observations)}"
-        )
-    check_unique_ids(observations)
-    observations.sort(key=lambda o: (len(str(o.anchor_id)), str(o.anchor_id)))
-
-    origins, dirs, quats = _observation_arrays(observations)
-    pairs = _candidate_pairs(len(observations), seed)
+    stack = ObservationStack.of(observations)
+    if len(stack) < 2:
+        raise InsufficientDataError(f"consensus needs >= 2 observations, got {len(stack)}")
+    keys = [(len(str(aid)), str(aid)) for aid in stack.anchor_ids]
+    order = sorted(range(len(stack)), key=keys.__getitem__)
+    ids = [stack.anchor_ids[k] for k in order]
+    # built on the whole stack, which keeps them for the rows taken later
+    origins, dirs, quats = (rows[order] for rows in _observation_arrays(stack))
+    pairs = _candidate_pairs(len(ids), seed)
     cos_ray = np.cos(np.radians(theta_ray_deg))
     cos_half_rot = np.cos(np.radians(theta_rot_deg) / 2.0)
     counts = _kernels.consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot)
@@ -125,10 +115,10 @@ def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
     inliers = _kernels.inlier_tests(center, quat, origins, dirs, quats, cos_ray, cos_half_rot)[0]
     i, j = pairs[best]
     return AnchorConsensus(
-        inlier_ids=frozenset(observations[k].anchor_id for k in np.flatnonzero(inliers)),
+        inlier_ids=frozenset(ids[k] for k in np.flatnonzero(inliers)),
         hypothesis_pose=_hypothesis_pose(center[0], quat[0]),
         inlier_count=int(inliers.sum()),
-        pair_ids=(observations[i].anchor_id, observations[j].anchor_id),
+        pair_ids=(ids[i], ids[j]),
     )
 
 
@@ -140,12 +130,9 @@ def decoupled_pose(observations):
     the center-locus rays (never touches the relative rotations beyond the
     fixed direction reversal). Translation is reassembled as ``-R c``.
     """
-    observations = list(observations)
-    if len(observations) < 2:
-        raise InsufficientDataError(
-            f"decoupled pose needs >= 2 observations, got {len(observations)}"
-        )
-    check_unique_ids(observations)
-    rotation = markley_rotation_average([chained_rotation(o) for o in observations])
-    solution = center_average([locus_ray(o) for o in observations])
+    stack = ObservationStack.of(observations)
+    if len(stack) < 2:
+        raise InsufficientDataError(f"decoupled pose needs >= 2 observations, got {len(stack)}")
+    rotation = markley_rotation_average(stack)
+    solution = center_average(stack)
     return Pose(rotation, -rotation @ solution.center)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .geometry import Pose, quat_to_rotation, rotation_to_quat
+from .geometry import Pose, poses_to_quats
 from .relpose import MatchSet
 
 # Sanity bound on normalized coordinates; larger values mean broken
@@ -136,7 +136,7 @@ def pose_from_values(path, line_no, values):
     # so only renormalize when the file is meaningfully off unit
     if abs(norm - 1.0) > 1e-9:
         q = q / norm
-    return Pose(quat_to_rotation(q), values[4:])
+    return Pose.from_quaternion(q, values[4:])
 
 
 def parse_poses(path):
@@ -207,6 +207,24 @@ def parse_matches(path):
     return parsed if parsed is not None else _parse_match_lines(path, lines)
 
 
+def _is_keypoint_id(token):
+    """The keypoint-id grammar of both match readers: ASCII digits only, so
+    no sign, no ``_`` separator and no other script's digits (the value must
+    also be below 2**63). True for a run of such tokens joined together."""
+    return token.isascii() and token.isdigit()
+
+
+def _keypoint_id(path, line_no, token):
+    if not _is_keypoint_id(token):
+        raise ParseError(
+            path, line_no, f"keypoint id must be a non-negative integer in ASCII digits: {token!r}"
+        )
+    kp_id = int(token)
+    if kp_id >= 2**63:
+        raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
+    return kp_id
+
+
 def _well_formed_matches(lines):
     """``parse_matches`` of a file whose data lines all hold five fields: a
     unique keypoint id of at most 18 ASCII digits (so it fits int64) and four
@@ -217,8 +235,7 @@ def _well_formed_matches(lines):
     if not rows or any(len(tokens) != 5 for tokens in rows):
         return None
     ids = [tokens[0] for tokens in rows]
-    digits = "".join(ids)
-    if not (digits.isascii() and digits.isdigit()) or max(map(len, ids)) > 18:
+    if not _is_keypoint_id("".join(ids)) or max(map(len, ids)) > 18:
         return None
     kp_ids = np.array(list(map(int, ids)), dtype=np.int64)
     if len(np.unique(kp_ids)) != len(kp_ids):
@@ -242,14 +259,7 @@ def _parse_match_lines(path, lines):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")
-        try:
-            kp_id = int(tokens[0])
-        except ValueError:
-            raise ParseError(path, line_no, f"keypoint id must be an integer: {tokens[0]!r}") from None
-        if kp_id < 0:
-            raise ParseError(path, line_no, "keypoint id must be >= 0")
-        if kp_id >= 2**63:
-            raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
+        kp_id = _keypoint_id(path, line_no, tokens[0])
         if kp_id in seen:
             raise ParseError(path, line_no, f"duplicate keypoint id {kp_id}")
         seen.add(kp_id)
@@ -335,10 +345,9 @@ def write_poses(path, poses):
     """Write {id: Pose} in the anchors format (sorted by id)."""
     with open(path, "w") as handle:
         handle.write("# id qw qx qy qz tx ty tz\n")
-        for cam_id in sorted(poses):
-            pose = poses[cam_id]
-            q = rotation_to_quat(pose.rotation)
-            t = pose.translation
+        ids = sorted(poses)
+        for cam_id, q in zip(ids, poses_to_quats([poses[cam_id] for cam_id in ids])):
+            t = poses[cam_id].translation
             fields = [str(cam_id)] + [_fmt(v) for v in (*q, *t)]
             handle.write(" ".join(fields) + "\n")
 

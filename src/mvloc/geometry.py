@@ -71,9 +71,9 @@ def unit(v):
 
 
 def row_norms(v):
-    """Euclidean norm of each row of an (N, 3) array, bit-for-bit the
+    """Euclidean norm of each row of an (N, d) array, bit-for-bit the
     ``np.linalg.norm`` of that row."""
-    # a stacked (1, 3) @ (3, 1) product is the same BLAS dot that
+    # a stacked (1, d) @ (d, 1) product is the same BLAS dot that
     # np.linalg.norm takes on one vector; a reduction along axis 1 is not
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
@@ -148,7 +148,7 @@ class Pose:
     re-orthonormalized (see :func:`ensure_rotation`).
     """
 
-    __slots__ = ("rotation", "translation")
+    __slots__ = ("rotation", "translation", "_quat")
 
     def __init__(self, rotation, translation):
         rotation = ensure_rotation(rotation)
@@ -158,6 +158,7 @@ class Pose:
         translation.flags.writeable = False
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "_quat", None)
 
     @classmethod
     def _from_validated(cls, rotation, translation):
@@ -169,7 +170,28 @@ class Pose:
         pose = object.__new__(cls)
         object.__setattr__(pose, "rotation", rotation)
         object.__setattr__(pose, "translation", translation)
+        object.__setattr__(pose, "_quat", None)
         return pose
+
+    @classmethod
+    def from_quaternion(cls, quat, translation):
+        """The pose of a unit scalar-first quaternion and a translation.
+
+        The pose keeps the quaternion, canonicalized, as its
+        :meth:`quaternion`: converting the rotation back would move its low
+        bits, so a pose read from a file would not write the digits it was
+        read from.
+        """
+        pose = cls(quat_to_rotation(quat), translation)
+        quat = canonicalize_quat(quat)
+        quat.flags.writeable = False
+        object.__setattr__(pose, "_quat", quat)
+        return pose
+
+    def quaternion(self):
+        """Canonical scalar-first quaternion of the rotation: the one-pose
+        case of :func:`poses_to_quats`."""
+        return poses_to_quats([self])[0]
 
     def __setattr__(self, name, value):
         raise AttributeError("Pose is immutable")
@@ -236,6 +258,13 @@ class RelativePoseEstimate:
         )
 
 
+def camera_centers(rotations, translations):
+    """Centers -R^T T of poses stacked as (K, 3, 3) rotations and (K, 3)
+    translations, each bit-for-bit its ``Pose.center``: a stacked (3, 1)
+    column product is the BLAS call of one matrix-vector product."""
+    return -(np.swapaxes(rotations, 1, 2) @ translations[:, :, None])[:, :, 0]
+
+
 def project(pose, point):
     """Pinhole projection of a world point into normalized image coordinates.
 
@@ -291,51 +320,94 @@ def canonicalize_quat(q):
     raise ValueError("zero quaternion has no canonical form")
 
 
-def rotation_to_quat(mat):
-    """Scalar-first unit quaternion of a rotation matrix (canonicalized).
+def canonicalize_quats(q):
+    """Row-wise :func:`canonicalize_quat` of a (K, 4) array: each row keeps
+    its sign when its first nonzero component is positive and is negated
+    otherwise."""
+    q = np.asarray(q, dtype=np.float64)
+    nonzero = q != 0
+    if not np.all(nonzero.any(axis=1)):
+        raise ValueError("zero quaternion has no canonical form")
+    lead = q[np.arange(len(q)), nonzero.argmax(axis=1)]
+    return np.where((lead < 0)[:, None], -q, q)
 
-    Uses Shepperd's branching on the largest diagonal combination so the
-    result is stable for rotations near pi.
+
+def rotations_to_quats(mats):
+    """Scalar-first unit quaternions (K, 4) of a (K, 3, 3) stack of
+    rotations, canonicalized.
+
+    Each row is checked by :func:`ensure_rotations` and converted by
+    Shepperd's branching on the largest of the trace and the diagonal, so
+    the result is stable for rotations near pi. Every row takes the
+    arithmetic of its branch elementwise, and its norm is the one BLAS dot
+    of :func:`row_norms`, so a row converts the same in any stack.
     """
-    m = ensure_rotation(mat)
-    t = np.trace(m)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    return canonicalize_quat(q / np.linalg.norm(q))
+    m = ensure_rotations(mats)
+    m00, m01, m02 = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+    m10, m11, m12 = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
+    m20, m21, m22 = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
+    trace = m00 + m11 + m22
+    branch = np.where(
+        trace > 0, 0, np.where((m00 >= m11) & (m00 >= m22), 1, np.where(m11 >= m22, 2, 3))
+    )
+    a, b, c = m21 - m12, m02 - m20, m10 - m01
+    d, e, f = m01 + m10, m02 + m20, m12 + m21
+    # row i of branch i: (s / 2)^2 in column i, the numerators of the others
+    table = np.array(
+        [
+            [trace + 1.0, a, b, c],
+            [a, 1.0 + m00 - m11 - m22, d, e],
+            [b, d, 1.0 + m11 - m00 - m22, f],
+            [c, e, f, 1.0 + m22 - m00 - m11],
+        ]
+    )
+    rows = np.arange(len(m))
+    picked = table[branch, :, rows]
+    s = np.sqrt(picked[rows, branch]) * 2.0
+    q = picked / s[:, None]
+    q[rows, branch] = 0.25 * s
+    return canonicalize_quats(q / row_norms(q)[:, None])
 
 
-def quat_left_matrix(p):
-    """4x4 matrix L(p) with L(p) @ q == p * q (Hamilton product).
+def poses_to_quats(poses):
+    """(K, 4) canonical scalar-first quaternions of a sequence of poses:
+    the quaternion a pose was built from by :meth:`Pose.from_quaternion`,
+    else that of its rotation, converted for all such poses in one
+    :func:`rotations_to_quats` pass."""
+    poses = list(poses)
+    quats = np.empty((len(poses), 4))
+    convert = [k for k, pose in enumerate(poses) if pose._quat is None]
+    quats[convert] = rotations_to_quats(
+        np.array([poses[k].rotation for k in convert]).reshape(-1, 3, 3)
+    )
+    for k, pose in enumerate(poses):
+        if pose._quat is not None:
+            quats[k] = pose._quat
+    return quats
+
+
+def rotation_to_quat(mat):
+    """Scalar-first unit quaternion of a rotation matrix (canonicalized):
+    the one-row case of :func:`rotations_to_quats`."""
+    return rotations_to_quats(_as_float_array(mat, (3, 3), "rotation")[None])[0]
+
+
+def quat_left_matrices(p):
+    """(K, 4, 4) matrices L(p_k) with L(p) @ q == p * q (Hamilton product)
+    of the rows of a (K, 4) array.
 
     Orthogonal for unit p, which is what makes stacked quaternion systems
     solvable by plain least squares.
     """
-    w, x, y, z = np.asarray(p, dtype=np.float64)
-    return np.array(
+    w, x, y, z = np.asarray(p, dtype=np.float64).T
+    return np.stack(
         [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
+            np.stack([w, -x, -y, -z], axis=1),
+            np.stack([x, w, -z, y], axis=1),
+            np.stack([y, z, w, -x], axis=1),
+            np.stack([z, -y, x, w], axis=1),
+        ],
+        axis=1,
     )
 
 

@@ -14,19 +14,26 @@ import csv
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
-from .averaging import AnchorObservation
+from .averaging import ObservationStack
 from .consensus import anchor_ransac, decoupled_pose
 from .dataset import pose_from_values
 from .errors import ConfigurationError, InsufficientDataError, MvlocError, ParseError
-from .geometry import Pose, geodesic_angle, rotation_to_quat
+from .geometry import Pose, geodesic_angle
 from .refine import CorrespondenceTrack, refine_pose
-from .relpose import RansacConfig, cheirality_select, decompose_essential, estimate_essential
+from .relpose import (
+    RansacConfig,
+    candidates_of,
+    cheirality_select,
+    decompose_essentials,
+    estimate_essential,
+)
 
 ACCURACY_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
 
@@ -133,8 +140,7 @@ def pair_focal(query_intrinsics, anchor_intrinsics):
 
 def _id_words(value):
     """Four uint32 words of the sha256 of ``str(value)``."""
-    digest = hashlib.sha256(str(value).encode()).digest()
-    return [int(w) for w in np.frombuffer(digest[:16], dtype=np.uint32)]
+    return list(struct.unpack("=4I", hashlib.sha256(str(value).encode()).digest()[:16]))
 
 
 def query_rng(seed, query_id):
@@ -147,39 +153,79 @@ def pair_rng(seed, query_id, anchor_id):
     """Generator of one query-anchor pair's essential RANSAC, derived from
     the run seed and both ids. Each id is hashed on its own, so two
     different (query, anchor) pairs never share a stream."""
-    words = _id_words(query_id) + _id_words(anchor_id)
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+    return _pair_rng([int(seed)] + _id_words(query_id), anchor_id)
 
 
-def estimate_anchor(anchor_id, anchor_pose, matches, ransac_cfg, rng):
-    """(AnchorObservation, inlier MatchSet) of one query-anchor pair:
-    essential RANSAC, then cheirality on the inliers. Raises an MvlocError
-    subclass when the pair yields no usable estimate."""
-    essential, mask = estimate_essential(matches, config=ransac_cfg, seed=rng)
-    inliers = matches.subset(mask)
-    rel = cheirality_select(decompose_essential(essential), inliers)
-    return AnchorObservation(anchor_id, anchor_pose, rel), inliers
+def _pair_rng(query_entropy, anchor_id):
+    """:func:`pair_rng` from ``[seed] + _id_words(query_id)``, which a query
+    hashes once for all its pairs."""
+    return np.random.default_rng(np.random.SeedSequence(query_entropy + _id_words(anchor_id)))
+
+
+def estimate_anchors(pairs):
+    """``(ObservationStack, {anchor id: inlier MatchSet})`` of one query.
+
+    ``pairs`` holds ``(anchor_id, anchor_pose, matches, ransac_cfg, rng)``
+    per query-anchor pair. Each pair runs essential RANSAC; the accepted
+    essential matrices are decomposed in one stacked pass, and each pair's
+    cheirality vote on its inliers picks its relative pose. A pair that
+    yields no usable estimate (an MvlocError) is left out; the stack keeps
+    the order of the others.
+    """
+    fitted = []
+    for anchor_id, anchor_pose, matches, ransac_cfg, rng in pairs:
+        try:
+            essential, mask = estimate_essential(matches, config=ransac_cfg, seed=rng)
+        except MvlocError:
+            continue
+        fitted.append((anchor_id, anchor_pose, essential, matches.subset(mask)))
+    rotations, directions = decompose_essentials(
+        np.array([essential for _, _, essential, _ in fitted]).reshape(-1, 3, 3)
+    )
+    kept, rel_rotations, rel_directions, inlier_matches = [], [], [], {}
+    for (anchor_id, anchor_pose, _, inliers), pair_rotations, direction in zip(
+        fitted, rotations, directions
+    ):
+        try:
+            rel = cheirality_select(candidates_of(pair_rotations, direction), inliers)
+        except MvlocError:
+            continue
+        kept.append((anchor_id, anchor_pose))
+        rel_rotations.append(rel.rotation)
+        rel_directions.append(rel.direction)
+        inlier_matches[anchor_id] = inliers
+    stack = ObservationStack(
+        [anchor_id for anchor_id, _ in kept],
+        np.array([pose.rotation for _, pose in kept]).reshape(-1, 3, 3),
+        np.array([pose.translation for _, pose in kept]).reshape(-1, 3),
+        np.array(rel_rotations).reshape(-1, 3, 3),
+        np.array(rel_directions).reshape(-1, 3),
+    )
+    return stack, inlier_matches
 
 
 def solve_pose(observations, inlier_matches, anchor_poses, config, rng):
     """``(consensus, stage1, refinement, status)`` of one query from its
-    per-anchor estimates: anchor consensus with ``config.theta_*``, decoupled
-    averaging, tracks linking the agreeing anchors' inlier matches
-    (``inlier_matches``: anchor id -> MatchSet) by query keypoint id, then
-    refinement. A failed refinement gives ``None`` and a ``stage1-only:
-    <reason>`` status; a failed consensus or stage 1 raises an MvlocError."""
+    per-anchor estimates, an ObservationStack or a sequence of
+    AnchorObservations: anchor consensus with ``config.theta_*``, decoupled
+    averaging over the consensus rows, tracks linking the agreeing anchors'
+    inlier matches (``inlier_matches``: anchor id -> MatchSet) by query
+    keypoint id, then refinement. A failed refinement gives ``None`` and a
+    ``stage1-only: <reason>`` status; a failed consensus or stage 1 raises
+    an MvlocError."""
+    stack = ObservationStack.of(observations)
     consensus = anchor_ransac(
-        observations,
+        stack,
         theta_ray_deg=config.theta_ray_deg,
         theta_rot_deg=config.theta_rot_deg,
         seed=rng,
     )
-    inlier_obs = [o for o in observations if o.anchor_id in consensus.inlier_ids]
-    stage1 = decoupled_pose(inlier_obs)
-
-    tracks = _keypoint_tracks(
-        [(o.anchor_id, inlier_matches[o.anchor_id]) for o in inlier_obs]
+    inlier_stack = stack.take(
+        [k for k, aid in enumerate(stack.anchor_ids) if aid in consensus.inlier_ids]
     )
+    stage1 = decoupled_pose(inlier_stack)
+
+    tracks = _keypoint_tracks([(aid, inlier_matches[aid]) for aid in inlier_stack.anchor_ids])
 
     try:
         refinement = refine_pose(tracks, anchor_poses, stage1, tau_reproj=config.tau_reproj)
@@ -192,20 +238,30 @@ def _keypoint_tracks(linked):
     """Tracks of the query keypoint ids that two or more of ``linked``,
     (anchor id, MatchSet) pairs, observe: ascending by id, views in the
     order of ``linked``, query feature from the first view. MatchSets
-    without keypoint ids are left out."""
+    without keypoint ids are left out.
+
+    Each track is a slice of the id-sorted rows of all linked sets, checked
+    once for the whole stack: a keypoint id that one set holds twice raises
+    ValueError, naming the first such track."""
     linked = [(aid, m) for aid, m in linked if m.keypoint_ids is not None and len(m)]
     if not linked:
         return []
     ids = np.concatenate([m.keypoint_ids for _, m in linked])
     order = np.argsort(ids, kind="stable")
+    ids = ids[order]
     owners = np.repeat(np.arange(len(linked)), [len(m) for _, m in linked])[order]
     feats_q = np.concatenate([m.query for _, m in linked])[order]
     feats_a = np.concatenate([m.anchor for _, m in linked])[order]
+    # the stable sort keeps each id's views in owner order, so a set that
+    # holds an id twice leaves two equal neighbours
+    repeats = np.flatnonzero((ids[1:] == ids[:-1]) & (owners[1:] == owners[:-1]))
+    if len(repeats):
+        raise ValueError(f"track {int(ids[repeats[0]])!r} repeats an anchor id")
     aids = [linked[k][0] for k in owners.tolist()]
-    kp_ids, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    kp_ids, starts, counts = np.unique(ids, return_index=True, return_counts=True)
     return [
-        CorrespondenceTrack(
-            kp_id, feats_q[start], tuple(zip(aids[start:stop], feats_a[start:stop]))
+        CorrespondenceTrack._from_validated(
+            kp_id, feats_q[start], tuple(aids[start:stop]), feats_a[start:stop]
         )
         for kp_id, start, stop in zip(kp_ids.tolist(), starts.tolist(), (starts + counts).tolist())
         if stop - start >= 2
@@ -249,25 +305,16 @@ def localize_query(dataset, query_id, config=None):
             continue  # missing match file; retrieval can outrun matching
     _check_query_pixels(dataset, query_id, loaded)
 
-    observations = []
-    inlier_matches = {}
+    query_entropy = [int(config.seed)] + _id_words(query_id)
+    pairs = []
     for anchor_id, matches in loaded:
         focal = pair_focal(dataset.intrinsics[query_id], dataset.intrinsics[anchor_id])
         ransac_cfg = config.ransac_config(focal)
         if len(matches) < ransac_cfg.min_inliers:
             continue
-        try:
-            obs, inliers = estimate_anchor(
-                anchor_id,
-                dataset.anchors[anchor_id],
-                matches,
-                ransac_cfg,
-                pair_rng(config.seed, query_id, anchor_id),
-            )
-        except MvlocError:
-            continue
-        observations.append(obs)
-        inlier_matches[anchor_id] = inliers
+        pairs.append((anchor_id, dataset.anchors[anchor_id], matches, ransac_cfg,
+                      _pair_rng(query_entropy, anchor_id)))
+    observations, inlier_matches = estimate_anchors(pairs)
 
     if len(observations) < 2:
         raise InsufficientDataError(
@@ -368,7 +415,7 @@ _POSE_COLS = ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
 def _pose_fields(pose):
     if pose is None:
         return [""] * 7
-    q = rotation_to_quat(pose.rotation)
+    q = pose.quaternion()
     return [format(v, ".17g") for v in (*q, *pose.translation)]
 
 

@@ -9,6 +9,8 @@ minimizing its reprojection error onto the fixed latent points.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Hashable
 
 import numpy as np
@@ -20,39 +22,69 @@ from .errors import (
     InitializationError,
     InsufficientDataError,
 )
-from .geometry import DEPTH_EPS, Pose, project, rotvec_to_rotation, skew_rows, unit_rows
-from .relpose import midpoint_triangulate
+from .geometry import (
+    DEPTH_EPS,
+    Pose,
+    camera_centers,
+    project,
+    rotvec_to_rotation,
+    skew_rows,
+    unit_rows,
+)
+from .relpose import midpoint_of_views
 
 
-@dataclass(frozen=True)
 class CorrespondenceTrack:
     """One query feature matched into two or more anchor views.
 
     ``anchors`` is a sequence of (anchor_id, feature) pairs; ids must be
-    distinct and at least two are required.
+    distinct and at least two are required. The views are kept as the tuple
+    ``anchor_ids`` and the (V, 2) float array ``features``, row v the
+    feature in view v; ``anchors`` gives the pairs back.
     """
 
-    track_id: Hashable
-    query_feature: np.ndarray
-    anchors: tuple
+    __slots__ = ("track_id", "query_feature", "anchor_ids", "features")
 
-    def __post_init__(self):
-        qf = np.asarray(self.query_feature, dtype=np.float64)
+    def __init__(self, track_id, query_feature, anchors):
+        qf = np.asarray(query_feature, dtype=np.float64)
         if qf.shape != (2,):
             raise ValueError("query_feature must be (2,)")
-        if len(self.anchors) < 2:
-            raise ValueError(f"track {self.track_id!r} needs >= 2 anchor views")
-        ids = [aid for aid, _ in self.anchors]
+        if len(anchors) < 2:
+            raise ValueError(f"track {track_id!r} needs >= 2 anchor views")
+        ids = tuple(aid for aid, _ in anchors)
         if len(set(ids)) != len(ids):
-            raise ValueError(f"track {self.track_id!r} repeats an anchor id")
+            raise ValueError(f"track {track_id!r} repeats an anchor id")
         try:
-            feats = np.asarray([f for _, f in self.anchors], dtype=np.float64)
+            feats = np.asarray([f for _, f in anchors], dtype=np.float64)
         except ValueError:  # ragged features
             feats = None
         if feats is None or feats.shape != (len(ids), 2):
             raise ValueError("anchor features must be (2,)")
-        object.__setattr__(self, "query_feature", qf)
-        object.__setattr__(self, "anchors", tuple(zip(ids, feats)))
+        self._fill(track_id, qf, ids, feats)
+
+    @classmethod
+    def _from_validated(cls, track_id, query_feature, anchor_ids, features):
+        """A track from a (2,) float query feature, a tuple of V >= 2
+        distinct anchor ids and a (V, 2) float array, taken as they are
+        with no second check or copy."""
+        track = object.__new__(cls)
+        track._fill(track_id, query_feature, anchor_ids, features)
+        return track
+
+    def _fill(self, track_id, query_feature, anchor_ids, features):
+        for name, value in zip(self.__slots__, (track_id, query_feature, anchor_ids, features)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def anchors(self):
+        """The views as (anchor_id, feature) pairs."""
+        return tuple(zip(self.anchor_ids, self.features))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CorrespondenceTrack is immutable")
+
+    def __repr__(self):
+        return f"CorrespondenceTrack(track_id={self.track_id!r}, views={len(self.anchor_ids)})"
 
 
 @dataclass(frozen=True)
@@ -119,7 +151,16 @@ class _AnchorStack(Mapping):
         self.rows = {aid: k for k, aid in enumerate(self._poses)}
         self.rotations = np.array([p.rotation for p in self._poses.values()]).reshape(-1, 3, 3)
         self.translations = np.array([p.translation for p in self._poses.values()]).reshape(-1, 3)
-        self.centers = -(self.rotations.transpose(0, 2, 1) @ self.translations[:, :, None])[:, :, 0]
+        self.centers = camera_centers(self.rotations, self.translations)
+
+    def rows_of(self, track):
+        """Row of each view of ``track``; KeyError for an anchor not here."""
+        try:
+            return list(itemgetter(*track.anchor_ids)(self.rows))
+        except KeyError as exc:
+            raise KeyError(
+                f"track {track.track_id!r} references unknown anchor {exc.args[0]!r}"
+            ) from None
 
     def __getitem__(self, aid):
         return self._poses[aid]
@@ -137,25 +178,21 @@ def _track_arrays(track, anchor_poses, init):
     ``_AnchorStack`` or any id -> Pose mapping, of which only the track's
     own anchors are stacked."""
     if not isinstance(anchor_poses, _AnchorStack):
-        anchor_poses = _AnchorStack(anchor_poses, [aid for aid, _ in track.anchors])
-    rows = []
-    for aid, _ in track.anchors:
-        if aid not in anchor_poses.rows:
-            raise KeyError(f"track {track.track_id!r} references unknown anchor {aid!r}")
-        rows.append(anchor_poses.rows[aid])
-
-    if init is None:
-        (aid_a, feat_a), (aid_b, feat_b) = track.anchors[0], track.anchors[1]
-        init = midpoint_triangulate(anchor_poses[aid_a], anchor_poses[aid_b], feat_a, feat_b)
-    else:
-        init = np.asarray(init, dtype=np.float64)
+        anchor_poses = _AnchorStack(anchor_poses, track.anchor_ids)
+    rows = anchor_poses.rows_of(track)
 
     rot_all = anchor_poses.rotations[rows]
     trans_all = anchor_poses.translations[rows]
-    ref = _select_reference(anchor_poses.centers[rows], init)
-    ref_pose = anchor_poses[track.anchors[ref][0]]
+    centers = anchor_poses.centers[rows]
+    if init is None:
+        init = midpoint_of_views(centers[:2], rot_all[:2], track.features[:2])
+    else:
+        init = np.asarray(init, dtype=np.float64)
+
+    ref = _select_reference(centers, init)
+    ref_pose = anchor_poses[track.anchor_ids[ref]]
     others = np.delete(np.arange(len(rows)), ref)
-    obs = np.array([f for _, f in track.anchors])[others]
+    obs = track.features[others]
     # (R_k R_1^T, T_k - R_k1 T_1) for the non-reference views
     rots = rot_all[others] @ ref_pose.rotation.T
     trans = trans_all[others] - rots @ ref_pose.translation
@@ -165,8 +202,7 @@ def _track_arrays(track, anchor_poses, init):
         raise InitializationError(
             f"track {track.track_id!r}: initial point is behind the reference view"
         )
-    ref_feat = track.anchors[ref][1]
-    return ref, ref_pose, ref_feat, obs, rots, trans, cam
+    return ref, ref_pose, track.features[ref], obs, rots, trans, cam
 
 
 def _minimize(params, first, evaluate, retract):
@@ -249,7 +285,7 @@ def triangulate_track(track, anchor_poses, init=None):
     return LatentPoint(
         track_id=track.track_id,
         world_point=world,
-        reference_view=track.anchors[ref][0],
+        reference_view=track.anchor_ids[ref],
         ref_feature=np.array([x, y]),
         ref_depth=float(rho),
         e1_residual=float(cost),
@@ -330,7 +366,7 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     """
     tracks = list(tracks)
     # one pose stack per query, over the anchors the tracks reference
-    stack = _AnchorStack(anchor_poses, (aid for track in tracks for aid, _ in track.anchors))
+    stack = _AnchorStack(anchor_poses, chain.from_iterable(track.anchor_ids for track in tracks))
 
     points = []
     feats = []

@@ -20,10 +20,11 @@ from .errors import (
 from .geometry import (
     PARALLEL_RAY_EPS,
     RelativePoseEstimate,
-    ensure_rotation,
+    ensure_rotations,
     ray_pair_midpoint,
     skew,
     unit,
+    unit_rows,
 )
 
 MIN_MATCHES = 8
@@ -61,8 +62,14 @@ class MatchSet:
         return len(self.query)
 
     def subset(self, mask):
+        """The rows a boolean ``mask`` selects, taken from the checked
+        arrays without a second check."""
+        subset = object.__new__(MatchSet)
+        object.__setattr__(subset, "query", self.query[mask])
+        object.__setattr__(subset, "anchor", self.anchor[mask])
         ids = None if self.keypoint_ids is None else self.keypoint_ids[mask]
-        return MatchSet(self.query[mask], self.anchor[mask], ids)
+        object.__setattr__(subset, "keypoint_ids", ids)
+        return subset
 
 
 @dataclass(frozen=True)
@@ -295,33 +302,58 @@ def estimate_essential(matches, config=None, seed=0):
     return best_e, best_mask
 
 
+# The factor W of the decomposition E = U diag(1, 1, 0) V^T: the two
+# rotation candidates are U W V^T and U W^T V^T.
+_W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def decompose_essentials(es):
+    """The two rotations and the translation direction of each of a
+    (K, 3, 3) stack of essential matrices.
+
+    Returns (K, 2, 3, 3) rotations (R1, R2) from determinant-corrected SVD
+    factors, checked by :func:`ensure_rotations`, and (K, 3) unit
+    directions t; the four candidates of row k are (R1, +t), (R1, -t),
+    (R2, +t) and (R2, -t). Every matrix goes through the per-matrix LAPACK
+    and BLAS calls of a one-matrix stack, so a row decomposes the same in
+    any stack. Raises ValueError, naming the first offending row's singular
+    values, when a matrix is zero or not essential.
+    """
+    es = np.asarray(es, dtype=np.float64)
+    u, svals, vt = np.linalg.svd(es)
+    scale = svals[:, 0]
+    bad = (scale <= 0) | (svals[:, 2] > 1e-6 * scale) | (svals[:, 0] - svals[:, 1] > 1e-6 * scale)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if scale[k] <= 0:
+            raise ValueError("zero essential matrix")
+        raise ValueError(f"not an essential matrix: singular values {svals[k]}")
+    u = np.where((np.linalg.det(u) < 0)[:, None, None], -u, u)
+    vt = np.where((np.linalg.det(vt) < 0)[:, None, None], -vt, vt)
+    rotations = np.stack([ensure_rotations(u @ _W @ vt), ensure_rotations(u @ _W.T @ vt)], axis=1)
+    return rotations, unit_rows(np.ascontiguousarray(u[:, :, 2]))
+
+
 def decompose_essential(e):
-    """The four (R, t) candidates of an essential matrix.
+    """The four (R, t) candidates of an essential matrix, the one-matrix
+    case of :func:`decompose_essentials`.
 
     Candidates are returned as RelativePoseEstimates in the order
-    (R1, +t), (R1, -t), (R2, +t), (R2, -t) with determinant-corrected SVD
-    factors. R1, R2 and t are validated once each and shared by the
-    candidates that hold them. The caller disambiguates by cheirality.
+    (R1, +t), (R1, -t), (R2, +t), (R2, -t). The caller disambiguates by
+    cheirality.
     """
-    e = np.asarray(e, dtype=np.float64)
-    u, svals, vt = np.linalg.svd(e)
-    scale = svals[0]
-    if scale <= 0:
-        raise ValueError("zero essential matrix")
-    if svals[2] > 1e-6 * scale or (svals[0] - svals[1]) > 1e-6 * scale:
-        raise ValueError(f"not an essential matrix: singular values {svals}")
-    if np.linalg.det(u) < 0:
-        u = -u
-    if np.linalg.det(vt) < 0:
-        vt = -vt
-    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    r1 = ensure_rotation(u @ w @ vt)
-    r2 = ensure_rotation(u @ w.T @ vt)
-    t = unit(u[:, 2]).copy()
-    # -unit(t) is unit(-t) to the bit: the norm and the division are sign-free
+    rotations, directions = decompose_essentials(np.asarray(e, dtype=np.float64)[None])
+    return candidates_of(rotations[0], directions[0])
+
+
+def candidates_of(rotations, direction):
+    """The four RelativePoseEstimates of one row of
+    :func:`decompose_essentials`, sharing its arrays."""
+    # -t is unit(-t) to the bit: the norm and the division are sign-free
     return [
         RelativePoseEstimate._from_validated(r, d)
-        for r, d in ((r1, t), (r1, -t), (r2, t), (r2, -t))
+        for r in rotations
+        for d in (direction, -direction)
     ]
 
 
@@ -392,13 +424,16 @@ def midpoint_triangulate(pose_a, pose_b, feat_a, feat_b):
     Features are normalized coordinates in their respective cameras. Raises
     DegenerateGeometryError for a zero baseline or near-parallel rays.
     """
-    feat_a = np.asarray(feat_a, dtype=np.float64)
-    feat_b = np.asarray(feat_b, dtype=np.float64)
-    origin_a = pose_a.center()
-    origin_b = pose_b.center()
-    dir_a = unit(pose_a.rotation.T @ np.array([feat_a[0], feat_a[1], 1.0]))
-    dir_b = unit(pose_b.rotation.T @ np.array([feat_b[0], feat_b[1], 1.0]))
-    return ray_pair_midpoint(origin_a, dir_a, origin_b, dir_b)
+    return midpoint_of_views(
+        (pose_a.center(), pose_b.center()), (pose_a.rotation, pose_b.rotation), (feat_a, feat_b)
+    )
+
+
+def midpoint_of_views(centers, rotations, feats):
+    """:func:`midpoint_triangulate` of two views given as their two camera
+    centers, rotations and features, such as rows of stacked arrays."""
+    dir_a, dir_b = (unit(r.T @ np.array([f[0], f[1], 1.0])) for r, f in zip(rotations, feats))
+    return ray_pair_midpoint(centers[0], dir_a, centers[1], dir_b)
 
 
 def essential_from_relative(rel):

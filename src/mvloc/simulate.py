@@ -24,11 +24,10 @@ import numpy as np
 
 from .averaging import (
     AnchorObservation,
+    ObservationStack,
     center_average,
-    chained_rotation,
     govindu_rotation_average,
     govindu_translation_average,
-    locus_ray,
     markley_rotation_average,
 )
 from .consensus import decoupled_pose
@@ -36,6 +35,7 @@ from .errors import ConfigurationError, GenerationError, MvlocError
 from .geometry import (
     Pose,
     RelativePoseEstimate,
+    camera_centers,
     ensure_rotations,
     geodesic_angle,
     relative_poses,
@@ -44,7 +44,7 @@ from .geometry import (
     unit_directions,
     unit_rows,
 )
-from .pipeline import PipelineConfig, estimate_anchor, pose_error, solve_pose
+from .pipeline import PipelineConfig, estimate_anchors, pose_error, solve_pose
 from .relpose import MatchSet
 
 MAX_GENERATION_ATTEMPTS = 100
@@ -152,7 +152,7 @@ def _stack(poses):
 def _scene_valid(points, rotations, translations, radius):
     """All points safely in front of every camera, no coincident cameras;
     the cameras are given as stacked rotations and translations."""
-    centers = -(np.swapaxes(rotations, 1, 2) @ translations[:, :, None])[:, :, 0]
+    centers = camera_centers(rotations, translations)
     i, j = np.triu_indices(len(centers), k=1)
     if np.any(np.linalg.norm(centers[i] - centers[j], axis=1) < 1e-3 * radius):
         return False
@@ -260,17 +260,29 @@ def perturb_relative_pose(rel, noise, rng):
     return RelativePoseEstimate._from_validated(rotations[0], directions[0])
 
 
+def _synthesized_stack(scene, noise, rng, count=None):
+    """ObservationStack of the first ``count`` anchors (default all), ids
+    0..K-1, with exact relative poses perturbed per ``noise``, all anchors
+    in one stacked pass."""
+    rotations, translations = _stack(scene.anchor_poses[:count])
+    rel_rotations, rel_directions = _perturb(
+        *relative_poses(scene.query_pose, rotations, translations), noise, rng
+    )
+    return ObservationStack(
+        range(len(rotations)), rotations, translations, rel_rotations, rel_directions
+    )
+
+
 def synthesize_observations(scene, noise, rng, count=None):
     """AnchorObservations for the first ``count`` anchors (default all),
     with exact relative poses perturbed per ``noise``, all anchors in one
     stacked pass."""
-    anchors = scene.anchor_poses[:count]
-    rotations, directions = _perturb(
-        *relative_poses(scene.query_pose, *_stack(anchors)), noise, rng
-    )
+    stack = _synthesized_stack(scene, noise, rng, count)
     return [
         AnchorObservation(k, pose, RelativePoseEstimate._from_validated(r, d))
-        for k, (pose, r, d) in enumerate(zip(anchors, rotations, directions))
+        for k, (pose, r, d) in enumerate(
+            zip(scene.anchor_poses, stack.rel_rotations, stack.rel_directions)
+        )
     ]
 
 
@@ -375,13 +387,13 @@ def run_noise_study(scene_config=None, noise_grid=(1.0, 2.0, 5.0, 10.0), trials=
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, gi, trial]))
             scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
-            observations = synthesize_observations(scene, noise, rng)
+            stack = _synthesized_stack(scene, noise, rng)
             c_true = scene.query_pose.center()
             r_true = scene.query_pose.rotation
             try:
-                r_gov = govindu_rotation_average(observations)
-                t_gov = govindu_translation_average(observations)
-                pose_dec = decoupled_pose(observations)
+                r_gov = govindu_rotation_average(stack)
+                t_gov = govindu_translation_average(stack)
+                pose_dec = decoupled_pose(stack)
             except MvlocError:
                 skipped += 1
                 continue
@@ -443,14 +455,12 @@ def run_averaging_ablation(scene_config=None, noise=5.0, trials=500, seed=0):
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
-        observations = synthesize_observations(scene, noise, rng)
+        stack = _synthesized_stack(scene, noise, rng)
         c_true = scene.query_pose.center()
         try:
-            rotation = markley_rotation_average(
-                [chained_rotation(o) for o in observations]
-            )
-            t_avg = govindu_translation_average(observations)
-            c_ray = center_average([locus_ray(o) for o in observations]).center
+            rotation = markley_rotation_average(stack)
+            t_avg = govindu_translation_average(stack)
+            c_ray = center_average(stack).center
         except MvlocError:
             skipped += 1
             continue
@@ -548,9 +558,10 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
     """Localization error of the full pipeline versus anchor count.
 
     Each trial builds one scene with the maximum anchor count and runs
-    ``pipeline.estimate_anchor`` on every anchor's noisy matches; for every
-    requested K, ``pipeline.solve_pose`` (the CLI pipeline's per-query core:
-    consensus, averaging, tracks, refinement) then takes an evenly spread
+    ``pipeline.estimate_anchors`` on every anchor's noisy matches, which
+    stacks the estimates once; for every requested K,
+    ``pipeline.solve_pose`` (the CLI pipeline's per-query core: consensus,
+    averaging, tracks, refinement) then takes the rows of an evenly spread
     subset of K anchors. Spreading (rather than taking the first K) keeps
     small-K pairs at a usable baseline instead of adjacent, nearly
     collocated cameras. The default ``PipelineConfig`` applies; its pixel
@@ -588,27 +599,24 @@ def run_k_sweep(scene_config=None, k_values=(2, 5, 10, 25, 50), sigma_feat=1e-3,
         scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
         q_feats, a_feats = noisy_features(scene, sigma_feat, rng)
 
-        observations = {}
-        inliers = {}
-        for k, pose in enumerate(scene.anchor_poses):
-            matches = MatchSet(q_feats, a_feats[k], keypoint_ids=kp_ids)
-            try:
-                observations[k], inliers[k] = estimate_anchor(
-                    k, pose, matches, ransac_cfg, _trial_rng(seed, trial, _ANCHOR_STREAM, k)
-                )
-            except MvlocError:
-                continue
+        stack, inliers = estimate_anchors(
+            (k, pose, MatchSet(q_feats, a_feats[k], keypoint_ids=kp_ids), ransac_cfg,
+             _trial_rng(seed, trial, _ANCHOR_STREAM, k))
+            for k, pose in enumerate(scene.anchor_poses)
+        )
 
         anchor_poses = dict(enumerate(scene.anchor_poses))
+        row_of = {k: row for row, k in enumerate(stack.anchor_ids)}
         for k_req in k_values:
             spread = np.round(np.linspace(0, scene_config.n_anchors - 1, k_req)).astype(int)
-            usable = [observations[k] for k in spread if k in observations]
+            usable = [row_of[k] for k in spread.tolist() if k in row_of]
             if len(usable) < 2:
                 skips[k_req] += 1
                 continue
             try:
                 _, stage1, refinement, _ = solve_pose(
-                    usable, inliers, anchor_poses, config, _trial_rng(seed, trial, _K_STREAM, k_req)
+                    stack.take(usable), inliers, anchor_poses, config,
+                    _trial_rng(seed, trial, _K_STREAM, k_req),
                 )
             except MvlocError:
                 skips[k_req] += 1

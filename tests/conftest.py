@@ -106,6 +106,49 @@ def stable_geodesic_deg(a, b):
     return np.rad2deg(2.0 * np.arctan2(np.linalg.norm(q[1:]), abs(q[0])))
 
 
+# ------------------------------------------------- per-rotation Shepperd
+#
+# Reference for ``geometry.rotations_to_quats``: one rotation at a time,
+# branching on the largest of the trace and the diagonal. The stacked
+# conversion must return the same bits for every row.
+
+
+def per_quat_canonical(q):
+    """The sign of q whose first nonzero component is positive."""
+    for comp in q:
+        if comp != 0:
+            return q.copy() if comp > 0 else -q
+    raise ValueError("zero quaternion has no canonical form")
+
+
+def per_rotation_quat(mat):
+    from mvloc.geometry import ensure_rotation
+
+    m = ensure_rotation(mat)
+    t = np.trace(m)
+    if t > 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        )
+    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+        )
+    elif m[1, 1] >= m[2, 2]:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array(
+            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+        )
+    return per_quat_canonical(q / np.linalg.norm(q))
+
+
 # ------------------------------------------------- triangulation oracle
 
 
@@ -556,6 +599,72 @@ def per_observation_translation_average(observations):
     return solution
 
 
+# ------------------------------------------------- per-observation averages
+#
+# References for ``averaging.ObservationStack`` and the averages that read
+# it: one observation, ray or rotation at a time, sums accumulated with
+# ``+=`` in input order. The stacked code must return the same bits.
+
+
+def per_observation_locus_ray(obs):
+    from mvloc.averaging import Ray
+    from mvloc.geometry import unit
+
+    t_kq = -obs.rel.rotation.T @ obs.rel.direction
+    return Ray(obs.anchor_pose.center(), unit(obs.anchor_pose.rotation.T @ t_kq))
+
+
+def per_ray_center_average(rays):
+    """(center, condition, residual_rms) of the normal system summed ray by
+    ray."""
+    a = np.zeros((3, 3))
+    b = np.zeros(3)
+    projectors = []
+    for ray in rays:
+        p = np.eye(3) - np.outer(ray.direction, ray.direction)
+        projectors.append(p)
+        a += p
+        b += p @ ray.origin
+    eigvals = np.linalg.eigvalsh(a)
+    condition = np.inf if eigvals[0] <= 0 else eigvals[-1] / eigvals[0]
+    center = np.linalg.solve(a, b)
+    sq = 0.0
+    for ray, p in zip(rays, projectors):
+        r = p @ (center - ray.origin)
+        sq += r @ r
+    return center, float(condition), float(np.sqrt(sq / len(rays)))
+
+
+def per_rotation_markley(rotations):
+    from mvloc.geometry import quat_to_rotation
+
+    m = np.zeros((4, 4))
+    for rot in rotations:
+        q = per_rotation_quat(rot)
+        m += np.outer(q, q)
+    _, eigvecs = np.linalg.eigh(m)
+    return quat_to_rotation(per_quat_canonical(eigvecs[:, -1]))
+
+
+def per_observation_govindu_rotation(observations):
+    from mvloc.geometry import quat_to_rotation
+
+    blocks, rhs, reference = [], [], None
+    for obs in observations:
+        w, x, y, z = per_rotation_quat(obs.rel.rotation.T)
+        left = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+        q_k = per_rotation_quat(obs.anchor_pose.rotation)
+        candidate = left.T @ q_k
+        if reference is None:
+            reference = candidate
+        elif candidate @ reference < 0:
+            q_k = -q_k
+        blocks.append(left)
+        rhs.append(q_k)
+    q, _, _, _ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
+    return quat_to_rotation(per_quat_canonical(q / np.linalg.norm(q)))
+
+
 # ------------------------------------------------- test-only pose helpers
 
 
@@ -838,6 +947,37 @@ def one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot
     return counts
 
 
+# ------------------------------------------------- per-matrix decomposition
+#
+# Reference for ``relpose.decompose_essentials``: one essential matrix at a
+# time, each factor validated with ``ensure_rotation``/``unit``. Every row
+# of the stacked decomposition must give the same bits.
+
+
+def per_matrix_decompose_essential(e):
+    from mvloc.geometry import RelativePoseEstimate, ensure_rotation, unit
+
+    e = np.asarray(e, dtype=np.float64)
+    u, svals, vt = np.linalg.svd(e)
+    scale = svals[0]
+    if scale <= 0:
+        raise ValueError("zero essential matrix")
+    if svals[2] > 1e-6 * scale or (svals[0] - svals[1]) > 1e-6 * scale:
+        raise ValueError(f"not an essential matrix: singular values {svals}")
+    if np.linalg.det(u) < 0:
+        u = -u
+    if np.linalg.det(vt) < 0:
+        vt = -vt
+    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    r1 = ensure_rotation(u @ w @ vt)
+    r2 = ensure_rotation(u @ w.T @ vt)
+    t = unit(u[:, 2]).copy()
+    return [
+        RelativePoseEstimate._from_validated(r, d)
+        for r, d in ((r1, t), (r1, -t), (r2, t), (r2, -t))
+    ]
+
+
 # ------------------------------------------------- per-candidate cheirality
 #
 # Reference for ``relpose.cheirality_select``: every candidate rebuilds the
@@ -893,7 +1033,8 @@ def per_candidate_cheirality_select(candidates, matches):
 # ----------------------------------------------------- line-by-line matches
 #
 # Reference for ``dataset.parse_matches``: read line by line, one ``float``
-# and one finiteness check per token. The column path must return the same
+# and one finiteness check per token; a keypoint id is a run of the ASCII
+# digits 0-9 below 2**63. The column path must return the same
 # arrays, and every malformed file must raise the same ParseError.
 
 
@@ -913,12 +1054,12 @@ def line_by_line_parse_matches(path):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")
-        try:
-            kp_id = int(tokens[0])
-        except ValueError:
-            raise ParseError(path, line_no, f"keypoint id must be an integer: {tokens[0]!r}") from None
-        if kp_id < 0:
-            raise ParseError(path, line_no, "keypoint id must be >= 0")
+        if not all("0" <= c <= "9" for c in tokens[0]):
+            raise ParseError(
+                path, line_no,
+                f"keypoint id must be a non-negative integer in ASCII digits: {tokens[0]!r}",
+            )
+        kp_id = int(tokens[0])
         if kp_id >= 2**63:
             raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
         if kp_id in seen:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from conftest import (
     compose_absolute,
     consistent_observations,
+    per_observation_govindu_rotation,
+    per_observation_locus_ray,
     per_observation_translation_average,
+    per_ray_center_average,
+    per_rotation_markley,
+    per_rotation_quat,
     proper_signed_permutations,
     random_pose,
     random_rotation,
@@ -27,6 +32,7 @@ from mvloc import (
     RelativePoseEstimate,
     center_average,
     chordal_l2_mean,
+    decoupled_pose,
     geodesic_angle,
     govindu_rotation_average,
     govindu_translation_average,
@@ -36,7 +42,7 @@ from mvloc import (
     relative_from_poses,
 )
 from mvloc.simulate import NoiseSpec, SceneConfig, generate_scene, synthesize_observations
-from mvloc.averaging import chained_rotation, check_unique_ids
+from mvloc.averaging import ObservationStack, chained_rotation
 from mvloc.geometry import rotvec_to_rotation
 
 X = np.array([1.0, 0.0, 0.0])
@@ -245,6 +251,57 @@ def test_translation_average_matches_per_observation_residuals(seed, k, layout, 
     )
 
 
+class TestObservationStack:
+    """The stack's rows and the averages that read them give the bits of
+    the one-observation code and of sums accumulated in input order."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=st.integers(2, 150), layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_rows_are_the_per_observation_geometry(self, seed, k, layout, sig_rot, sig_dir):
+        obs = generated_observations(seed, k, layout, sig_rot, sig_dir)
+        stack = ObservationStack.of(obs)
+        rays = [per_observation_locus_ray(o) for o in obs]
+        chained = [o.rel.rotation @ o.anchor_pose.rotation for o in obs]
+        expected = {
+            "centers": np.array([ray.origin for ray in rays]),
+            "ray_directions": np.array([ray.direction for ray in rays]),
+            "chained_rotations": np.array(chained),
+            "quats": np.array([per_rotation_quat(r) for r in chained]),
+        }
+        for name, value in expected.items():
+            assert getattr(stack, name).tobytes() == value.tobytes(), name
+        # rows taken keep what was built, and build the rest alike
+        order = np.random.default_rng(seed).permutation(k)[: max(2, k // 2)]
+        taken = stack.take(order)
+        fresh = ObservationStack.of([obs[i] for i in order])
+        assert taken.anchor_ids == fresh.anchor_ids == tuple(obs[i].anchor_id for i in order)
+        for name, value in expected.items():
+            assert getattr(taken, name).tobytes() == value[order].tobytes(), name
+            assert getattr(fresh, name).tobytes() == value[order].tobytes(), name
+        assert locus_ray(obs[0]).direction.tobytes() == rays[0].direction.tobytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=SEEDS, k=st.integers(2, 150), layout=LAYOUTS, sig_rot=SIGMAS_DEG, sig_dir=SIGMAS_DEG)
+    def test_averages_are_the_per_object_loops(self, seed, k, layout, sig_rot, sig_dir):
+        obs = generated_observations(seed, k, layout, sig_rot, sig_dir)
+        stack = ObservationStack.of(obs)
+        rays = [per_observation_locus_ray(o) for o in obs]
+        center, condition, rms = per_ray_center_average(rays)
+        for rays in (stack, [locus_ray(o) for o in obs]):
+            solution = center_average(rays)
+            assert solution.center.tobytes() == center.tobytes()
+            assert (solution.condition, solution.residual_rms) == (condition, rms)
+        expected = per_rotation_markley([chained_rotation(o) for o in obs])
+        assert markley_rotation_average(stack).tobytes() == expected.tobytes()
+        assert markley_rotation_average([chained_rotation(o) for o in obs]).tobytes() == (
+            expected.tobytes()
+        )
+        assert govindu_rotation_average(stack).tobytes() == (
+            per_observation_govindu_rotation(obs).tobytes()
+        )
+        assert decoupled_pose(stack) == decoupled_pose(obs)
+
+
 class TestDecouplingOnGeneratedSets:
     """Bit-level decoupling over generated observation sets: the center
     reads the relative rotations only through the anchor-frame direction,
@@ -381,7 +438,9 @@ class TestMarkley:
 
 
 def test_duplicate_anchor_ids_rejected(rng):
-    obs, _ = consistent_observations(rng, 2)
-    twin = AnchorObservation(obs[0].anchor_id, obs[1].anchor_pose, obs[1].rel)
-    with pytest.raises(ValueError, match="duplicate"):
-        check_unique_ids([obs[0], twin])
+    obs, _ = consistent_observations(rng, 3)
+    twin = AnchorObservation(obs[1].anchor_id, obs[2].anchor_pose, obs[2].rel)
+    for consumer in (ObservationStack.of, decoupled_pose, govindu_rotation_average,
+                     govindu_translation_average):
+        with pytest.raises(ValueError, match="duplicate anchor_id 'a1'"):
+            consumer([obs[0], obs[1], twin])

@@ -1,5 +1,6 @@
 """Text formats: parse/write round trips and error reporting."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from mvloc.dataset import (
     write_neighbors,
     write_poses,
 )
+from mvloc.geometry import rotvec_to_rotation
 
 
 def dyadic_poses():
@@ -193,7 +195,7 @@ class TestMatches:
         with pytest.raises(ParseError, match="integer"):
             parse_matches(path)
         path.write_text("-1 0 0 0 0\n")
-        with pytest.raises(ParseError, match=">= 0"):
+        with pytest.raises(ParseError, match="non-negative integer in ASCII digits"):
             parse_matches(path)
         path.write_text("4 0 0 0 0\n4 1 1 1 1\n")
         with pytest.raises(ParseError, match="duplicate keypoint"):
@@ -206,6 +208,7 @@ class TestMatches:
 # Tokens that are not plain ASCII-digit ids or finite decimal values; the
 # line-by-line parser accepts some of them (int("+1"), float("1_0")) and
 # rejects the rest.
+BAD_ID = "keypoint id must be a non-negative integer in ASCII digits:"
 ODD_IDS = ["+1", "1_0", "007", "-3", "-0", "1.5", "x1", "\u0663", "9" * 20, "4" * 19]
 ODD_VALUES = ["nan", "1e400", "-inf", "1_0.5", "+2", "abc", "0x1p3", "1e-320", "-0.0", "\u0663"]
 
@@ -265,18 +268,20 @@ class TestMatchParsing:
     @pytest.mark.parametrize(
         "line, line_no, message",
         [
-            ("+1 1 2 3 4", None, None),
-            ("1_0 1 2 3 4", None, None),
+            ("+1 1 2 3 4", 3, f"{BAD_ID} '+1'"),
+            ("1_0 1 2 3 4", 3, f"{BAD_ID} '1_0'"),
             ("007 1 2 3 4", None, None),
             ("1 nan 2 3 4", 3, "non-finite value: 'nan'"),
             ("1 1e400 2 3 4", 3, "non-finite value: '1e400'"),
-            ("-1 1 2 3 4", 3, "keypoint id must be >= 0"),
+            ("-1 1 2 3 4", 3, f"{BAD_ID} '-1'"),
             (f"{2**63} 1 2 3 4", 3, "keypoint id must be < 2**63 (int64)"),
             (f"{2**63 - 1} 1 2 3 4", None, None),
             ("2 1 2 3 4", 3, "duplicate keypoint id 2"),
-            ("1.0 1 2 3 4", 3, "keypoint id must be an integer: '1.0'"),
+            ("1.0 1 2 3 4", 3, f"{BAD_ID} '1.0'"),
             ("1 1 2 3", 3, "expected 5 fields, got 4"),
             ("1 1 2 3 4 5", 3, "expected 5 fields, got 6"),
+            ("\u0665 1 2 3 4", 3, f"{BAD_ID} '\u0665'"),
+            ("0000000000000000007 1 2 3 4", None, None),
         ],
     )
     def test_odd_lines_read_as_the_line_parser(self, tmp_path, line, line_no, message):
@@ -346,6 +351,104 @@ class TestManifest:
         write_intrinsics(tmp_path / "intrinsics.txt", {"a1": Intrinsics(1.0, 1.0, 0.0, 0.0)})
         with pytest.raises(ConfigurationError, match="no intrinsics for query"):
             load_dataset(manifest)
+
+
+# ------------------------------------------- round trips of generated inputs
+
+# Camera ids: tokens of printable ASCII that ``str.split`` keeps whole and
+# that do not start a comment.
+CAMERA_IDS = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=8
+).filter(lambda token: not token.startswith("#"))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def generated_poses(draw):
+    """{id: Pose} of random rotations (half turns and near half turns
+    included) and translations over several orders of magnitude."""
+    ids = draw(st.lists(CAMERA_IDS, min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    poses = {}
+    for cam_id in ids:
+        axis = rng.normal(size=3)
+        angle = draw(st.sampled_from([rng.uniform(0, np.pi), np.pi, np.pi - 1e-9, 0.0]))
+        rotation = rotvec_to_rotation(angle * axis / np.linalg.norm(axis))
+        poses[cam_id] = Pose(rotation, rng.normal(size=3) * 10.0 ** rng.integers(-3, 4))
+    return poses
+
+
+class TestGeneratedRoundTrips:
+    """Every writer/parser pair returns exactly what was written."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches(self, data):
+        n = data.draw(st.integers(1, 30))
+        kp_ids = np.array(
+            data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
+            dtype=np.int64,
+        )
+        uv = np.array(data.draw(st.lists(FINITE, min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "q__a.txt"
+            write_matches(path, kp_ids, uv[:, :2], uv[:, 2:])
+            got = parse_matches(path)
+        assert [(a.dtype.str, a.tobytes()) for a in got] == [
+            (a.dtype.str, a.tobytes()) for a in (kp_ids, uv[:, :2].copy(), uv[:, 2:].copy())
+        ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(table=st.dictionaries(
+        CAMERA_IDS,
+        st.tuples(st.floats(min_value=1e-300, allow_infinity=False), st.floats(
+            min_value=1e-300, allow_infinity=False), FINITE, FINITE),
+        min_size=1, max_size=6,
+    ))
+    def test_intrinsics(self, table):
+        written = {cam_id: Intrinsics(*values) for cam_id, values in table.items()}
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "intrinsics.txt"
+            write_intrinsics(path, written)
+            parsed = parse_intrinsics(path)
+
+        def shown(table):
+            return {cam_id: np.array(dataclasses.astuple(k)).tobytes()
+                    for cam_id, k in table.items()}
+
+        assert shown(parsed) == shown(written)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(raw=st.dictionaries(
+        CAMERA_IDS, st.dictionaries(CAMERA_IDS, FINITE, min_size=1, max_size=6),
+        min_size=1, max_size=4,
+    ))
+    def test_neighbors(self, raw):
+        # the order parse_neighbors keeps: score descending, ties by id
+        written = {
+            query_id: sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+            for query_id, scores in raw.items()
+        }
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "neighbors.txt"
+            write_neighbors(path, written)
+            parsed = parse_neighbors(path)
+        def shown(table):
+            return {q: [(a, np.float64(v).tobytes()) for a, v in e] for q, e in table.items()}
+
+        assert shown(parsed) == shown(written)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(poses=generated_poses())
+    def test_poses_write_parse_write_is_byte_identical(self, poses):
+        with tempfile.TemporaryDirectory() as root:
+            first, second = Path(root) / "a.txt", Path(root) / "b.txt"
+            write_poses(first, poses)
+            parsed = parse_poses(first)
+            write_poses(second, parsed)
+            assert second.read_bytes() == first.read_bytes()
+        for cam_id, pose in poses.items():
+            assert parsed[cam_id].translation.tobytes() == pose.translation.tobytes()
 
 
 # ------------------------------------------------------------ full dataset

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from conftest import (
     compose_absolute,
     invert_relative,
+    per_quat_canonical,
+    per_rotation_quat,
+    proper_signed_permutations,
     random_pose,
     random_rotation,
     random_unit,
@@ -30,8 +33,11 @@ from mvloc import (
 from mvloc.geometry import (
     DegenerateGeometryError,
     canonicalize_quat,
+    canonicalize_quats,
     ensure_rotation,
+    poses_to_quats,
     ray_pair_midpoint,
+    rotations_to_quats,
     rotvec_to_rotation,
     unit,
     unit_rows,
@@ -248,6 +254,92 @@ class TestQuaternions:
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_quat(np.zeros(4))
+
+
+def shepperd_branch(m):
+    """Which of Shepperd's four branches converts rotation ``m``."""
+    if np.trace(m) > 0:
+        return 0
+    if m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        return 1
+    return 2 if m[1, 1] >= m[2, 2] else 3
+
+
+@st.composite
+def rotation_stacks(draw):
+    """(K, 3, 3) rotations: generic ones, ones within 1e-16..1e-2 rad of a
+    half turn (Shepperd's branches 1-3), exact half turns and quarter turns
+    about the axes, the identity, and some with up to 3e-10 of drift that
+    the conversion re-projects."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["generic", "near_pi", "axes", "mixed"]))
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(k, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = {
+        "generic": rng.uniform(0.0, np.pi, k),
+        "near_pi": np.pi - 10.0 ** rng.uniform(-16, -2, k),
+        "axes": np.full(k, np.pi),
+        "mixed": rng.choice([0.0, np.pi / 2, np.pi, np.pi - 1e-9, 1e-12], k),
+    }[kind]
+    if kind == "axes":
+        axes = np.eye(3)[rng.integers(0, 3, k)] * rng.choice([-1.0, 1.0], (k, 1))
+    rotations = np.array([rotvec_to_rotation(a * w) for a, w in zip(angles, axes)])
+    if draw(st.booleans()):
+        rotations = rotations + rng.normal(scale=3e-10, size=rotations.shape)
+    return rotations
+
+
+class TestStackedQuaternions:
+    """``rotations_to_quats`` against the per-rotation Shepperd of
+    ``conftest.per_rotation_quat``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rotations=rotation_stacks())
+    def test_rows_are_the_per_rotation_conversion(self, rotations):
+        stacked = rotations_to_quats(rotations)
+        expected = np.array([per_rotation_quat(m) for m in rotations])
+        assert stacked.tobytes() == expected.tobytes()
+        assert rotation_to_quat(rotations[0]).tobytes() == expected[0].tobytes()
+
+    def test_every_branch_is_taken_and_matches(self):
+        rng = np.random.default_rng(17)
+        signed = proper_signed_permutations()
+        near = [rotvec_to_rotation((np.pi - eps) * axis)
+                for eps in (1e-15, 1e-9, 1e-4) for axis in np.eye(3)]
+        rotations = np.array(signed + near + [random_rotation(rng) for _ in range(50)])
+        branches = {shepperd_branch(ensure_rotation(m)) for m in rotations}
+        assert branches == {0, 1, 2, 3}
+        expected = np.array([per_rotation_quat(m) for m in rotations])
+        assert rotations_to_quats(rotations).tobytes() == expected.tobytes()
+
+    def test_invalid_row_raises_as_one_rotation_would(self):
+        rotations = np.array([np.eye(3), np.diag([1.0, 1.0, -1.0])])
+        with pytest.raises(InvalidRotationError):
+            rotations_to_quats(rotations)
+        with pytest.raises(InvalidRotationError):
+            rotation_to_quat(rotations[1])
+
+    def test_canonical_rows(self):
+        q = np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [-0.5, 0.5, 0.5, 0.5],
+                      [0.0, 0.0, 0.0, 1.0], [-0.0, 0.0, -0.0, -3.0]])
+        assert canonicalize_quats(q).tobytes() == np.array(
+            [per_quat_canonical(row) for row in q]
+        ).tobytes()
+
+    def test_pose_keeps_the_quaternion_it_was_built_from(self):
+        q = np.array([0.5, 0.5, 0.5, 0.5]) + np.array([1e-16, 0.0, 0.0, 0.0])
+        pose = Pose.from_quaternion(q, [1.0, 2.0, 3.0])
+        assert pose.quaternion().tobytes() == q.tobytes()
+        assert pose.rotation.tobytes() == quat_to_rotation(q).tobytes()
+        flipped = Pose.from_quaternion(-q, [1.0, 2.0, 3.0])
+        assert flipped.quaternion().tobytes() == q.tobytes()
+        built = Pose(pose.rotation, pose.translation)
+        assert built.quaternion().tobytes() == rotation_to_quat(pose.rotation).tobytes()
+        assert poses_to_quats([built, pose]).tobytes() == np.array(
+            [rotation_to_quat(pose.rotation), q]
+        ).tobytes()
 
 
 class TestRotvec:

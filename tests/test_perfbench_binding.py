@@ -4,9 +4,11 @@
 which is how a renamed or moved function shows up there. This runs the same
 check on one small ``mvloc localize`` run and on one small round of the
 three studies (the only callers of the ``govindu_*`` averages), so such a
-rename fails here in seconds instead. It also checks that refinement
-triangulates each track it is handed once, through
-``refine.triangulate_track``.
+rename fails here in seconds instead. It also checks that the per-pair and
+per-track layers stay per pair and per track: one
+``relpose.estimate_essential`` per pair that reaches RANSAC, one
+``relpose.cheirality_select`` per pair whose RANSAC succeeded, and one
+``refine.triangulate_track`` per track refinement is handed.
 """
 
 import contextlib
@@ -48,11 +50,19 @@ def test_localize_calls_every_wrapped_layer(perfbench, tmp_path):
     _, uncalled = tracer.layer_metrics(trace, [])
     missing = uncalled - workloads.WORKLOADS["localize-k150"].idle
     assert not missing, f"wrapped layers recorded no calls (renamed or moved?): {sorted(missing)}"
+    calls = {name: agg[1] for name, agg in trace.summary().items()}
     # one triangulation per track handed to refinement: a batched path that
     # goes round the per-track layer shows up here
-    triangulations = trace.summary()["refine.triangulate_track"][1]
     assert trace.counters["refine.tracks"] > 0
-    assert triangulations == trace.counters["refine.tracks"]
+    assert calls["refine.triangulate_track"] == trace.counters["refine.tracks"]
+    # one essential RANSAC per pair that reaches it (every loaded pair here
+    # holds all 60 scene points), and one cheirality vote per pair whose
+    # RANSAC succeeded: a stacked front end that goes round the per-pair
+    # layers shows up here
+    assert calls["dataset.load_matches"] == 6
+    assert calls["relpose.estimate_essential"] == 6
+    succeeded = 6 - trace.counters["relpose.estimate_essential.raised"]
+    assert calls["relpose.cheirality_select"] == succeeded > 0
 
 
 def test_studies_call_every_wrapped_layer(perfbench):
@@ -65,6 +75,12 @@ def test_studies_call_every_wrapped_layer(perfbench):
         )
     # a skipped trial could leave a layer uncalled for a reason of its own
     assert all(row["skipped"] == 0 for result in results for row in result.rows)
+    # the k sweep's one trial runs RANSAC once per anchor of its 5-anchor
+    # scene, and cheirality once per anchor whose RANSAC succeeded
+    calls = {name: agg[1] for name, agg in trace.summary().items()}
+    assert calls["relpose.estimate_essential"] == 5
+    succeeded = 5 - trace.counters["relpose.estimate_essential.raised"]
+    assert calls["relpose.cheirality_select"] == succeeded > 0
     _, uncalled = tracer.layer_metrics(trace, [])
     missing = uncalled - workloads.WORKLOADS["studies"].idle
     assert not missing, f"wrapped layers recorded no calls (renamed or moved?): {sorted(missing)}"

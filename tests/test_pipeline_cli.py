@@ -5,6 +5,7 @@ import dataclasses
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import (
     consistent_observations,
     dict_keypoint_tracks,
+    per_candidate_cheirality_select,
+    per_matrix_decompose_essential,
     random_rotation,
     rot_x,
     sequential_essential,
@@ -29,6 +32,7 @@ from mvloc import (
     PipelineConfig,
     Pose,
     QueryResult,
+    RansacConfig,
     SceneConfig,
     generate_scene,
     load_dataset,
@@ -37,10 +41,11 @@ from mvloc import (
     score_run,
 )
 from mvloc import pipeline
+from mvloc.averaging import AnchorObservation
 from mvloc.cli import main
 from mvloc.dataset import Intrinsics, write_dataset
-from mvloc.geometry import relative_from_poses, rotvec_to_rotation
-from mvloc.pipeline import estimate_anchor, read_results_csv, solve_pose, write_results_csv
+from mvloc.geometry import RelativePoseEstimate, relative_from_poses, rotvec_to_rotation
+from mvloc.pipeline import estimate_anchors, read_results_csv, solve_pose, write_results_csv
 from mvloc.relpose import essential_from_relative, symmetric_epipolar_distance
 from mvloc.simulate import FOCAL_PX, export_scene_dataset, noisy_features
 
@@ -183,24 +188,27 @@ class TestLocalizeQuery:
 
 
 def recorded_estimates(monkeypatch, dataset, config):
-    """Per anchor id, the bytes of what ``estimate_anchor`` returned while
-    localizing ``"query"``: the relative pose and the inlier rows."""
+    """Per anchor id, the bytes of what ``estimate_anchors`` returned while
+    localizing ``"query"``: the stack row's relative pose and the inlier
+    rows."""
     estimates = {}
-    real = pipeline.estimate_anchor
+    real = pipeline.estimate_anchors
 
-    def recording(anchor_id, *args):
-        obs, inliers = real(anchor_id, *args)
-        estimates[anchor_id] = (
-            obs.rel.rotation.tobytes(),
-            obs.rel.direction.tobytes(),
-            inliers.keypoint_ids.tobytes(),
-            inliers.query.tobytes(),
-            inliers.anchor.tobytes(),
-        )
-        return obs, inliers
+    def recording(pairs):
+        stack, inlier_matches = real(pairs)
+        for k, anchor_id in enumerate(stack.anchor_ids):
+            inliers = inlier_matches[anchor_id]
+            estimates[anchor_id] = (
+                stack.rel_rotations[k].tobytes(),
+                stack.rel_directions[k].tobytes(),
+                inliers.keypoint_ids.tobytes(),
+                inliers.query.tobytes(),
+                inliers.anchor.tobytes(),
+            )
+        return stack, inlier_matches
 
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "estimate_anchor", recording)
+        patch.setattr(pipeline, "estimate_anchors", recording)
         result = localize_query(dataset, "query", config)
     return estimates, result
 
@@ -330,13 +338,14 @@ class TestPixelGate:
             ground_truth={"query": scene.query_pose},
         )
         thresholds = {}
-        real = pipeline.estimate_anchor
+        real = pipeline.estimate_anchors
 
-        def recording(anchor_id, anchor_pose, matches, ransac_cfg, rng):
-            thresholds[anchor_id] = ransac_cfg.threshold
-            return real(anchor_id, anchor_pose, matches, ransac_cfg, rng)
+        def recording(pairs):
+            pairs = list(pairs)
+            thresholds.update((anchor_id, cfg.threshold) for anchor_id, _, _, cfg, _ in pairs)
+            return real(pairs)
 
-        monkeypatch.setattr(pipeline, "estimate_anchor", recording)
+        monkeypatch.setattr(pipeline, "estimate_anchors", recording)
         result = localize_query(load_dataset(manifest), "query")
         gate = PipelineConfig().epi_threshold_px
         assert thresholds == {
@@ -483,7 +492,7 @@ def planted_estimates(draw):
     q_feats, a_feats = noisy_features(scene, sigma, rng)
     wrong = set(rng.choice(n_true + n_wrong, size=n_wrong, replace=False).tolist())
     config = PipelineConfig()
-    estimates = []
+    pairs = []
     for k, pose in enumerate(scene.anchor_poses):
         if k in wrong:
             axis = rng.normal(size=3)
@@ -491,14 +500,72 @@ def planted_estimates(draw):
             rotation = rotvec_to_rotation(angle * axis / np.linalg.norm(axis)) @ pose.rotation
             pose = Pose(rotation, -rotation @ pose.center())
         matches = MatchSet(q_feats, a_feats[k], keypoint_ids=np.arange(len(q_feats)))
-        try:
-            estimates.append(
-                estimate_anchor(k, pose, matches, config.ransac_config(FOCAL_PX), rng)
-            )
-        except MvlocError:
-            continue
+        pairs.append((k, pose, matches, config.ransac_config(FOCAL_PX), rng))
+    poses = {k: pose for k, pose, _, _, _ in pairs}
+    stack, inlier_matches = estimate_anchors(pairs)
+    estimates = [
+        (
+            AnchorObservation(k, poses[k], RelativePoseEstimate(rotation, direction)),
+            inlier_matches[k],
+        )
+        for k, rotation, direction in zip(
+            stack.anchor_ids, stack.rel_rotations, stack.rel_directions
+        )
+    ]
     order = draw(st.permutations(range(len(estimates))))
     return estimates, order, wrong, config
+
+
+class TestEstimateAnchors:
+    """``estimate_anchors`` stacks what one pair at a time gives: essential
+    RANSAC, the per-matrix decomposition and the per-candidate cheirality
+    vote, with failed pairs left out."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**20), k=st.integers(2, 12),
+           sigma=st.sampled_from([0.0, 1e-4, 1.25e-3]), starved=st.integers(0, 2))
+    def test_rows_are_the_per_pair_estimates(self, seed, k, sigma, starved):
+        scene = generate_scene(SceneConfig(n_points=30, n_anchors=k, layout="line"), seed=seed)
+        q_feats, a_feats = noisy_features(scene, sigma, np.random.default_rng(seed))
+        ransac_cfg = PipelineConfig().ransac_config(FOCAL_PX)
+        kp_ids = np.arange(len(q_feats))
+        pairs = []
+        for j, pose in enumerate(scene.anchor_poses):
+            # a few pairs hold pure noise, which RANSAC or cheirality may reject
+            feats = a_feats[j] if j >= starved else np.random.default_rng(j).normal(size=(30, 2))
+            pairs.append((f"a{j}", pose, MatchSet(q_feats, feats, keypoint_ids=kp_ids), ransac_cfg,
+                          np.random.default_rng([seed, j])))
+        stack, inlier_matches = estimate_anchors(pairs)
+
+        expected = {}
+        for anchor_id, pose, matches, cfg, _ in pairs:
+            rng = np.random.default_rng([seed, int(anchor_id[1:])])
+            try:
+                essential, mask = pipeline.estimate_essential(matches, config=cfg, seed=rng)
+                inliers = matches.subset(mask)
+                rel = per_candidate_cheirality_select(
+                    per_matrix_decompose_essential(essential), inliers
+                )
+            except MvlocError:
+                continue
+            expected[anchor_id] = (pose, rel, inliers)
+        assert stack.anchor_ids == tuple(expected)
+        assert set(inlier_matches) == set(expected)
+        for k_row, anchor_id in enumerate(stack.anchor_ids):
+            pose, rel, inliers = expected[anchor_id]
+            assert stack.anchor_rotations[k_row].tobytes() == pose.rotation.tobytes()
+            assert stack.anchor_translations[k_row].tobytes() == pose.translation.tobytes()
+            assert stack.rel_rotations[k_row].tobytes() == rel.rotation.tobytes()
+            assert stack.rel_directions[k_row].tobytes() == rel.direction.tobytes()
+            got = inlier_matches[anchor_id]
+            assert got.keypoint_ids.tobytes() == inliers.keypoint_ids.tobytes()
+
+    def test_no_usable_pair_gives_an_empty_stack(self):
+        matches = MatchSet(np.zeros((8, 2)), np.zeros((8, 2)))
+        stack, inlier_matches = estimate_anchors(
+            [("a", Pose(np.eye(3), np.zeros(3)), matches, RansacConfig(), 0)]
+        )
+        assert len(stack) == 0 and inlier_matches == {}
 
 
 class TestSolvePose:
@@ -574,6 +641,18 @@ class TestSolvePose:
 
         (tracks,) = handed
         assert shown(tracks) == shown(dict_keypoint_tracks(inlier_obs, inlier_matches))
+
+
+def test_a_set_repeating_a_keypoint_id_fails_as_the_row_by_row_tracks_do():
+    linked = {
+        "a": MatchSet(np.zeros((3, 2)), np.ones((3, 2)), keypoint_ids=[5, 2, 5]),
+        "b": MatchSet(np.zeros((2, 2)), np.ones((2, 2)), keypoint_ids=[2, 5]),
+    }
+    with pytest.raises(ValueError) as stacked:
+        pipeline._keypoint_tracks(list(linked.items()))
+    with pytest.raises(ValueError) as row_by_row:
+        dict_keypoint_tracks([SimpleNamespace(anchor_id=aid) for aid in linked], linked)
+    assert str(stacked.value) == str(row_by_row.value) == "track 5 repeats an anchor id"
 
 
 class TestScoreRun:

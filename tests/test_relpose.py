@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     per_candidate_cheirality_select,
+    per_matrix_decompose_essential,
     per_candidate_depth_signs,
     random_rotation,
     random_unit,
@@ -45,6 +46,8 @@ from mvloc.geometry import rotvec_to_rotation, skew
 from mvloc.relpose import (
     CHUNK_ROWS,
     MIN_MATCHES,
+    candidates_of,
+    decompose_essentials,
     eight_point,
     essential_from_relative,
     symmetric_epipolar_distance,
@@ -491,6 +494,51 @@ class TestDecomposeEssential:
         e = skew(random_unit(rng)) @ random_rotation(rng)
         candidates = decompose_essential(e)
         assert len(candidates) == 4
+
+
+def essential_stack(seed, k, noise):
+    """(k, 3, 3) essential matrices of random relative poses at random
+    scales, some re-projected from a noisy fit as RANSAC leaves them."""
+    rng = np.random.default_rng(seed)
+    es = np.array([skew(random_unit(rng)) @ random_rotation(rng) for _ in range(k)])
+    es *= rng.uniform(0.1, 10.0, (k, 1, 1))
+    if noise:
+        u, _, vt = np.linalg.svd(es + rng.normal(scale=noise, size=es.shape))
+        es = u @ np.diag([1.0, 1.0, 0.0]) @ vt
+    return es
+
+
+class TestStackedDecomposition:
+    """``decompose_essentials`` against the per-matrix decomposition of
+    ``conftest.per_matrix_decompose_essential``, bit for bit."""
+
+    @staticmethod
+    def shown(candidates):
+        return [(c.rotation.tobytes(), c.direction.tobytes()) for c in candidates]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 60),
+           noise=st.sampled_from([0.0, 1e-6, 1e-3]))
+    def test_rows_are_the_per_matrix_decomposition(self, seed, k, noise):
+        es = essential_stack(seed, k, noise)
+        rotations, directions = decompose_essentials(es)
+        for e, pair_rotations, direction in zip(es, rotations, directions):
+            expected = self.shown(per_matrix_decompose_essential(e))
+            assert self.shown(candidates_of(pair_rotations, direction)) == expected
+            assert self.shown(decompose_essential(e)) == expected
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((3, 3)), "zero essential matrix"),
+        (np.eye(3), "not an essential matrix"),
+    ])
+    def test_first_bad_row_raises_as_one_matrix_would(self, bad, message):
+        es = essential_stack(3, 4, 0.0)
+        es[2] = bad
+        with pytest.raises(ValueError, match=message) as stacked:
+            decompose_essentials(es)
+        with pytest.raises(ValueError) as single:
+            per_matrix_decompose_essential(bad)
+        assert str(stacked.value) == str(single.value)
 
 
 # ---------------------------------------------------------------- cheirality
