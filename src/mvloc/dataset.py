@@ -1,7 +1,10 @@
 """File formats for the localization pipeline.
 
 All files are whitespace-separated text; blank lines and ``#`` comments are
-ignored. Identifiers are arbitrary whitespace-free tokens.
+ignored. Identifiers are non-empty tokens that hold no character
+``str.split`` splits on and do not start with ``#``; the writers refuse any
+other id, and keypoint ids outside [0, 2**63), so every file they write
+reads back as written.
 
 * anchors / ground truth: ``id qw qx qy qz tx ty tz`` (world-to-camera pose,
   scalar-first unit quaternion)
@@ -204,40 +207,33 @@ def parse_matches(path):
     """Parse a match file into (kp_ids (N,), uv_query (N, 2), uv_anchor (N, 2))."""
     lines = _read_lines(path)
     parsed = _well_formed_matches(lines)
-    return parsed if parsed is not None else _parse_match_lines(path, lines)
+    if parsed is None:
+        _raise_first_bad_line(path, lines)
+    return parsed
 
 
 def _is_keypoint_id(token):
-    """The keypoint-id grammar of both match readers: ASCII digits only, so
-    no sign, no ``_`` separator and no other script's digits (the value must
-    also be below 2**63). True for a run of such tokens joined together."""
+    """The keypoint-id grammar: ASCII digits only, so no sign, no ``_``
+    separator and no other script's digits (the value must also be below
+    2**63). True for a run of such tokens joined together."""
     return token.isascii() and token.isdigit()
-
-
-def _keypoint_id(path, line_no, token):
-    if not _is_keypoint_id(token):
-        raise ParseError(
-            path, line_no, f"keypoint id must be a non-negative integer in ASCII digits: {token!r}"
-        )
-    kp_id = int(token)
-    if kp_id >= 2**63:
-        raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
-    return kp_id
 
 
 def _well_formed_matches(lines):
     """``parse_matches`` of a file whose data lines all hold five fields: a
-    unique keypoint id of at most 18 ASCII digits (so it fits int64) and four
+    unique keypoint id of the grammar (ASCII digits, below 2**63) and four
     finite values, converted column by column. None for any other file,
-    which ``_parse_match_lines`` then reads or rejects with its line number.
-    Both convert values with ``float``, so they agree bit for bit."""
+    which ``_raise_first_bad_line`` then rejects with its line number."""
     rows = [tokens for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"]
     if not rows or any(len(tokens) != 5 for tokens in rows):
         return None
     ids = [tokens[0] for tokens in rows]
-    if not _is_keypoint_id("".join(ids)) or max(map(len, ids)) > 18:
+    if not _is_keypoint_id("".join(ids)):
         return None
-    kp_ids = np.array(list(map(int, ids)), dtype=np.int64)
+    ids = list(map(int, ids))
+    if max(ids) >= 2**63:
+        return None
+    kp_ids = np.array(ids, dtype=np.int64)
     if len(np.unique(kp_ids)) != len(kp_ids):
         return None
     try:
@@ -250,26 +246,28 @@ def _well_formed_matches(lines):
     return kp_ids, values[:, :2].copy(), values[:, 2:].copy()
 
 
-def _parse_match_lines(path, lines):
-    ids = []
-    uv_q = []
-    uv_a = []
+def _raise_first_bad_line(path, lines):
+    """Raise the ParseError of the first data line that breaks the match
+    format, with its line number, or the empty file's when there is none:
+    the files ``_well_formed_matches`` does not read."""
     seen = set()
     for line_no, line in _data_lines(lines):
         tokens = line.split()
         if len(tokens) != 5:
             raise ParseError(path, line_no, f"expected 5 fields, got {len(tokens)}")
-        kp_id = _keypoint_id(path, line_no, tokens[0])
+        if not _is_keypoint_id(tokens[0]):
+            raise ParseError(
+                path, line_no,
+                f"keypoint id must be a non-negative integer in ASCII digits: {tokens[0]!r}",
+            )
+        kp_id = int(tokens[0])
+        if kp_id >= 2**63:
+            raise ParseError(path, line_no, "keypoint id must be < 2**63 (int64)")
         if kp_id in seen:
             raise ParseError(path, line_no, f"duplicate keypoint id {kp_id}")
         seen.add(kp_id)
-        values = _parse_floats(path, line_no, tokens[1:])
-        ids.append(kp_id)
-        uv_q.append(values[:2])
-        uv_a.append(values[2:])
-    if not ids:
-        raise ParseError(path, 0, "no matches found")
-    return np.array(ids, dtype=np.int64), np.array(uv_q), np.array(uv_a)
+        _parse_floats(path, line_no, tokens[1:])
+    raise ParseError(path, 0, "no matches found")
 
 
 def load_manifest(path):
@@ -341,41 +339,61 @@ def _fmt(value):
     return format(float(value), FLOAT_FMT)
 
 
+def _written_id(cam_id):
+    """``str(cam_id)`` as the parsers read it back; ValueError naming the id
+    when they would not: an empty id, an id starting with ``#`` (read as a
+    comment) or one holding a character ``str.split`` splits on."""
+    token = str(cam_id)
+    if token.split() != [token] or token.startswith("#"):
+        raise ValueError(
+            f"id {token!r} cannot be read back: ids must be non-empty, must not "
+            "start with '#' and must hold no whitespace"
+        )
+    return token
+
+
 def write_poses(path, poses):
     """Write {id: Pose} in the anchors format (sorted by id)."""
+    ids = sorted(poses)
+    tokens = [_written_id(cam_id) for cam_id in ids]
     with open(path, "w") as handle:
         handle.write("# id qw qx qy qz tx ty tz\n")
-        ids = sorted(poses)
-        for cam_id, q in zip(ids, poses_to_quats([poses[cam_id] for cam_id in ids])):
+        for token, cam_id, q in zip(tokens, ids, poses_to_quats([poses[i] for i in ids])):
             t = poses[cam_id].translation
-            fields = [str(cam_id)] + [_fmt(v) for v in (*q, *t)]
-            handle.write(" ".join(fields) + "\n")
+            handle.write(" ".join([token] + [_fmt(v) for v in (*q, *t)]) + "\n")
 
 
 def write_intrinsics(path, table):
+    ids = sorted(table)
+    tokens = [_written_id(cam_id) for cam_id in ids]
     with open(path, "w") as handle:
         handle.write("# id fx fy cx cy\n")
-        for cam_id in sorted(table):
+        for token, cam_id in zip(tokens, ids):
             k = table[cam_id]
-            fields = [str(cam_id)] + [_fmt(v) for v in (k.fx, k.fy, k.cx, k.cy)]
-            handle.write(" ".join(fields) + "\n")
+            handle.write(" ".join([token] + [_fmt(v) for v in (k.fx, k.fy, k.cx, k.cy)]) + "\n")
 
 
 def write_neighbors(path, table):
+    rows = [
+        (_written_id(query_id), _written_id(anchor_id), score)
+        for query_id in sorted(table)
+        for anchor_id, score in table[query_id]
+    ]
     with open(path, "w") as handle:
         handle.write("# query_id anchor_id score\n")
-        for query_id in sorted(table):
-            for anchor_id, score in table[query_id]:
-                handle.write(f"{query_id} {anchor_id} {_fmt(score)}\n")
+        for query_id, anchor_id, score in rows:
+            handle.write(f"{query_id} {anchor_id} {_fmt(score)}\n")
 
 
 def write_matches(path, kp_ids, uv_query, uv_anchor):
+    kp_ids = [int(kp_id) for kp_id in kp_ids]
+    for kp_id in kp_ids:
+        if not 0 <= kp_id < 2**63:
+            raise ValueError(f"keypoint id {kp_id} is outside [0, 2**63)")
     with open(path, "w") as handle:
         handle.write("# kp_id u_q v_q u_a v_a\n")
         for kp_id, (uq, vq), (ua, va) in zip(kp_ids, uv_query, uv_anchor):
-            handle.write(
-                f"{int(kp_id)} {_fmt(uq)} {_fmt(vq)} {_fmt(ua)} {_fmt(va)}\n"
-            )
+            handle.write(f"{kp_id} {_fmt(uq)} {_fmt(vq)} {_fmt(ua)} {_fmt(va)}\n")
 
 
 def write_dataset(root, anchors, intrinsics, neighbors, matches, ground_truth=None):

@@ -70,12 +70,18 @@ def unit(v):
     return v / n
 
 
+def row_dots(a, b):
+    """Dot product of each row of (N, d) arrays ``a`` and ``b``, bit-for-bit
+    the ``a[k] @ b[k]`` of one row pair."""
+    # a stacked (1, d) @ (d, 1) product is the same BLAS dot that a product
+    # of two vectors takes; a reduction along axis 1 is not
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def row_norms(v):
     """Euclidean norm of each row of an (N, d) array, bit-for-bit the
-    ``np.linalg.norm`` of that row."""
-    # a stacked (1, d) @ (d, 1) product is the same BLAS dot that
-    # np.linalg.norm takes on one vector; a reduction along axis 1 is not
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    ``np.linalg.norm`` of that row (the square root of the same dot)."""
+    return np.sqrt(row_dots(v, v))
 
 
 def unit_rows(v):
@@ -473,27 +479,39 @@ def relative_from_poses(query, anchor):
     return RelativePoseEstimate._from_validated(rotations[0], directions[0])
 
 
+def ray_pair_midpoints(origins_a, dirs_a, origins_b, dirs_b):
+    """Midpoints of the common perpendiculars of N ray pairs.
+
+    Rays are rows of (N, 3) origins and unit directions. Returns the (N, 3)
+    midpoints and the (N,) mask of the degenerate pairs, whose midpoints are
+    not defined: rays parallel within PARALLEL_RAY_EPS radians or sharing an
+    origin. Every dot is a :func:`row_dots` one, so a pair's midpoint is
+    bit-for-bit the same in any stack.
+    """
+    w = origins_a - origins_b
+    b = row_dots(dirs_a, dirs_b)
+    denom = 1.0 - b * b  # sin^2 of the angle between the rays
+    degenerate = (row_norms(w) < 1e-12) | (denom <= PARALLEL_RAY_EPS**2)
+    d = row_dots(dirs_a, w)
+    e = row_dots(dirs_b, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (b * e - d) / denom
+        t2 = (e - b * d) / denom
+    p1 = origins_a + t1[:, None] * dirs_a
+    p2 = origins_b + t2[:, None] * dirs_b
+    return 0.5 * (p1 + p2), degenerate
+
+
 def ray_pair_midpoint(origin_a, dir_a, origin_b, dir_b):
-    """Midpoint of the common perpendicular of two rays.
+    """Midpoint of the common perpendicular of two rays: the one-pair case
+    of :func:`ray_pair_midpoints`.
 
     Directions must be unit. Raises DegenerateGeometryError when the rays
     are parallel within PARALLEL_RAY_EPS radians or share an origin.
     """
-    o1 = np.asarray(origin_a, dtype=np.float64)
-    o2 = np.asarray(origin_b, dtype=np.float64)
-    d1 = np.asarray(dir_a, dtype=np.float64)
-    d2 = np.asarray(dir_b, dtype=np.float64)
-    if np.linalg.norm(o1 - o2) < 1e-12:
-        raise DegenerateGeometryError("rays share an origin; midpoint undefined")
-    b = d1 @ d2
-    denom = 1.0 - b * b  # sin^2 of the angle between the rays
-    if denom <= PARALLEL_RAY_EPS**2:
-        raise DegenerateGeometryError("rays are parallel; midpoint undefined")
-    w = o1 - o2
-    d = d1 @ w
-    e = d2 @ w
-    t1 = (b * e - d) / denom
-    t2 = (e - b * d) / denom
-    p1 = o1 + t1 * d1
-    p2 = o2 + t2 * d2
-    return 0.5 * (p1 + p2)
+    rays = (origin_a, dir_a, origin_b, dir_b)
+    rows = (np.asarray(v, dtype=np.float64).reshape(1, 3) for v in rays)
+    (midpoint,), (degenerate,) = ray_pair_midpoints(*rows)
+    if degenerate:
+        raise DegenerateGeometryError("rays are parallel or share an origin; midpoint undefined")
+    return midpoint

@@ -5,8 +5,18 @@ point, parameterized by a reference-view feature and depth and optimized
 against the anchor observations only (the query plays no part, so the query
 pose cannot bias the structure). Stage two refines the query pose by
 minimizing its reprojection error onto the fixed latent points.
+
+``refine_pose`` builds the geometry every triangulation starts from once
+per query, in array passes over all its tracks (``_AnchorStack``): each
+track's two-view start, its reference view, its start in that view's frame
+and its observations with their poses relative to that view. Each
+``triangulate_track`` call reads its track's rows and runs only its own
+Levenberg-Marquardt solve; a call given a plain pose mapping or an explicit
+start builds the same stack for its one track. The stage-one reprojection
+gate then tests all latent points at once.
 """
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -24,14 +34,15 @@ from .errors import (
 )
 from .geometry import (
     DEPTH_EPS,
+    NORM_EPS,
     Pose,
     camera_centers,
-    project,
     rotvec_to_rotation,
+    row_norms,
     skew_rows,
     unit_rows,
 )
-from .relpose import midpoint_of_views
+from .relpose import view_pair_midpoints
 
 
 class CorrespondenceTrack:
@@ -113,6 +124,17 @@ STEP_TOL = 1e-12
 COST_RTOL = 1e-12
 
 
+# _reference_views compares the viewing directions of tracks of one view
+# count in blocks of at most this many Gram cells (227 tracks of 6 views, or
+# one track of 150), which bounds its temporaries.
+GRAM_BLOCK_CELLS = 8192
+
+# _AnchorStack builds its per-view arrays over blocks of consecutive tracks
+# of at most this many views (27 tracks of 150 views), and keeps the
+# relative poses of one block at a time, which bounds its memory.
+VIEW_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class RefinementResult:
     pose: Pose
@@ -122,45 +144,191 @@ class RefinementResult:
     points_used: int
 
 
-def _select_reference(centers, point):
-    """Index of the reference view: first member of the widest-angle pair
-    of viewing directions at the initial point.
+def _reference_views(dirs, starts):
+    """Reference view of each track: the first member of the widest-angle
+    pair of its viewing directions at its start point, which are the unit
+    rows ``starts[k]:starts[k + 1]`` of ``dirs`` for track k.
 
-    The Gram matrix is built elementwise as ``(dx_i dx_j + dy_i dy_j) +
-    dz_i dz_j``, a fixed sum order that does not depend on how a BLAS
+    A track's Gram matrix is built elementwise as ``(dx_i dx_j + dy_i dy_j)
+    + dz_i dz_j``, a fixed sum order that does not depend on how a BLAS
     rounds. Each product commutes and each sum keeps its order, so the
     matrix is exactly symmetric: with the diagonal masked to inf, the first
     row-major minimum is the first minimal pair (i, j), i < j, since a cell
-    below the diagonal comes after its mirror.
+    below the diagonal comes after its mirror. Tracks of one view count are
+    compared together in blocks of at most GRAM_BLOCK_CELLS cells (or one
+    track), and a track's cells are the same in any block.
     """
-    dx, dy, dz = unit_rows(point - centers).T
-    gram = np.multiply.outer(dx, dx)
-    gram += np.multiply.outer(dy, dy)
-    gram += np.multiply.outer(dz, dz)
-    np.fill_diagonal(gram, np.inf)
-    return int(np.argmin(gram)) // len(dx)
+    counts = np.diff(starts)
+    refs = np.empty(len(counts), dtype=np.intp)
+    columns = np.ascontiguousarray(dirs.T)  # each coordinate read contiguously
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        v = counts[group[0]]
+        step = max(1, GRAM_BLOCK_CELLS // (v * v))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            dx, dy, dz = columns[:, starts[block, None] + np.arange(v)]
+            gram = dx[:, :, None] * dx[:, None, :]
+            gram += dy[:, :, None] * dy[:, None, :]
+            gram += dz[:, :, None] * dz[:, None, :]
+            cells = gram.reshape(len(block), -1)
+            cells[:, ::v + 1] = np.inf  # the diagonal
+            refs[block] = cells.argmin(axis=1) // v
+    return refs
 
 
 class _AnchorStack(Mapping):
-    """Anchor id -> Pose over the given ids found in ``anchor_poses``, with
-    their rotations, translations and centers stacked once, so that each
-    track indexes rows instead of stacking Pose objects again."""
+    """Anchor id -> Pose over the anchors that ``tracks`` name and
+    ``anchor_poses`` holds, with their rotations, translations and centers
+    stacked once, and the triangulation geometry of every track built from
+    them in array passes:
 
-    def __init__(self, anchor_poses, ids):
-        self._poses = {aid: anchor_poses[aid] for aid in dict.fromkeys(ids) if aid in anchor_poses}
-        self.rows = {aid: k for k, aid in enumerate(self._poses)}
+    * the start point: the two-view midpoint of the track's first two views,
+      or its row of the (T, 3) ``inits``;
+    * the reference view, by :func:`_reference_views`, and the start in the
+      reference frame;
+    * the non-reference observations and their poses relative to the
+      reference view, (R_k R_ref^T, T_k - R_k,ref T_ref).
+
+    The per-view passes run over blocks of consecutive tracks of at most
+    VIEW_BLOCK views (or one track), and only the block of the track last
+    asked for keeps its relative poses. Every product is a stacked (3, 3)
+    or (3, 1) one, the BLAS call of the same product on one track, so a
+    track's geometry is bit-for-bit the same in any stack. A track that
+    cannot be triangulated keeps the error :meth:`geometry` raises for it:
+    KeyError for an unknown anchor, DegenerateGeometryError for a
+    degenerate start and InitializationError for a start behind its
+    reference view.
+    """
+
+    def __init__(self, anchor_poses, tracks, inits=None):
+        tracks = list(tracks)
+        ids = dict.fromkeys(chain.from_iterable(track.anchor_ids for track in tracks))
+        self._poses = {aid: anchor_poses[aid] for aid in ids if aid in anchor_poses}
+        row_of = {aid: k for k, aid in enumerate(self._poses)}
         self.rotations = np.array([p.rotation for p in self._poses.values()]).reshape(-1, 3, 3)
         self.translations = np.array([p.translation for p in self._poses.values()]).reshape(-1, 3)
         self.centers = camera_centers(self.rotations, self.translations)
+        self._errors = {}
+        known, rows = [], []
+        for k, track in enumerate(tracks):
+            try:
+                rows.append(itemgetter(*track.anchor_ids)(row_of))
+            except KeyError as exc:
+                self._fail(track, KeyError,
+                           f"track {track.track_id!r} references unknown anchor {exc.args[0]!r}")
+            else:
+                known.append(k)
+        self._tracks = [tracks[k] for k in known]
+        self._index = {track: j for j, track in enumerate(self._tracks)}
+        self._starts = np.cumsum([0] + [len(r) for r in rows])
+        self._view_rows = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                                      count=self._starts[-1])
+        # the first track of each block, and the end of the last
+        self._blocks = [0]
+        while self._blocks[-1] < len(known):
+            lo = self._blocks[-1]
+            stop = np.searchsorted(self._starts, self._starts[lo] + VIEW_BLOCK, side="right") - 1
+            self._blocks.append(max(lo + 1, int(stop)))
+        self._block = (0, 0)
+        if known:
+            inits = None if inits is None else np.asarray(inits, dtype=np.float64)[known]
+            # the rows of a track with a degenerate start may not be finite
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._start_geometry(inits)
 
-    def rows_of(self, track):
-        """Row of each view of ``track``; KeyError for an anchor not here."""
-        try:
-            return list(itemgetter(*track.anchor_ids)(self.rows))
-        except KeyError as exc:
-            raise KeyError(
-                f"track {track.track_id!r} references unknown anchor {exc.args[0]!r}"
-            ) from None
+    def _fail(self, track, error, message):
+        self._errors.setdefault(track, (error, message))
+
+    def _views(self, lo, hi):
+        """The views of tracks lo..hi - 1: their slice of the stacked views,
+        each one's track counted from lo, and the local start of each
+        track."""
+        starts = self._starts[lo:hi + 1] - self._starts[lo]
+        owner = np.repeat(np.arange(hi - lo), np.diff(starts))
+        return slice(self._starts[lo], self._starts[hi]), owner, starts
+
+    def _start_geometry(self, inits):
+        """Start points, reference views and starts in the reference frame
+        of every track, block by block."""
+        tracks, view_rows = self._tracks, self._view_rows
+        if inits is None:
+            pair = np.stack([self._starts[:-1], self._starts[:-1] + 1])
+            inits, degenerate = view_pair_midpoints(
+                self.centers[view_rows[pair]],
+                self.rotations[view_rows[pair]],
+                np.array([track.features[:2] for track in tracks]).swapaxes(0, 1),
+            )
+            for j in np.flatnonzero(degenerate):
+                self._fail(tracks[j], DegenerateGeometryError,
+                           f"track {tracks[j].track_id!r}: degenerate two-view start")
+        self._ref = np.empty(len(tracks), dtype=np.intp)
+        for lo, hi in zip(self._blocks, self._blocks[1:]):
+            views, owner, starts = self._views(lo, hi)
+            rays = inits[lo:hi][owner] - self.centers[view_rows[views]]
+            try:
+                dirs = unit_rows(rays)
+            except DegenerateGeometryError:  # a start on a view's center
+                on_center = row_norms(rays) < NORM_EPS
+                for j in lo + np.flatnonzero(np.logical_or.reduceat(on_center, starts[:-1])):
+                    self._fail(tracks[j], DegenerateGeometryError,
+                               f"track {tracks[j].track_id!r}: start point on a view's center")
+                rays[on_center] = 1.0
+                dirs = unit_rows(rays)
+            self._ref[lo:hi] = _reference_views(dirs, starts)
+        self._ref_rows = view_rows[self._starts[:-1] + self._ref]
+        cams = (self.rotations[self._ref_rows] @ inits[:, :, None])[:, :, 0]
+        self._cams = cams + self.translations[self._ref_rows]
+        for j in np.flatnonzero(self._cams[:, 2] <= DEPTH_EPS):
+            self._fail(tracks[j], InitializationError,
+                       f"track {tracks[j].track_id!r}: initial point is behind the reference view")
+
+    def _relative_poses(self, lo, hi):
+        """``(lo, hi, ref_features, obs, rots, trans, obs_starts)`` of
+        tracks lo..hi - 1, track lo + k's non-reference views being rows
+        obs_starts[k]:obs_starts[k + 1]."""
+        views, owner, starts = self._views(lo, hi)
+        features = np.concatenate([track.features for track in self._tracks[lo:hi]])
+        ref_views = starts[:-1] + self._ref[lo:hi]
+        others = np.ones(len(owner), dtype=bool)
+        others[ref_views] = False
+        rows = self._view_rows[views][others]
+        owner = owner[others]
+        ref_rotations = self.rotations[self._ref_rows[lo:hi]]
+        ref_translations = self.translations[self._ref_rows[lo:hi]]
+        # index, then transpose: each R_ref^T is then a transposed view of a
+        # C-ordered matrix, as ``pose.rotation.T`` is in the one-track product
+        rots = self.rotations[rows] @ np.swapaxes(ref_rotations[owner], 1, 2)
+        trans = self.translations[rows] - (rots @ ref_translations[owner][:, :, None])[:, :, 0]
+        obs_starts = (starts - np.arange(hi - lo + 1)).tolist()
+        return lo, hi, features[ref_views], features[others], rots, trans, obs_starts
+
+    def holds(self, track):
+        """Whether the stack was built for ``track``."""
+        return track in self._index or track in self._errors
+
+    def geometry(self, track):
+        """``(ref, ref_pose, ref_feature, obs, rots, trans, start)`` of a
+        track the stack holds: the reference view's index and pose, its
+        feature, the (M, 2) non-reference observations with their (M, 3, 3)
+        and (M, 3) poses relative to the reference view, and the start in
+        the reference frame. Raises the track's error instead, if it has
+        one."""
+        if track in self._errors:
+            error, message = self._errors[track]
+            raise error(message)
+        j = self._index[track]
+        if not self._block[0] <= j < self._block[1]:
+            b = bisect_right(self._blocks, j) - 1
+            self._block = self._relative_poses(self._blocks[b], self._blocks[b + 1])
+        lo, _, ref_features, obs, rots, trans, obs_starts = self._block
+        k = j - lo
+        rows = slice(obs_starts[k], obs_starts[k + 1])
+        ref = int(self._ref[j])
+        return (
+            ref, self._poses[track.anchor_ids[ref]], ref_features[k],
+            obs[rows], rots[rows], trans[rows], self._cams[j],
+        )
 
     def __getitem__(self, aid):
         return self._poses[aid]
@@ -172,37 +340,16 @@ class _AnchorStack(Mapping):
         return len(self._poses)
 
 
-def _track_arrays(track, anchor_poses, init):
-    """Resolve poses, pick the reference view, and build the relative-pose
-    arrays the energy kernels consume. ``anchor_poses`` is a query's
-    ``_AnchorStack`` or any id -> Pose mapping, of which only the track's
-    own anchors are stacked."""
-    if not isinstance(anchor_poses, _AnchorStack):
-        anchor_poses = _AnchorStack(anchor_poses, track.anchor_ids)
-    rows = anchor_poses.rows_of(track)
-
-    rot_all = anchor_poses.rotations[rows]
-    trans_all = anchor_poses.translations[rows]
-    centers = anchor_poses.centers[rows]
-    if init is None:
-        init = midpoint_of_views(centers[:2], rot_all[:2], track.features[:2])
-    else:
-        init = np.asarray(init, dtype=np.float64)
-
-    ref = _select_reference(centers, init)
-    ref_pose = anchor_poses[track.anchor_ids[ref]]
-    others = np.delete(np.arange(len(rows)), ref)
-    obs = track.features[others]
-    # (R_k R_1^T, T_k - R_k1 T_1) for the non-reference views
-    rots = rot_all[others] @ ref_pose.rotation.T
-    trans = trans_all[others] - rots @ ref_pose.translation
-
-    cam = ref_pose.rotation @ init + ref_pose.translation
-    if cam[2] <= DEPTH_EPS:
-        raise InitializationError(
-            f"track {track.track_id!r}: initial point is behind the reference view"
-        )
-    return ref, ref_pose, track.features[ref], obs, rots, trans, cam
+def _track_geometry(track, anchor_poses, init):
+    """:meth:`_AnchorStack.geometry` of ``track`` from the query stack
+    ``anchor_poses`` built for it, else from a stack built for this one
+    track (from any id -> Pose mapping, and with ``init`` as its start when
+    one is given)."""
+    if init is not None or not (
+        isinstance(anchor_poses, _AnchorStack) and anchor_poses.holds(track)
+    ):
+        anchor_poses = _AnchorStack(anchor_poses, [track], None if init is None else [init])
+    return anchor_poses.geometry(track)
 
 
 def _minimize(params, first, evaluate, retract):
@@ -255,10 +402,14 @@ def triangulate_track(track, anchor_poses, init=None):
     Minimizes the anchor reprojection energy over the reference-view feature
     and log-depth with ``_minimize``. ``init`` is an optional world-point
     initializer; by default the first two anchor views are triangulated
-    pairwise. Raises InitializationError when the starting point is behind
-    a camera and DegenerateGeometryError from a degenerate initializer.
+    pairwise. The start, reference view and relative poses are the track's
+    rows of ``anchor_poses`` when that is the query stack ``refine_pose``
+    built for it, else of a stack built for this one track. Raises KeyError
+    for an anchor not in ``anchor_poses``, InitializationError when the
+    starting point is behind a camera and DegenerateGeometryError from a
+    degenerate initializer.
     """
-    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
+    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_geometry(track, anchor_poses, init)
 
     def evaluate(params):
         rho = np.exp(params[2])
@@ -297,7 +448,7 @@ def _e1_residuals(track, anchor_poses, gamma1, rho1, init):
     the reference view chosen as in :func:`triangulate_track`."""
     if rho1 <= 0 or not np.isfinite(rho1):
         raise ValueError(f"rho1 must be positive, got {rho1}")
-    _, _, ref_feat, obs, rots, trans, _ = _track_arrays(track, anchor_poses, init)
+    _, _, ref_feat, obs, rots, trans, _ = _track_geometry(track, anchor_poses, init)
     gamma1 = np.asarray(gamma1, dtype=np.float64)
     r, jac, min_depth = _kernels.e1_residual_jac(
         ref_feat, obs, rots, trans, gamma1[0], gamma1[1], rho1
@@ -359,14 +510,16 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
 
     Tracks failing triangulation, projecting behind the initial query pose,
     or with initial query reprojection error above ``tau_reproj`` are
-    excluded; at least 3 usable points are required. The pose is then
-    optimized with ``_minimize`` over a right-multiplicative axis-angle and
-    translation increment, with the converged stop of triangulation. The
-    final energy never exceeds the initial one.
+    excluded; at least 3 usable points are required. Every track is
+    triangulated from one stack of the query's track geometry, and the gate
+    projects all latent points at once, each as ``geometry.project`` does.
+    The pose is then optimized with ``_minimize`` over a right-multiplicative
+    axis-angle and translation increment, with the converged stop of
+    triangulation. The final energy never exceeds the initial one.
     """
     tracks = list(tracks)
-    # one pose stack per query, over the anchors the tracks reference
-    stack = _AnchorStack(anchor_poses, chain.from_iterable(track.anchor_ids for track in tracks))
+    # one pose and track-geometry stack per query
+    stack = _AnchorStack(anchor_poses, tracks)
 
     points = []
     feats = []
@@ -375,21 +528,22 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
             latent = triangulate_track(track, stack)
         except (DegenerateGeometryError, InitializationError, KeyError):
             continue
-        try:
-            predicted = project(init_pose, latent.world_point)
-        except BehindCameraError:
-            continue
-        if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
-            continue
         points.append(latent.world_point)
         feats.append(track.query_feature)
+    points = np.array(points).reshape(-1, 3)
+    feats = np.array(feats).reshape(-1, 2)
 
+    # the gate: a (3, 1) column product per point is project's own product
+    cam = (init_pose.rotation @ points[:, :, None])[:, :, 0] + init_pose.translation
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = row_norms(feats - cam[:, :2] / cam[:, 2:])
+    usable = ~(cam[:, 2] <= DEPTH_EPS) & ~(error > tau_reproj)
+    points = points[usable]
+    feats = feats[usable]
     if len(points) < 3:
         raise InsufficientDataError(
             f"only {len(points)} of {len(tracks)} tracks usable; need >= 3"
         )
-    points = np.array(points)
-    feats = np.array(feats)
 
     def evaluate(pose):
         r, cam, w = _query_residuals(pose[0], pose[1], points, feats)

@@ -21,9 +21,8 @@ from .geometry import (
     PARALLEL_RAY_EPS,
     RelativePoseEstimate,
     ensure_rotations,
-    ray_pair_midpoint,
+    ray_pair_midpoints,
     skew,
-    unit,
     unit_rows,
 )
 
@@ -422,18 +421,31 @@ def midpoint_triangulate(pose_a, pose_b, feat_a, feat_b):
     """Two-view triangulation at the midpoint of the common perpendicular.
 
     Features are normalized coordinates in their respective cameras. Raises
-    DegenerateGeometryError for a zero baseline or near-parallel rays.
+    DegenerateGeometryError for a zero baseline or near-parallel rays. The
+    one-pair case of :func:`view_pair_midpoints`.
     """
-    return midpoint_of_views(
-        (pose_a.center(), pose_b.center()), (pose_a.rotation, pose_b.rotation), (feat_a, feat_b)
+    (midpoint,), (degenerate,) = view_pair_midpoints(
+        np.array([[pose_a.center()], [pose_b.center()]]),
+        np.array([[pose_a.rotation], [pose_b.rotation]]),
+        np.array([[feat_a], [feat_b]], dtype=np.float64),
     )
+    if degenerate:
+        raise DegenerateGeometryError("rays are parallel or share an origin; midpoint undefined")
+    return midpoint
 
 
-def midpoint_of_views(centers, rotations, feats):
-    """:func:`midpoint_triangulate` of two views given as their two camera
-    centers, rotations and features, such as rows of stacked arrays."""
-    dir_a, dir_b = (unit(r.T @ np.array([f[0], f[1], 1.0])) for r, f in zip(rotations, feats))
-    return ray_pair_midpoint(centers[0], dir_a, centers[1], dir_b)
+def view_pair_midpoints(centers, rotations, feats):
+    """Two-view midpoint starts of N view pairs, given as (2, N, 3) camera
+    centers, (2, N, 3, 3) rotations and (2, N, 2) features with view a in
+    row 0 and view b in row 1. Returns the (N, 3) midpoints of the viewing
+    rays and the (N,) mask of degenerate pairs, as
+    :func:`~mvloc.geometry.ray_pair_midpoints`."""
+    rays = np.concatenate([feats, np.ones(feats.shape[:2] + (1,))], axis=2)
+    # a ray direction R^T (x, y, 1) is never shorter than 1, so unit_rows
+    # does not raise on it
+    dirs = unit_rows((np.swapaxes(rotations, 2, 3) @ rays[..., None]).reshape(-1, 3))
+    dir_a, dir_b = dirs.reshape(2, -1, 3)
+    return ray_pair_midpoints(centers[0], dir_a, centers[1], dir_b)
 
 
 def essential_from_relative(rel):

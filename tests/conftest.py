@@ -208,6 +208,178 @@ def grid_polish_minimum(ref_feat, feats, rels, g_center, rho_center,
     return np.array([cx, cy]), cr, float(best)
 
 
+# ------------------------------------------------ per-track geometry oracle
+#
+# Reference for the per-query track geometry of ``refine._AnchorStack``:
+# each track's start, reference view and relative poses built on its own
+# arrays, one track at a time, then triangulated and gated one by one. The
+# query's stack must give every track the same bytes or the same error.
+
+
+def one_pair_midpoint(centers, rotations, feats):
+    """Midpoint of the common perpendicular of two viewing rays, with one
+    vector dot at a time."""
+    from mvloc.errors import DegenerateGeometryError
+    from mvloc.geometry import PARALLEL_RAY_EPS, unit
+
+    o1, o2 = centers
+    d1, d2 = (unit(r.T @ np.array([f[0], f[1], 1.0])) for r, f in zip(rotations, feats))
+    if np.linalg.norm(o1 - o2) < 1e-12:
+        raise DegenerateGeometryError("rays share an origin")
+    b = d1 @ d2
+    denom = 1.0 - b * b
+    if denom <= PARALLEL_RAY_EPS**2:
+        raise DegenerateGeometryError("rays are parallel")
+    w = o1 - o2
+    d = d1 @ w
+    e = d2 @ w
+    t1 = (b * e - d) / denom
+    t2 = (e - b * d) / denom
+    return 0.5 * ((o1 + t1 * d1) + (o2 + t2 * d2))
+
+
+def per_track_reference(centers, point):
+    """Reference view of one track: the first member of the first minimal
+    row-major pair of its elementwise-summed Gram matrix."""
+    from mvloc.geometry import unit_rows
+
+    dx, dy, dz = unit_rows(point - centers).T
+    gram = np.multiply.outer(dx, dx)
+    gram += np.multiply.outer(dy, dy)
+    gram += np.multiply.outer(dz, dz)
+    np.fill_diagonal(gram, np.inf)
+    return int(np.argmin(gram)) // len(dx)
+
+
+def per_track_arrays(track, anchor_poses, init=None):
+    """One track's ``(ref, ref_pose, ref_feature, obs, rots, trans, start)``
+    as ``refine._AnchorStack.geometry`` gives them, from the track's own
+    poses."""
+    from mvloc.errors import InitializationError
+    from mvloc.geometry import DEPTH_EPS, camera_centers
+
+    try:
+        poses = [anchor_poses[aid] for aid in track.anchor_ids]
+    except KeyError as exc:
+        raise KeyError(
+            f"track {track.track_id!r} references unknown anchor {exc.args[0]!r}"
+        ) from None
+    rot_all = np.array([pose.rotation for pose in poses])
+    trans_all = np.array([pose.translation for pose in poses])
+    centers = camera_centers(rot_all, trans_all)
+    if init is None:
+        init = one_pair_midpoint(centers[:2], rot_all[:2], track.features[:2])
+    else:
+        init = np.asarray(init, dtype=np.float64)
+
+    ref = per_track_reference(centers, init)
+    ref_pose = poses[ref]
+    others = np.delete(np.arange(len(poses)), ref)
+    rots = rot_all[others] @ ref_pose.rotation.T
+    trans = trans_all[others] - rots @ ref_pose.translation
+    cam = ref_pose.rotation @ init + ref_pose.translation
+    if cam[2] <= DEPTH_EPS:
+        raise InitializationError(
+            f"track {track.track_id!r}: initial point is behind the reference view"
+        )
+    return ref, ref_pose, track.features[ref], track.features[others], rots, trans, cam
+
+
+def per_track_triangulate(track, anchor_poses, init=None):
+    """``refine.triangulate_track`` on :func:`per_track_arrays`."""
+    from mvloc import _kernels
+    from mvloc.errors import InitializationError
+    from mvloc.geometry import DEPTH_EPS
+    from mvloc.refine import LatentPoint, _minimize
+
+    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = per_track_arrays(track, anchor_poses, init)
+
+    def evaluate(params):
+        rho = np.exp(params[2])
+        r, jac, min_depth = _kernels.e1_residual_jac(
+            ref_feat, obs, rots, trans, params[0], params[1], rho
+        )
+        if min_depth <= DEPTH_EPS:
+            return None
+        jac[:, 2] *= rho
+        return r, jac
+
+    params = np.array([cam0[0] / cam0[2], cam0[1] / cam0[2], np.log(cam0[2])])
+    first = evaluate(params)
+    if first is None:
+        raise InitializationError(
+            f"track {track.track_id!r}: initial point is behind an anchor view"
+        )
+    (x, y, log_rho), cost, _ = _minimize(params, first, evaluate, np.add)
+    rho = np.exp(log_rho)
+    cam = rho * np.array([x, y, 1.0])
+    return LatentPoint(
+        track_id=track.track_id,
+        world_point=ref_pose.rotation.T @ (cam - ref_pose.translation),
+        reference_view=track.anchor_ids[ref],
+        ref_feature=np.array([x, y]),
+        ref_depth=float(rho),
+        e1_residual=float(cost),
+    )
+
+
+def per_track_gated_points(tracks, anchor_poses, init_pose, tau_reproj):
+    """Latent points and query features of the tracks that triangulate with
+    :func:`per_track_triangulate`, project in front of ``init_pose`` and
+    reproject within ``tau_reproj``, gated one point at a time."""
+    from mvloc.errors import BehindCameraError, DegenerateGeometryError, InitializationError
+    from mvloc.geometry import project
+
+    points, feats = [], []
+    for track in tracks:
+        try:
+            latent = per_track_triangulate(track, anchor_poses)
+        except (DegenerateGeometryError, InitializationError, KeyError):
+            continue
+        try:
+            predicted = project(init_pose, latent.world_point)
+        except BehindCameraError:
+            continue
+        if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
+            continue
+        points.append(latent.world_point)
+        feats.append(track.query_feature)
+    if len(points) < 3:
+        from mvloc.errors import InsufficientDataError
+
+        raise InsufficientDataError(f"only {len(points)} of {len(tracks)} tracks usable")
+    return np.array(points), np.array(feats)
+
+
+def per_track_refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
+    """``refine.refine_pose`` on :func:`per_track_gated_points`."""
+    from mvloc.errors import InitializationError
+    from mvloc.geometry import Pose, rotvec_to_rotation
+    from mvloc.refine import RefinementResult, _minimize, _query_jacobian, _query_residuals
+
+    points, feats = per_track_gated_points(list(tracks), anchor_poses, init_pose, tau_reproj)
+
+    def evaluate(pose):
+        r, cam, w = _query_residuals(pose[0], pose[1], points, feats)
+        return None if r is None else (r, _query_jacobian(pose[0], points, cam, w))
+
+    def retract(pose, step):
+        return pose[0] @ rotvec_to_rotation(step[:3]), pose[1] + step[3:]
+
+    start = (init_pose.rotation, init_pose.translation)
+    first = evaluate(start)
+    if first is None:
+        raise InitializationError("initial pose puts a gated point behind the camera")
+    (rotation, translation), cost, iterations = _minimize(start, first, evaluate, retract)
+    return RefinementResult(
+        pose=Pose(rotation, translation),
+        e2_initial=float(first[0] @ first[0]),
+        e2_final=float(cost),
+        iterations=iterations,
+        points_used=len(points),
+    )
+
+
 # ------------------------------------------------- query Jacobian oracle
 #
 # Reference for ``refine._query_jacobian``: one (2, 6) block per point. The
@@ -252,10 +424,9 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
         MAX_ITERS,
         STEP_TOL,
         LatentPoint,
-        _track_arrays,
     )
 
-    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = _track_arrays(track, anchor_poses, init)
+    ref, ref_pose, ref_feat, obs, rots, trans, cam0 = per_track_arrays(track, anchor_poses, init)
 
     x, y = cam0[0] / cam0[2], cam0[1] / cam0[2]
     log_rho = np.log(cam0[2])
@@ -316,50 +487,19 @@ def lm_triangulate_without_convergence_stop(track, anchor_poses, init=None):
 
 
 def lm_query_without_convergence_stop(tracks, anchor_poses, init_pose, tau_reproj=0.01):
-    from mvloc.errors import (
-        BehindCameraError,
-        DegenerateGeometryError,
-        InitializationError,
-        InsufficientDataError,
-    )
-    from mvloc.geometry import Pose, project, rotvec_to_rotation
+    from mvloc.errors import InitializationError
+    from mvloc.geometry import Pose, rotvec_to_rotation
     from mvloc.refine import (
         DAMPING_FACTOR,
         DAMPING_INIT,
         MAX_ITERS,
         STEP_TOL,
         RefinementResult,
-        _AnchorStack,
         _query_jacobian,
         _query_residuals,
-        triangulate_track,
     )
 
-    tracks = list(tracks)
-    stack = _AnchorStack(anchor_poses, (aid for track in tracks for aid, _ in track.anchors))
-
-    points = []
-    feats = []
-    for track in tracks:
-        try:
-            latent = triangulate_track(track, stack)
-        except (DegenerateGeometryError, InitializationError, KeyError):
-            continue
-        try:
-            predicted = project(init_pose, latent.world_point)
-        except BehindCameraError:
-            continue
-        if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
-            continue
-        points.append(latent.world_point)
-        feats.append(track.query_feature)
-
-    if len(points) < 3:
-        raise InsufficientDataError(
-            f"only {len(points)} of {len(tracks)} tracks usable; need >= 3"
-        )
-    points = np.array(points)
-    feats = np.array(feats)
+    points, feats = per_track_gated_points(tracks, anchor_poses, init_pose, tau_reproj)
 
     rotation = init_pose.rotation.copy()
     translation = init_pose.translation.copy()

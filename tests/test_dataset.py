@@ -294,6 +294,14 @@ class TestMatchParsing:
         else:
             assert expected == (ParseError, str(path), line_no, f"{path}:{line_no}: {message}")
 
+    @pytest.mark.parametrize("token", [str(2**63 - 1), "4" * 19, "0" * 30 + "7", "0"])
+    def test_every_id_of_the_grammar_takes_the_column_path(self, tmp_path, token):
+        path = tmp_path / "q__a.txt"
+        path.write_text(f"# header\n2 0.5 0.25 1 1\n{token} 1 2 3 4\n")
+        columns = dataset._well_formed_matches(dataset._read_lines(path))
+        assert columns is not None
+        assert columns[0].tolist() == [2, int(token)]
+
     def test_written_files_take_the_column_path(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "q__a.txt"
@@ -362,12 +370,42 @@ CAMERA_IDS = st.text(
 ).filter(lambda token: not token.startswith("#"))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
+# Characters str.split splits on: blanks, line and record separators, and
+# Unicode spaces.
+SPLIT_CHARS = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+# Ids the parsers cannot read back: empty, a comment, or split in two.
+UNREADABLE_IDS = st.one_of(
+    st.just(""),
+    CAMERA_IDS.map("#".__add__),
+    st.tuples(CAMERA_IDS, st.sampled_from(SPLIT_CHARS), st.text(max_size=3)).map("".join),
+)
+# Ids a writer is handed: plain ones, any text, and unreadable ones.
+WRITTEN_IDS = st.one_of(CAMERA_IDS, st.text(max_size=6), UNREADABLE_IDS)
+
+
+def unreadable(token):
+    return token == "" or token.startswith("#") or any(c.isspace() for c in token)
+
+
+def refused(write, ids):
+    """Run ``write``. When any of ``ids`` is unreadable, expect a ValueError
+    naming one of them and return True; otherwise expect it to write and
+    return False."""
+    bad = [token for token in ids if unreadable(token)]
+    if not bad:
+        write()
+        return False
+    with pytest.raises(ValueError) as info:
+        write()
+    assert any(repr(token) in str(info.value) for token in bad)
+    return True
+
 
 @st.composite
 def generated_poses(draw):
     """{id: Pose} of random rotations (half turns and near half turns
     included) and translations over several orders of magnitude."""
-    ids = draw(st.lists(CAMERA_IDS, min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(WRITTEN_IDS, min_size=1, max_size=6, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poses = {}
     for cam_id in ids:
@@ -379,19 +417,25 @@ def generated_poses(draw):
 
 
 class TestGeneratedRoundTrips:
-    """Every writer/parser pair returns exactly what was written."""
+    """Every writer/parser pair returns exactly what was written, and the
+    writers refuse the ids that would not read back."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches(self, data):
         n = data.draw(st.integers(1, 30))
-        kp_ids = np.array(
-            data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
-            dtype=np.int64,
-        )
+        ids = st.integers(0, 2**63 - 1)
+        if data.draw(st.booleans()):  # some may fall outside [0, 2**63)
+            ids = st.one_of(ids, st.integers(-(2**64), 2**64))
+        kp_ids = data.draw(st.lists(ids, min_size=n, max_size=n, unique=True))
         uv = np.array(data.draw(st.lists(FINITE, min_size=4 * n, max_size=4 * n))).reshape(n, 4)
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "q__a.txt"
+            if not all(0 <= kp_id < 2**63 for kp_id in kp_ids):
+                with pytest.raises(ValueError, match="keypoint id"):
+                    write_matches(path, kp_ids, uv[:, :2], uv[:, 2:])
+                return
+            kp_ids = np.array(kp_ids, dtype=np.int64)
             write_matches(path, kp_ids, uv[:, :2], uv[:, 2:])
             got = parse_matches(path)
         assert [(a.dtype.str, a.tobytes()) for a in got] == [
@@ -400,7 +444,7 @@ class TestGeneratedRoundTrips:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(table=st.dictionaries(
-        CAMERA_IDS,
+        WRITTEN_IDS,
         st.tuples(st.floats(min_value=1e-300, allow_infinity=False), st.floats(
             min_value=1e-300, allow_infinity=False), FINITE, FINITE),
         min_size=1, max_size=6,
@@ -409,7 +453,8 @@ class TestGeneratedRoundTrips:
         written = {cam_id: Intrinsics(*values) for cam_id, values in table.items()}
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "intrinsics.txt"
-            write_intrinsics(path, written)
+            if refused(lambda: write_intrinsics(path, written), written):
+                return
             parsed = parse_intrinsics(path)
 
         def shown(table):
@@ -420,7 +465,7 @@ class TestGeneratedRoundTrips:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(raw=st.dictionaries(
-        CAMERA_IDS, st.dictionaries(CAMERA_IDS, FINITE, min_size=1, max_size=6),
+        WRITTEN_IDS, st.dictionaries(WRITTEN_IDS, FINITE, min_size=1, max_size=6),
         min_size=1, max_size=4,
     ))
     def test_neighbors(self, raw):
@@ -431,7 +476,9 @@ class TestGeneratedRoundTrips:
         }
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "neighbors.txt"
-            write_neighbors(path, written)
+            ids = [token for query_id, row in written.items() for token in (query_id, *dict(row))]
+            if refused(lambda: write_neighbors(path, written), ids):
+                return
             parsed = parse_neighbors(path)
         def shown(table):
             return {q: [(a, np.float64(v).tobytes()) for a, v in e] for q, e in table.items()}
@@ -443,7 +490,8 @@ class TestGeneratedRoundTrips:
     def test_poses_write_parse_write_is_byte_identical(self, poses):
         with tempfile.TemporaryDirectory() as root:
             first, second = Path(root) / "a.txt", Path(root) / "b.txt"
-            write_poses(first, poses)
+            if refused(lambda: write_poses(first, poses), poses):
+                return
             parsed = parse_poses(first)
             write_poses(second, parsed)
             assert second.read_bytes() == first.read_bytes()

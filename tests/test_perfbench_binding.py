@@ -8,7 +8,8 @@ rename fails here in seconds instead. It also checks that the per-pair and
 per-track layers stay per pair and per track: one
 ``relpose.estimate_essential`` per pair that reaches RANSAC, one
 ``relpose.cheirality_select`` per pair whose RANSAC succeeded, and one
-``refine.triangulate_track`` per track refinement is handed.
+``refine.triangulate_track`` per track refinement is handed, inside which
+every ``kernels.e1_residual_jac`` call runs.
 """
 
 import contextlib
@@ -55,6 +56,16 @@ def test_localize_calls_every_wrapped_layer(perfbench, tmp_path):
     # goes round the per-track layer shows up here
     assert trace.counters["refine.tracks"] > 0
     assert calls["refine.triangulate_track"] == trace.counters["refine.tracks"]
+    # every anchor-energy evaluation runs directly inside a triangulation:
+    # the per-query track geometry never evaluates the kernel outside the
+    # per-track layer, so per-layer self times stay attributable
+    kernel_parents = [
+        trace.spans[span[3]][0] if span[3] >= 0 else None
+        for span in trace.spans
+        if span[0] == "kernels.e1_residual_jac"
+    ]
+    assert kernel_parents
+    assert set(kernel_parents) == {"refine.triangulate_track"}
     # one essential RANSAC per pair that reaches it (every loaded pair here
     # holds all 60 scene points), and one cheirality vote per pair whose
     # RANSAC succeeded: a stacked front end that goes round the per-pair

@@ -13,6 +13,8 @@ from conftest import (
     grid_polish_minimum,
     lm_query_without_convergence_stop,
     lm_triangulate_without_convergence_stop,
+    per_track_refine_pose,
+    per_track_triangulate,
     random_rotation,
     random_unit,
     reference_relative_poses,
@@ -36,8 +38,8 @@ from mvloc import (
 )
 from mvloc import _kernels, refine
 from mvloc.errors import InitializationError, MvlocError
-from mvloc.geometry import rotvec_to_rotation, unit
-from mvloc.refine import _query_jacobian, _query_residuals, _select_reference
+from mvloc.geometry import rotvec_to_rotation, unit, unit_rows
+from mvloc.refine import _query_jacobian, _query_residuals, _reference_views
 from mvloc.relpose import midpoint_triangulate
 
 
@@ -239,6 +241,12 @@ def widest_pair_oracle(poses, point, dot=np.dot):
     return best_i
 
 
+def select_reference(centers, point):
+    """The stack's reference view of one track with views at ``centers``
+    and start ``point``."""
+    return int(_reference_views(unit_rows(point - centers), np.array([0, len(centers)]))[0])
+
+
 def ordered_dot(a, b):
     """The 3-term dot summed as (a0 b0 + a1 b1) + a2 b2."""
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
@@ -287,9 +295,9 @@ class TestReferenceSelection:
             expected = widest_pair_oracle(poses, point, dot)
         except DegenerateGeometryError:
             with pytest.raises(DegenerateGeometryError):
-                _select_reference(centers, point)
+                select_reference(centers, point)
             return
-        assert _select_reference(centers, point) == expected
+        assert select_reference(centers, point) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(viewing_setups())
@@ -327,7 +335,7 @@ class TestReferenceSelection:
             poses.append(Pose(np.eye(3), d))  # views the origin along d
         centers = np.array([pose.center() for pose in poses])
         assert widest_pair_oracle(poses, np.zeros(3)) == expected
-        assert _select_reference(centers, np.zeros(3)) == expected
+        assert select_reference(centers, np.zeros(3)) == expected
 
     def test_point_on_anchor_center_is_degenerate(self):
         scene, poses, tracks = scene_tracks(seed=21, n_points=6, n_anchors=4)
@@ -341,7 +349,7 @@ class TestReferenceSelection:
         )
         centers = np.array([poses[aid].center() for aid, _ in bad.anchors])
         with pytest.raises(DegenerateGeometryError):
-            _select_reference(centers, init)
+            select_reference(centers, init)
         with pytest.raises(DegenerateGeometryError):
             triangulate_track(bad, poses)
         res = refine_pose([bad] + tracks[1:], poses, scene.query_pose)
@@ -501,10 +509,66 @@ def view_tracks(poses, point, rng):
     return anchor_poses, tracks
 
 
-def triangulation_outcome(track, anchor_poses):
+def ratio_track(track_id, poses, views, target, query_pose):
+    """The track of ``target`` in the given views of ``poses`` (id -> Pose),
+    with camera-frame ratios as features, so a point behind a view still
+    has one."""
+    anchors = []
+    for aid in views:
+        cam = poses[aid].apply(target)
+        anchors.append((aid, cam[:2] / cam[2]))
+    cam = query_pose.apply(target)
+    return CorrespondenceTrack(track_id, cam[:2] / cam[2], tuple(anchors))
+
+
+@st.composite
+def track_sets(draw):
+    """A query's tracks over 2-150 views (``viewing_setups``, each view
+    turned to look at the point), a query pose that sees them, and the
+    point. The tracks have ragged view counts. They include tracks whose
+    start lies within 1e-7 to 1e-3 of the point, which with centers on a
+    line puts the start nearly on it, so the viewing directions tie up to
+    rounding. Others cannot triangulate: one names an unknown anchor; one
+    starts from two views with a shared origin and one from parallel rays
+    through the point; one starts behind its views."""
+    poses, point = draw(viewing_setups(point_on_line=draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    views = [looking_at(pose, point) for pose in poses]
+    anchor_poses = {f"v{i}": pose for i, pose in enumerate(views)}
+    query_pose = looking_at(poses[-1], point + rng.normal(size=3))
+    ids = list(anchor_poses)
+    tracks = []
+    for t in range(draw(st.integers(1, 8))):
+        target = point + rng.normal(scale=draw(st.sampled_from([0.5, 1e-3, 1e-5, 1e-7])), size=3)
+        subset = ids
+        if draw(st.booleans()):
+            picks = rng.choice(len(ids), size=int(rng.integers(2, len(ids) + 1)), replace=False)
+            subset = [ids[k] for k in picks]
+        tracks.append(ratio_track(t, anchor_poses, subset, target, query_pose))
+    # the same pose under a second id, and v0 moved along its ray to the point
+    anchor_poses["twin"] = views[0]
+    along = views[0].center() + 0.5 * (point - views[0].center())
+    anchor_poses["along"] = Pose(views[0].rotation, -views[0].rotation @ along)
+    mirror = 2.0 * views[0].center() - point
+    odd = [
+        ("ghost", ["v0", "nowhere"] + ids[1:], point),
+        ("shared origin", ["v0", "twin"] + ids[1:], point),
+        ("parallel", ["v0", "along"], point),
+        ("behind", ["v0"] + ids[1:] if len(ids) > 1 else ["v0", "along"], mirror),
+    ]
+    for track_id, subset, target in draw(
+        st.lists(st.sampled_from(odd), max_size=4, unique_by=lambda item: item[0])
+    ):
+        anchors = dict(anchor_poses, nowhere=views[0])  # features for the ghost's view
+        tracks.append(ratio_track(track_id, anchors, subset, target, query_pose))
+    order = draw(st.permutations(range(len(tracks))))
+    return anchor_poses, [tracks[k] for k in order], query_pose, point
+
+
+def triangulation_outcome(track, anchor_poses, triangulate=triangulate_track, **kwargs):
     """A LatentPoint's fields as bytes, or the class of the error raised."""
     try:
-        latent = triangulate_track(track, anchor_poses)
+        latent = triangulate(track, anchor_poses, **kwargs)
     except (MvlocError, KeyError) as exc:
         return type(exc)
     return (
@@ -513,9 +577,23 @@ def triangulation_outcome(track, anchor_poses):
     )
 
 
+def refinement_outcome(refine, tracks, anchor_poses, init_pose):
+    """A RefinementResult's fields as bytes, or the class of the error
+    raised."""
+    try:
+        result = refine(tracks, anchor_poses, init_pose)
+    except MvlocError as exc:
+        return type(exc)
+    return (
+        result.pose.rotation.tobytes(), result.pose.translation.tobytes(), result.e2_initial,
+        result.e2_final, result.iterations, result.points_used,
+    )
+
+
 class TestQueryPoseStack:
-    """refine_pose stacks its anchors' poses once per query; every track
-    triangulates as it does against a plain dict."""
+    """refine_pose stacks its anchors' poses and its tracks' geometry once
+    per query; every track triangulates as it does against a plain dict and
+    as the per-track arrays of ``conftest.per_track_arrays`` do."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(viewing_setups(), st.integers(0, 2**32 - 1))
@@ -538,6 +616,23 @@ class TestQueryPoseStack:
             with contextlib.suppress(MvlocError):  # too few usable tracks
                 refine_pose(tracks, anchor_poses, Pose(np.eye(3), np.zeros(3)))
         assert seen == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(track_sets())
+    def test_query_stack_triangulates_as_the_per_track_arrays(self, track_set):
+        anchor_poses, tracks, query_pose, point = track_set
+        stack = refine._AnchorStack(anchor_poses, tracks)
+        for track in tracks:
+            assert triangulation_outcome(track, stack) == triangulation_outcome(
+                track, anchor_poses, per_track_triangulate
+            )
+            # an explicit start goes through a stack built for the one track
+            assert triangulation_outcome(track, anchor_poses, init=point) == (
+                triangulation_outcome(track, anchor_poses, per_track_triangulate, init=point)
+            )
+        assert refinement_outcome(refine_pose, tracks, anchor_poses, query_pose) == (
+            refinement_outcome(per_track_refine_pose, tracks, anchor_poses, query_pose)
+        )
 
     def test_refine_pose_hands_each_track_the_query_stack(self, monkeypatch):
         scene, poses, tracks = scene_tracks(seed=23, n_points=8, n_anchors=6)
