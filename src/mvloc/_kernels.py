@@ -128,10 +128,11 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     """Inlier counts of pair hypotheses against all K observations, in pair
     order, up to the first block that holds a unanimous pair.
 
-    Each pair's hypothesis comes from ``pair_hypotheses`` and is tested
-    against every observation by ``inlier_tests``, in blocks of about
-    BLOCK_CELLS cells. Hypotheses that are not valid, or whose own members
-    fail the inlier test, score -1. Scoring stops after the first block that
+    Pairs are taken in blocks of about BLOCK_CELLS cells: each block's
+    hypotheses come from ``pair_hypotheses``, built for that block alone,
+    and are tested against every observation by ``inlier_tests``.
+    Hypotheses that are not valid, or whose own members fail the inlier
+    test, score -1. Scoring stops after the first block that
     holds a valid hypothesis counting all K observations: no count can
     exceed K, and the first of equal counts wins, so no later pair can take
     the lead. The result is the prefix of the every-pair counts that ends
@@ -142,7 +143,6 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     dirs = np.asarray(dirs, dtype=np.float64)
     quats = np.asarray(quats, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
-    valid, centers, hyp_q = pair_hypotheses(origins, dirs, quats, pairs)
     # column-major copies, so inlier_tests reads each coordinate contiguously
     columns = [np.asfortranarray(a) for a in (origins, dirs, quats)]
     n, k = len(pairs), len(origins)
@@ -150,10 +150,11 @@ def consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_half_rot):
     rows = max(1, BLOCK_CELLS // max(k, 1))
     for start in range(0, n, rows):
         block = slice(start, min(start + rows, n))
-        ok = inlier_tests(centers[block], hyp_q[block], *columns, cos_ray, cos_half_rot)
+        valid, centers, hyp_q = pair_hypotheses(origins, dirs, quats, pairs[block])
+        ok = inlier_tests(centers, hyp_q, *columns, cos_ray, cos_half_rot)
         scored = ok.sum(axis=1)
         local = np.arange(len(ok))
-        good = valid[block] & ok[local, pairs[block, 0]] & ok[local, pairs[block, 1]]
+        good = valid & ok[local, pairs[block, 0]] & ok[local, pairs[block, 1]]
         counts[block] = np.where(good, scored, -1)
         if np.any(good & (scored == k)):
             return counts[:block.stop]

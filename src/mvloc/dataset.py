@@ -374,11 +374,25 @@ def write_intrinsics(path, table):
 
 
 def write_neighbors(path, table):
-    rows = [
-        (_written_id(query_id), _written_id(anchor_id), score)
-        for query_id in sorted(table)
-        for anchor_id, score in table[query_id]
-    ]
+    """Write {query_id: [(anchor_id, score), ...]} in the neighbors format;
+    ValueError, before the file is opened, for a table ``parse_neighbors``
+    would not read back: an unreadable id, a non-finite score, a repeated
+    anchor of one query, a query with no anchor or no query at all."""
+    if not table:
+        raise ValueError("a neighbors table needs at least one query")
+    rows, seen = [], set()
+    for query_id in sorted(table):
+        if len(table[query_id]) == 0:
+            raise ValueError(f"query {query_id!r} has no neighbors")
+        for anchor_id, score in table[query_id]:
+            pair = _written_id(query_id), _written_id(anchor_id)
+            if pair in seen:
+                raise ValueError(f"duplicate pair {pair[0]!r}/{pair[1]!r}")
+            seen.add(pair)
+            score = float(score)
+            if not np.isfinite(score):
+                raise ValueError(f"pair {pair[0]!r}/{pair[1]!r} has non-finite score {score}")
+            rows.append((*pair, score))
     with open(path, "w") as handle:
         handle.write("# query_id anchor_id score\n")
         for query_id, anchor_id, score in rows:
@@ -386,13 +400,27 @@ def write_neighbors(path, table):
 
 
 def write_matches(path, kp_ids, uv_query, uv_anchor):
+    """Write N matches, an id and a query and anchor pixel each, in the
+    match format; ValueError, before the file is opened, for matches
+    ``parse_matches`` would not read back: none at all, an id outside
+    [0, 2**63) or repeated, coordinates that are not (N, 2) or not finite."""
     kp_ids = [int(kp_id) for kp_id in kp_ids]
+    if not kp_ids:
+        raise ValueError("a match file needs at least one match")
     for kp_id in kp_ids:
         if not 0 <= kp_id < 2**63:
             raise ValueError(f"keypoint id {kp_id} is outside [0, 2**63)")
+    if len(set(kp_ids)) != len(kp_ids):
+        raise ValueError("duplicate keypoint id")
+    uv = [np.asarray(a, dtype=np.float64) for a in (uv_query, uv_anchor)]
+    for name, a in zip(("uv_query", "uv_anchor"), uv):
+        if a.shape != (len(kp_ids), 2):
+            raise ValueError(f"{name} is {a.shape}, not ({len(kp_ids)}, 2): one row per id")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} holds a non-finite coordinate")
     with open(path, "w") as handle:
         handle.write("# kp_id u_q v_q u_a v_a\n")
-        for kp_id, (uq, vq), (ua, va) in zip(kp_ids, uv_query, uv_anchor):
+        for kp_id, (uq, vq), (ua, va) in zip(kp_ids, *uv):
             handle.write(f"{kp_id} {_fmt(uq)} {_fmt(vq)} {_fmt(ua)} {_fmt(va)}\n")
 
 

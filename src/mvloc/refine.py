@@ -7,16 +7,15 @@ pose cannot bias the structure). Stage two refines the query pose by
 minimizing its reprojection error onto the fixed latent points.
 
 ``refine_pose`` builds the geometry every triangulation starts from once
-per query, in array passes over all its tracks (``_AnchorStack``): each
-track's two-view start, its reference view, its start in that view's frame
-and its observations with their poses relative to that view. Each
-``triangulate_track`` call reads its track's rows and runs only its own
-Levenberg-Marquardt solve; a call given a plain pose mapping or an explicit
-start builds the same stack for its one track. The stage-one reprojection
-gate then tests all latent points at once.
+per query, in one pass over all its views (``_AnchorStack``): each track's
+two-view start, its reference view, its start in that view's frame and its
+non-reference observations. Each ``triangulate_track`` call reads its
+track's rows, forms their poses relative to the reference view and runs its
+own Levenberg-Marquardt solve; a call given a plain pose mapping or an
+explicit start builds the same stack for its one track. The stage-one
+reprojection gate then tests all latent points at once.
 """
 
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -129,11 +128,6 @@ COST_RTOL = 1e-12
 # one track of 150), which bounds its temporaries.
 GRAM_BLOCK_CELLS = 8192
 
-# _AnchorStack builds its per-view arrays over blocks of consecutive tracks
-# of at most this many views (27 tracks of 150 views), and keeps the
-# relative poses of one block at a time, which bounds its memory.
-VIEW_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class RefinementResult:
@@ -181,24 +175,23 @@ class _AnchorStack(Mapping):
     """Anchor id -> Pose over the anchors that ``tracks`` name and
     ``anchor_poses`` holds, with their rotations, translations and centers
     stacked once, and the triangulation geometry of every track built from
-    them in array passes:
+    them in one pass over all the query's views:
 
     * the start point: the two-view midpoint of the track's first two views,
       or its row of the (T, 3) ``inits``;
     * the reference view, by :func:`_reference_views`, and the start in the
       reference frame;
-    * the non-reference observations and their poses relative to the
-      reference view, (R_k R_ref^T, T_k - R_k,ref T_ref).
+    * the non-reference views' pose rows and observations, and the
+      reference feature.
 
-    The per-view passes run over blocks of consecutive tracks of at most
-    VIEW_BLOCK views (or one track), and only the block of the track last
-    asked for keeps its relative poses. Every product is a stacked (3, 3)
-    or (3, 1) one, the BLAS call of the same product on one track, so a
-    track's geometry is bit-for-bit the same in any stack. A track that
-    cannot be triangulated keeps the error :meth:`geometry` raises for it:
-    KeyError for an unknown anchor, DegenerateGeometryError for a
-    degenerate start and InitializationError for a start behind its
-    reference view.
+    :meth:`geometry` then forms one track's poses relative to its reference
+    view, (R_k R_ref^T, T_k - R_k,ref T_ref), from that track's rows alone.
+    The products of the one pass are stacked (3, 3) or (3, 1) ones, the BLAS
+    call of the same product on one track, so a track's geometry is
+    bit-for-bit the same in any stack. A track that cannot be triangulated
+    keeps the error :meth:`geometry` raises for it: KeyError for an unknown
+    anchor, DegenerateGeometryError for a degenerate start and
+    InitializationError for a start behind its reference view.
     """
 
     def __init__(self, anchor_poses, tracks, inits=None):
@@ -221,39 +214,23 @@ class _AnchorStack(Mapping):
                 known.append(k)
         self._tracks = [tracks[k] for k in known]
         self._index = {track: j for j, track in enumerate(self._tracks)}
-        self._starts = np.cumsum([0] + [len(r) for r in rows])
-        self._view_rows = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                                      count=self._starts[-1])
-        # the first track of each block, and the end of the last
-        self._blocks = [0]
-        while self._blocks[-1] < len(known):
-            lo = self._blocks[-1]
-            stop = np.searchsorted(self._starts, self._starts[lo] + VIEW_BLOCK, side="right") - 1
-            self._blocks.append(max(lo + 1, int(stop)))
-        self._block = (0, 0)
         if known:
             inits = None if inits is None else np.asarray(inits, dtype=np.float64)[known]
             # the rows of a track with a degenerate start may not be finite
             with np.errstate(divide="ignore", invalid="ignore"):
-                self._start_geometry(inits)
+                self._start_geometry(rows, inits)
 
     def _fail(self, track, error, message):
         self._errors.setdefault(track, (error, message))
 
-    def _views(self, lo, hi):
-        """The views of tracks lo..hi - 1: their slice of the stacked views,
-        each one's track counted from lo, and the local start of each
-        track."""
-        starts = self._starts[lo:hi + 1] - self._starts[lo]
-        owner = np.repeat(np.arange(hi - lo), np.diff(starts))
-        return slice(self._starts[lo], self._starts[hi]), owner, starts
-
-    def _start_geometry(self, inits):
-        """Start points, reference views and starts in the reference frame
-        of every track, block by block."""
-        tracks, view_rows = self._tracks, self._view_rows
+    def _start_geometry(self, rows, inits):
+        """Start points, reference views, starts in the reference frame and
+        non-reference views of every track, from its pose rows ``rows``."""
+        tracks = self._tracks
+        starts = np.cumsum([0] + [len(r) for r in rows])
+        view_rows = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=starts[-1])
         if inits is None:
-            pair = np.stack([self._starts[:-1], self._starts[:-1] + 1])
+            pair = np.stack([starts[:-1], starts[:-1] + 1])
             inits, degenerate = view_pair_midpoints(
                 self.centers[view_rows[pair]],
                 self.rotations[view_rows[pair]],
@@ -262,46 +239,33 @@ class _AnchorStack(Mapping):
             for j in np.flatnonzero(degenerate):
                 self._fail(tracks[j], DegenerateGeometryError,
                            f"track {tracks[j].track_id!r}: degenerate two-view start")
-        self._ref = np.empty(len(tracks), dtype=np.intp)
-        for lo, hi in zip(self._blocks, self._blocks[1:]):
-            views, owner, starts = self._views(lo, hi)
-            rays = inits[lo:hi][owner] - self.centers[view_rows[views]]
-            try:
-                dirs = unit_rows(rays)
-            except DegenerateGeometryError:  # a start on a view's center
-                on_center = row_norms(rays) < NORM_EPS
-                for j in lo + np.flatnonzero(np.logical_or.reduceat(on_center, starts[:-1])):
-                    self._fail(tracks[j], DegenerateGeometryError,
-                               f"track {tracks[j].track_id!r}: start point on a view's center")
-                rays[on_center] = 1.0
-                dirs = unit_rows(rays)
-            self._ref[lo:hi] = _reference_views(dirs, starts)
-        self._ref_rows = view_rows[self._starts[:-1] + self._ref]
-        cams = (self.rotations[self._ref_rows] @ inits[:, :, None])[:, :, 0]
-        self._cams = cams + self.translations[self._ref_rows]
+        owner = np.repeat(np.arange(len(tracks)), np.diff(starts))
+        rays = inits[owner] - self.centers[view_rows]
+        try:
+            dirs = unit_rows(rays)
+        except DegenerateGeometryError:  # a start on a view's center
+            on_center = row_norms(rays) < NORM_EPS
+            for j in np.flatnonzero(np.logical_or.reduceat(on_center, starts[:-1])):
+                self._fail(tracks[j], DegenerateGeometryError,
+                           f"track {tracks[j].track_id!r}: start point on a view's center")
+            rays[on_center] = 1.0
+            dirs = unit_rows(rays)
+        self._ref = _reference_views(dirs, starts)
+        ref_views = starts[:-1] + self._ref
+        ref_rows = view_rows[ref_views]
+        cams = (self.rotations[ref_rows] @ inits[:, :, None])[:, :, 0]
+        self._cams = cams + self.translations[ref_rows]
         for j in np.flatnonzero(self._cams[:, 2] <= DEPTH_EPS):
             self._fail(tracks[j], InitializationError,
                        f"track {tracks[j].track_id!r}: initial point is behind the reference view")
-
-    def _relative_poses(self, lo, hi):
-        """``(lo, hi, ref_features, obs, rots, trans, obs_starts)`` of
-        tracks lo..hi - 1, track lo + k's non-reference views being rows
-        obs_starts[k]:obs_starts[k + 1]."""
-        views, owner, starts = self._views(lo, hi)
-        features = np.concatenate([track.features for track in self._tracks[lo:hi]])
-        ref_views = starts[:-1] + self._ref[lo:hi]
-        others = np.ones(len(owner), dtype=bool)
+        others = np.ones(len(view_rows), dtype=bool)
         others[ref_views] = False
-        rows = self._view_rows[views][others]
-        owner = owner[others]
-        ref_rotations = self.rotations[self._ref_rows[lo:hi]]
-        ref_translations = self.translations[self._ref_rows[lo:hi]]
-        # index, then transpose: each R_ref^T is then a transposed view of a
-        # C-ordered matrix, as ``pose.rotation.T`` is in the one-track product
-        rots = self.rotations[rows] @ np.swapaxes(ref_rotations[owner], 1, 2)
-        trans = self.translations[rows] - (rots @ ref_translations[owner][:, :, None])[:, :, 0]
-        obs_starts = (starts - np.arange(hi - lo + 1)).tolist()
-        return lo, hi, features[ref_views], features[others], rots, trans, obs_starts
+        features = np.concatenate([track.features for track in tracks])
+        self._ref_features = features[ref_views]
+        self._obs = features[others]
+        self._other_rows = view_rows[others]
+        # track j's non-reference views are rows _obs_starts[j]:_obs_starts[j + 1]
+        self._obs_starts = (starts - np.arange(len(tracks) + 1)).tolist()
 
     def holds(self, track):
         """Whether the stack was built for ``track``."""
@@ -318,17 +282,13 @@ class _AnchorStack(Mapping):
             error, message = self._errors[track]
             raise error(message)
         j = self._index[track]
-        if not self._block[0] <= j < self._block[1]:
-            b = bisect_right(self._blocks, j) - 1
-            self._block = self._relative_poses(self._blocks[b], self._blocks[b + 1])
-        lo, _, ref_features, obs, rots, trans, obs_starts = self._block
-        k = j - lo
-        rows = slice(obs_starts[k], obs_starts[k + 1])
         ref = int(self._ref[j])
-        return (
-            ref, self._poses[track.anchor_ids[ref]], ref_features[k],
-            obs[rows], rots[rows], trans[rows], self._cams[j],
-        )
+        ref_pose = self._poses[track.anchor_ids[ref]]
+        rows = slice(self._obs_starts[j], self._obs_starts[j + 1])
+        others = self._other_rows[rows]
+        rots = self.rotations[others] @ ref_pose.rotation.T
+        trans = self.translations[others] - rots @ ref_pose.translation
+        return ref, ref_pose, self._ref_features[j], self._obs[rows], rots, trans, self._cams[j]
 
     def __getitem__(self, aid):
         return self._poses[aid]
@@ -402,9 +362,9 @@ def triangulate_track(track, anchor_poses, init=None):
     Minimizes the anchor reprojection energy over the reference-view feature
     and log-depth with ``_minimize``. ``init`` is an optional world-point
     initializer; by default the first two anchor views are triangulated
-    pairwise. The start, reference view and relative poses are the track's
-    rows of ``anchor_poses`` when that is the query stack ``refine_pose``
-    built for it, else of a stack built for this one track. Raises KeyError
+    pairwise. The start, reference view and relative poses come from the
+    track's rows of ``anchor_poses`` when that is the query stack
+    ``refine_pose`` built for it, else of a stack built for this one track. Raises KeyError
     for an anchor not in ``anchor_poses``, InitializationError when the
     starting point is behind a camera and DegenerateGeometryError from a
     degenerate initializer.

@@ -173,6 +173,23 @@ class TestNeighbors:
         write_neighbors(path, table)
         assert parse_neighbors(path) == table
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"q": [("a1", float("inf"))]}, "non-finite score"),
+            ({"q": [("a1", 0.5), ("a2", float("nan"))]}, "non-finite score"),
+            ({"q": [("a1", 0.5), ("a1", 0.25)]}, "duplicate pair"),
+            ({"q1": [("a1", 0.5)], "q2": []}, "query 'q2' has no neighbors"),
+            ({}, "at least one query"),
+        ],
+        ids=["inf score", "nan score", "repeated anchor", "query without anchors", "no query"],
+    )
+    def test_writer_refuses_a_table_it_cannot_read_back(self, tmp_path, table, message):
+        path = tmp_path / "n.txt"
+        with pytest.raises(ValueError, match=message):
+            write_neighbors(path, table)
+        assert not path.exists()
+
 
 # ----------------------------------------------------------------- matches
 
@@ -200,6 +217,26 @@ class TestMatches:
         path.write_text("4 0 0 0 0\n4 1 1 1 1\n")
         with pytest.raises(ParseError, match="duplicate keypoint"):
             parse_matches(path)
+
+    @pytest.mark.parametrize(
+        "kp_ids, uv_q, uv_a, message",
+        [
+            ([0, 1, 2], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]],
+             r"uv_query is \(2, 2\)"),
+            ([0, 1], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]], "uv_anchor"),
+            ([0, 1], [[1.0, float("nan")], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "non-finite"),
+            ([0, 1], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [float("-inf"), 4.0]], "non-finite"),
+            ([5, 5], [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "duplicate keypoint"),
+            ([], np.empty((0, 2)), np.empty((0, 2)), "at least one match"),
+        ],
+        ids=["more ids than rows", "three columns", "nan", "inf", "repeated id", "no match"],
+    )
+    def test_writer_refuses_matches_it_cannot_read_back(self, tmp_path, kp_ids, uv_q, uv_a,
+                                                        message):
+        path = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=message):
+            write_matches(path, kp_ids, uv_q, uv_a)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------- manifest

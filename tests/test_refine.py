@@ -13,6 +13,7 @@ from conftest import (
     grid_polish_minimum,
     lm_query_without_convergence_stop,
     lm_triangulate_without_convergence_stop,
+    per_track_arrays,
     per_track_refine_pose,
     per_track_triangulate,
     random_rotation,
@@ -633,6 +634,40 @@ class TestQueryPoseStack:
         assert refinement_outcome(refine_pose, tracks, anchor_poses, query_pose) == (
             refinement_outcome(per_track_refine_pose, tracks, anchor_poses, query_pose)
         )
+
+    def test_a_stack_of_thousands_of_views_holds_each_tracks_own_geometry(self):
+        # 40 tracks of 120-150 views each, 5,000+ views in one query stack,
+        # asked for in shuffled order
+        rng = np.random.default_rng(19)
+        point = np.zeros(3)
+        anchor_poses = {}
+        for k in range(150):
+            center = unit(rng.normal(size=3)) * rng.uniform(6.0, 10.0)
+            rotation = rotvec_to_rotation(rng.uniform(-3.0, 3.0, 3))
+            anchor_poses[f"v{k}"] = looking_at(Pose(rotation, -rotation @ center), point)
+        query_pose = looking_at(Pose(np.eye(3), np.array([0.0, 0.0, 12.0])), point)
+        ids = list(anchor_poses)
+        tracks = []
+        for t in range(40):
+            views = rng.choice(len(ids), size=int(rng.integers(120, 151)), replace=False)
+            target = point + rng.normal(scale=0.5, size=3)
+            tracks.append(ratio_track(t, anchor_poses, [ids[k] for k in views], target,
+                                      query_pose))
+        assert sum(len(track.anchor_ids) for track in tracks) > 5000
+        stack = refine._AnchorStack(anchor_poses, tracks)
+
+        def shown(geometry):
+            ref, ref_pose, *arrays = geometry
+            return ref, ref_pose.rotation.tobytes(), ref_pose.translation.tobytes(), [
+                (a.shape, a.tobytes()) for a in arrays
+            ]
+
+        for k in rng.permutation(len(tracks)):
+            track = tracks[k]
+            assert shown(stack.geometry(track)) == shown(per_track_arrays(track, anchor_poses))
+            outcome = triangulation_outcome(track, stack)
+            assert outcome == triangulation_outcome(track, anchor_poses, per_track_triangulate)
+            assert outcome[0] == k  # a LatentPoint, not an error class
 
     def test_refine_pose_hands_each_track_the_query_stack(self, monkeypatch):
         scene, poses, tracks = scene_tracks(seed=23, n_points=8, n_anchors=6)
