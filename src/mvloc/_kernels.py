@@ -20,6 +20,9 @@ BACKEND = "pure"
 # its temporaries and so its peak memory.
 BLOCK_CELLS = 8192
 
+# The reference block of the triangulation Jacobian: r = ref_feat - (x, y).
+_REFERENCE_JAC = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
 
 def e1_residual_jac(ref_feat, obs, rots, trans, x, y, rho):
     """Residuals and Jacobian of the anchor reprojection energy.
@@ -27,42 +30,42 @@ def e1_residual_jac(ref_feat, obs, rots, trans, x, y, rho):
     Parameters are the latent reference-view feature (x, y) and reference
     depth rho. ``obs`` (M, 2) holds the observed features of the non-reference
     views, ``rots``/``trans`` (M, 3, 3)/(M, 3) their poses relative to the
-    reference view.
+    reference view, all float64 arrays (they are used as given).
 
     Returns ``(r, jac, min_depth)`` with r of length 2 + 2M (reference block
     first), jac (2 + 2M, 3) with columns (d/dx, d/dy, d/drho), and the
     smallest candidate depth among the non-reference views (callers reject
-    parameter values whose min_depth is not safely positive).
+    parameter values whose min_depth is not safely positive). View k's two
+    Jacobian rows are ``-(du_k / w_k - (u_k / w_k^2) du_k,z)`` for the
+    point's camera coordinates u_k = rho R_k g + T_k and their derivatives
+    du_k = (rho R_k[:, 0], rho R_k[:, 1], R_k g), filled for all views and
+    columns in one stacked pass.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    rots = np.asarray(rots, dtype=np.float64)
-    trans = np.asarray(trans, dtype=np.float64)
     m = len(obs)
-
-    g = np.array([x, y, 1.0])
-    rg = rots @ g  # (M, 3)
+    rg = rots @ np.array([x, y, 1.0])  # (M, 3)
     u = rho * rg + trans
     w = u[:, 2]
     min_depth = float(w.min()) if m else np.inf
 
     r = np.empty(2 + 2 * m)
-    jac = np.zeros((2 + 2 * m, 3))
+    jac = np.empty((2 + 2 * m, 3))
     r[0] = ref_feat[0] - x
     r[1] = ref_feat[1] - y
-    jac[0, 0] = -1.0
-    jac[1, 1] = -1.0
+    jac[:2] = _REFERENCE_JAC
     if m == 0:
         return r, jac, min_depth
 
-    inv_w = 1.0 / w
-    ux_w2 = u[:, 0] * inv_w * inv_w
-    uy_w2 = u[:, 1] * inv_w * inv_w
-    r[2::2] = obs[:, 0] - u[:, 0] * inv_w
-    r[3::2] = obs[:, 1] - u[:, 1] * inv_w
-
-    for col, du in enumerate((rho * rots[:, :, 0], rho * rots[:, :, 1], rg)):
-        jac[2::2, col] = -(du[:, 0] * inv_w - ux_w2 * du[:, 2])
-        jac[3::2, col] = -(du[:, 1] * inv_w - uy_w2 * du[:, 2])
+    inv_w = (1.0 / w)[:, None]
+    u_w = u[:, :2] * inv_w  # (M, 2) projections
+    np.subtract(obs, u_w, out=r[2:].reshape(m, 2))
+    u_w2 = (u_w * inv_w)[:, :, None]
+    du = np.empty((m, 3, 3))  # du[k, :, col]: the derivative of u_k along col
+    np.multiply(rho, rots[:, :, :2], out=du[:, :, :2])
+    du[:, :, 2] = rg
+    rows = jac[2:].reshape(m, 2, 3)  # view k's rows 2 + 2k and 3 + 2k
+    np.multiply(du[:, :2], inv_w[:, :, None], out=rows)
+    rows -= u_w2 * du[:, 2:]
+    np.negative(rows, out=rows)
     return r, jac, min_depth
 
 

@@ -37,10 +37,14 @@ from .relpose import (
 
 ACCURACY_THRESHOLDS = ((0.25, 2.0), (0.5, 5.0), (5.0, 10.0))
 
-# PipelineConfig fields: integers with their minimum, reals with (0, upper).
+# PipelineConfig fields: integers with their minimum, reals with (0, upper)
+# or, where the upper end is closed, (0, upper]. The consensus gates are
+# tested as cos(theta_ray) and cos(theta_rot / 2), which wrap around past
+# 180 degrees, so 180 (every ray, every rotation) is their largest value.
 _INTEGER_MINIMA = {"top_k": 1, "min_matches": 0, "ransac_max_iters": 1, "seed": 0}
-_REAL_BOUNDS = {"epi_threshold_px": math.inf, "ransac_confidence": 1.0, "theta_ray_deg": math.inf,
-                "theta_rot_deg": math.inf, "tau_reproj": math.inf}
+_REAL_BOUNDS = {"epi_threshold_px": (math.inf, False), "ransac_confidence": (1.0, False),
+                "theta_ray_deg": (180.0, True), "theta_rot_deg": (180.0, True),
+                "tau_reproj": (math.inf, False)}
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,12 @@ class PipelineConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
                 raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        for name, upper in _REAL_BOUNDS.items():
+        for name, (upper, closed) in _REAL_BOUNDS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < upper:
-                raise ConfigurationError(f"{name} must be a number in (0, {upper}), got {value!r}")
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not (0 < value < upper or closed and value == upper)):
+                interval = f"(0, {upper}{']' if closed else ')'}"
+                raise ConfigurationError(f"{name} must be a number in {interval}, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw):

@@ -16,6 +16,7 @@ explicit start builds the same stack for its one track. The stage-one
 reprojection gate then tests all latent points at once.
 """
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -140,35 +141,78 @@ class RefinementResult:
 
 def _reference_views(dirs, starts):
     """Reference view of each track: the first member of the widest-angle
-    pair of its viewing directions at its start point, which are the unit
-    rows ``starts[k]:starts[k + 1]`` of ``dirs`` for track k.
+    pair of its viewing directions at its start point, which are the rows
+    ``starts[k]:starts[k + 1]`` of ``dirs`` for track k.
 
-    A track's Gram matrix is built elementwise as ``(dx_i dx_j + dy_i dy_j)
-    + dz_i dz_j``, a fixed sum order that does not depend on how a BLAS
-    rounds. Each product commutes and each sum keeps its order, so the
-    matrix is exactly symmetric: with the diagonal masked to inf, the first
-    row-major minimum is the first minimal pair (i, j), i < j, since a cell
-    below the diagonal comes after its mirror. Tracks of one view count are
-    compared together in blocks of at most GRAM_BLOCK_CELLS cells (or one
-    track), and a track's cells are the same in any block.
+    The pair is the first row-major minimum, off the diagonal, of the
+    track's Gram matrix summed elementwise as ``(dx_i dx_j + dy_i dy_j) +
+    dz_i dz_j``, a fixed order that does not depend on how a BLAS rounds.
+    That matrix is exactly symmetric, so its first minimal pair (i, j) has
+    i < j. Each track is first screened by a BLAS Gram above the diagonal:
+    every cell that can be the elementwise minimum lies within
+    :func:`_screen_margin` of the screened minimum, so a track with one
+    such cell takes it, and a track with more is recomputed elementwise.
+    The result is the elementwise one in every case. Tracks of one view
+    count are compared together in blocks of at most GRAM_BLOCK_CELLS cells
+    (or one track), and a track's result is the same in any block.
     """
     counts = np.diff(starts)
     refs = np.empty(len(counts), dtype=np.intp)
-    columns = np.ascontiguousarray(dirs.T)  # each coordinate read contiguously
+    margin = _screen_margin(dirs)
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
         v = counts[group[0]]
         step = max(1, GRAM_BLOCK_CELLS // (v * v))
+        index = np.arange(v)
+        # inf on and below the diagonal, 0 above it
+        lower = np.where(index[:, None] >= index, np.inf, 0.0).reshape(-1)
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]
-            dx, dy, dz = columns[:, starts[block, None] + np.arange(v)]
-            gram = dx[:, :, None] * dx[:, None, :]
-            gram += dy[:, :, None] * dy[:, None, :]
-            gram += dz[:, :, None] * dz[:, None, :]
-            cells = gram.reshape(len(block), -1)
-            cells[:, ::v + 1] = np.inf  # the diagonal
-            refs[block] = cells.argmin(axis=1) // v
+            d = dirs.take(starts[block, None] + index, axis=0)  # (tracks, v, 3)
+            # a contiguous right factor keeps the product on BLAS
+            cells = (d @ np.ascontiguousarray(d.swapaxes(1, 2))).reshape(len(block), -1)
+            cells += lower
+            best = cells.argmin(axis=1)
+            refs[block] = best // v
+            near = cells <= (cells[np.arange(len(block)), best] + margin)[:, None]
+            # one near cell per track is its minimum; a nan margin marks none
+            if np.count_nonzero(near) != len(block):
+                recheck = np.count_nonzero(near, axis=1) != 1
+                refs[block[recheck]] = _elementwise_references(d[recheck])
     return refs
+
+
+def _screen_margin(dirs):
+    """Bound on how far above the screened minimum of a Gram matrix of
+    ``dirs`` rows the screened cell of its elementwise minimum can be: nan
+    or inf, which rechecks every track, when a coordinate is not finite.
+
+    Any order of summing the three products of a cell, with or without a
+    fused multiply-add, is within gamma_3 sum_k |d_ik d_jk| <= gamma_3 S of
+    the exact dot product (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), with gamma_3 = 3u / (1 - 3u) ~ 3u, u = eps / 2
+    the unit roundoff, S = 3 c^2 and c the largest coordinate magnitude. A
+    screened and an elementwise cell so differ by at most 2 gamma_3 S, and
+    the elementwise minimum's screened cell is at most 4 gamma_3 S above the
+    screened minimum; adding the margin to that minimum rounds off at most
+    another u S. The margin 16 u S covers those 13 u S with room for its
+    own rounding.
+    """
+    c = np.max(np.abs(dirs), initial=0.0)
+    return 8.0 * np.finfo(np.float64).eps * (3.0 * c * c)
+
+
+def _elementwise_references(d):
+    """Reference views of a (tracks, v, 3) stack of viewing directions from
+    their elementwise Gram matrices (see :func:`_reference_views`)."""
+    v = d.shape[1]
+    dx, dy, dz = np.moveaxis(d, 2, 0)
+    gram = dx[:, :, None] * dx[:, None, :]
+    gram += dy[:, :, None] * dy[:, None, :]
+    gram += dz[:, :, None] * dz[:, None, :]
+    cells = gram.reshape(len(d), -1)
+    cells[:, ::v + 1] = np.inf  # the diagonal
+    return cells.argmin(axis=1) // v
 
 
 class _AnchorStack(Mapping):
@@ -240,7 +284,8 @@ class _AnchorStack(Mapping):
                 self._fail(tracks[j], DegenerateGeometryError,
                            f"track {tracks[j].track_id!r}: degenerate two-view start")
         owner = np.repeat(np.arange(len(tracks)), np.diff(starts))
-        rays = inits[owner] - self.centers[view_rows]
+        rays = inits[owner]
+        rays -= self.centers[view_rows]
         try:
             dirs = unit_rows(rays)
         except DegenerateGeometryError:  # a start on a view's center
@@ -328,11 +373,13 @@ def _minimize(params, first, evaluate, retract):
     r, jac = first
     cost = initial_cost = r @ r
     damping = DAMPING_INIT
-    eye = np.eye(jac.shape[1])
+    diagonal = slice(None, None, jac.shape[1] + 1)  # of the flattened J^T J
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
+        normal = jac.T @ jac
+        normal.reshape(-1)[diagonal] += damping
         try:
-            step = np.linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ r))
+            step = np.linalg.solve(normal, -(jac.T @ r))
         except np.linalg.LinAlgError:
             damping *= DAMPING_FACTOR
             continue
@@ -349,7 +396,7 @@ def _minimize(params, first, evaluate, retract):
         converged = cost - cost_new <= COST_RTOL * cost
         params, (r, jac), cost = cand, new, cost_new
         damping /= DAMPING_FACTOR
-        if converged or np.linalg.norm(step) < STEP_TOL:
+        if converged or math.sqrt(step @ step) < STEP_TOL:
             break
     if cost > initial_cost:
         raise RuntimeError("energy increased during refinement; LM acceptance is broken")

@@ -6,7 +6,9 @@ matrix of the relative pose (R_qk, t_qk) is ``E = [t_qk]_x @ R_qk`` and
 satisfies ``a^T E b = 0``.
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -73,7 +75,12 @@ class MatchSet:
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Essential-matrix RANSAC parameters."""
+    """Essential-matrix RANSAC parameters.
+
+    ``threshold`` is the symmetric epipolar distance gate in normalized
+    image units, finite and positive; ``max_iters`` is an integer >= 1 and
+    ``min_inliers`` an integer >= MIN_MATCHES, the size of a refit.
+    """
 
     threshold: float = 1e-3
     confidence: float = 0.999
@@ -82,15 +89,22 @@ class RansacConfig:
 
     def __post_init__(self):
         if not 0 < self.confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
+        for name, minimum in (("max_iters", 1), ("min_inliers", MIN_MATCHES)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 # Hypotheses are fitted and scored in chunks of at most this many
 # hypothesis x match rows (68 hypotheses at 120 matches), which bounds the
 # temporaries of the stacked distance pass and so the peak memory.
 CHUNK_ROWS = 8192
+
+# diag(1, 1, 0): the singular values an essential matrix is projected onto.
+_ESSENTIAL_SINGULAR_VALUES = np.diag([1.0, 1.0, 0.0])
 
 _DEGENERATE = (
     None,
@@ -104,10 +118,17 @@ def _hartley_normalization(points):
     centroid 0 and mean radius sqrt(2).
 
     Returns the (..., 3, 3) transforms and a mask of coincident sets, whose
-    transform is a placeholder (normalization is undefined there).
+    transform is a placeholder (normalization is undefined there). The
+    centroid and the spread are the reductions of ``mean`` and
+    ``np.linalg.norm``, taken without their per-call overhead.
     """
-    centroid = points.mean(axis=-2)
-    spread = np.linalg.norm(points - centroid[..., None, :], axis=-1).mean(axis=-1)
+    m = points.shape[-2]
+    centroid = np.add.reduce(points, axis=-2)
+    centroid /= m
+    offsets = points - centroid[..., None, :]
+    offsets *= offsets
+    spread = np.add.reduce(np.sqrt(np.add.reduce(offsets, axis=-1)), axis=-1)
+    spread /= m
     coincident = spread < 1e-12
     s = np.sqrt(2.0) / np.where(coincident, 1.0, spread)
     t = np.zeros(points.shape[:-2] + (3, 3))
@@ -123,19 +144,30 @@ def _eight_point_stack(query, anchor):
 
     Returns the (..., 3, 3) essential matrices and a status per set: 0 for a
     fit, else an index into ``_DEGENERATE`` (that set's matrix is
-    meaningless). Every set goes through the same per-matrix LAPACK calls,
-    so a set's result does not depend on the stack around it.
+    meaningless). Both sides are normalized in one pass over the stacked
+    (2, ..., m, 2) sets. Every set goes through the same per-matrix LAPACK
+    calls, so a set's result does not depend on the stack around it.
     """
-    t_a, coincident_a = _hartley_normalization(query)
-    t_b, coincident_b = _hartley_normalization(anchor)
-    qa = query * t_a[..., None, 0, 0, None] + t_a[..., None, :2, 2]
-    qb = anchor * t_b[..., None, 0, 0, None] + t_b[..., None, :2, 2]
-
+    points = np.stack([query, anchor])
+    t, coincident = _hartley_normalization(points)
+    points *= t[..., None, 0, 0, None]
+    points += t[..., None, :2, 2]
+    t_a, t_b = t
+    qa, qb = points
     ax, ay = qa[..., 0], qa[..., 1]
     bx, by = qb[..., 0], qb[..., 1]
-    design = np.stack(
-        [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(ax.shape)], axis=-1
-    )
+
+    # the design rows (ax bx, ax by, ax, ay bx, ay by, ay, bx, by, 1)
+    design = np.empty(ax.shape + (9,))
+    np.multiply(ax, bx, out=design[..., 0])
+    np.multiply(ax, by, out=design[..., 1])
+    design[..., 2] = ax
+    np.multiply(ay, bx, out=design[..., 3])
+    np.multiply(ay, by, out=design[..., 4])
+    design[..., 5] = ay
+    design[..., 6] = bx
+    design[..., 7] = by
+    design[..., 8] = 1.0
     # A degenerate sample (repeated points, points on a conic through both
     # epipoles, ...) leaves the (m, 9) design a nullspace of dimension > 1.
     if design.shape[-2] == MIN_MATCHES:
@@ -154,8 +186,8 @@ def _eight_point_stack(query, anchor):
     e_norm = null.reshape(null.shape[:-1] + (3, 3))
     e = np.swapaxes(t_a, -1, -2) @ e_norm @ t_b
     u, _, vt2 = np.linalg.svd(e)
-    status = np.where(coincident_a | coincident_b, 1, np.where(underdetermined, 2, 0))
-    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2, status
+    status = np.where(coincident[0] | coincident[1], 1, np.where(underdetermined, 2, 0))
+    return u @ _ESSENTIAL_SINGULAR_VALUES @ vt2, status
 
 
 def eight_point(query, anchor):
@@ -247,25 +279,26 @@ def estimate_essential(matches, config=None, seed=0):
     a_rows, b_rows = _homogeneous_rows(query), _homogeneous_rows(anchor)
     threshold_sq = config.threshold * config.threshold
 
-    def grow(e, mask):
+    def grow(e, mask, count):
         # Re-estimate on the inlier set until the count stops growing.
         # Minimal samples are noise-sensitive (narrow fields of view slide
         # along the rotation-translation ambiguity), so the refit usually
         # widens the set; a refit that loses inliers, or whose inliers do not
         # determine E, is discarded.
-        while int(mask.sum()) >= MIN_MATCHES:
+        while count >= MIN_MATCHES:
             try:
                 refit = eight_point(query[mask], anchor[mask])
             except DegenerateGeometryError:
                 break
             refit_mask = _squared_epipolar_distance(refit, a_rows, b_rows) < threshold_sq
-            if int(refit_mask.sum()) < int(mask.sum()):
+            refit_count = int(refit_mask.sum())
+            if refit_count < count:
                 break
-            grew = int(refit_mask.sum()) > int(mask.sum())
-            e, mask = refit, refit_mask
+            grew = refit_count > count
+            e, mask, count = refit, refit_mask, refit_count
             if not grew:
                 break
-        return e, mask
+        return e, mask, count
 
     best_count = 0
     best_e = None
@@ -284,8 +317,7 @@ def estimate_essential(matches, config=None, seed=0):
         for j in range(size):
             i += 1
             if counts[j] > best_count:
-                e, mask = grow(es[j], masks[j])
-                count = int(mask.sum())
+                e, mask, count = grow(es[j], masks[j], counts[j])
                 if count > best_count:
                     best_count, best_e, best_mask = count, e, mask
                     ratio = min(count / n, 1.0 - 1e-12)

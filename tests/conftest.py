@@ -1246,3 +1246,112 @@ def dict_keypoint_tracks(inlier_obs, inlier_matches):
         for kp_id, views in sorted(track_views.items())
         if len(views) >= 2
     ]
+
+
+# ------------------------------------------------- earlier kernel formulations
+#
+# References for the per-item inner loops of triangulation, essential RANSAC
+# and reference selection, kept as they were written before those loops
+# were restacked: the one-column-at-a-time Jacobian, the two-call Hartley
+# normalization with its ``mean``/``norm`` and ``np.stack`` design, and the
+# elementwise Gram over column copies. The loops must give the same bytes.
+
+
+def per_column_e1_residual_jac(ref_feat, obs, rots, trans, x, y, rho):
+    """``_kernels.e1_residual_jac`` filled one Jacobian column at a time."""
+    obs = np.asarray(obs, dtype=np.float64)
+    rots = np.asarray(rots, dtype=np.float64)
+    trans = np.asarray(trans, dtype=np.float64)
+    m = len(obs)
+
+    g = np.array([x, y, 1.0])
+    rg = rots @ g
+    u = rho * rg + trans
+    w = u[:, 2]
+    min_depth = float(w.min()) if m else np.inf
+
+    r = np.empty(2 + 2 * m)
+    jac = np.zeros((2 + 2 * m, 3))
+    r[0] = ref_feat[0] - x
+    r[1] = ref_feat[1] - y
+    jac[0, 0] = -1.0
+    jac[1, 1] = -1.0
+    if m == 0:
+        return r, jac, min_depth
+
+    inv_w = 1.0 / w
+    ux_w2 = u[:, 0] * inv_w * inv_w
+    uy_w2 = u[:, 1] * inv_w * inv_w
+    r[2::2] = obs[:, 0] - u[:, 0] * inv_w
+    r[3::2] = obs[:, 1] - u[:, 1] * inv_w
+    for col, du in enumerate((rho * rots[:, :, 0], rho * rots[:, :, 1], rg)):
+        jac[2::2, col] = -(du[:, 0] * inv_w - ux_w2 * du[:, 2])
+        jac[3::2, col] = -(du[:, 1] * inv_w - uy_w2 * du[:, 2])
+    return r, jac, min_depth
+
+
+def mean_norm_hartley(points):
+    """``relpose._hartley_normalization`` through ``mean`` and
+    ``np.linalg.norm``, on one side's stack."""
+    centroid = points.mean(axis=-2)
+    spread = np.linalg.norm(points - centroid[..., None, :], axis=-1).mean(axis=-1)
+    coincident = spread < 1e-12
+    s = np.sqrt(2.0) / np.where(coincident, 1.0, spread)
+    t = np.zeros(points.shape[:-2] + (3, 3))
+    t[..., 0, 0] = s
+    t[..., 1, 1] = s
+    t[..., :2, 2] = -s[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    return t, coincident
+
+
+def two_call_eight_point_stack(query, anchor):
+    """``relpose._eight_point_stack`` with one normalization call per side
+    and the design built by ``np.stack``."""
+    t_a, coincident_a = mean_norm_hartley(query)
+    t_b, coincident_b = mean_norm_hartley(anchor)
+    qa = query * t_a[..., None, 0, 0, None] + t_a[..., None, :2, 2]
+    qb = anchor * t_b[..., None, 0, 0, None] + t_b[..., None, :2, 2]
+    ax, ay = qa[..., 0], qa[..., 1]
+    bx, by = qb[..., 0], qb[..., 1]
+    design = np.stack(
+        [ax * bx, ax * by, ax, ay * bx, ay * by, ay, bx, by, np.ones(ax.shape)], axis=-1
+    )
+    if design.shape[-2] == 8:
+        q, r = np.linalg.qr(np.swapaxes(design, -1, -2), mode="complete")
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        underdetermined = diag.min(axis=-1) < 1e-10 * np.maximum(diag.max(axis=-1), 1e-300)
+        null = q[..., -1]
+    else:
+        _, svals, vt = np.linalg.svd(design, full_matrices=False)
+        underdetermined = svals[..., 7] < 1e-10 * np.maximum(svals[..., 0], 1e-300)
+        null = vt[..., -1, :]
+    e_norm = null.reshape(null.shape[:-1] + (3, 3))
+    e = np.swapaxes(t_a, -1, -2) @ e_norm @ t_b
+    u, _, vt2 = np.linalg.svd(e)
+    status = np.where(coincident_a | coincident_b, 1, np.where(underdetermined, 2, 0))
+    return u @ np.diag([1.0, 1.0, 0.0]) @ vt2, status
+
+
+def elementwise_reference_views(dirs, starts):
+    """``refine._reference_views`` with every track's Gram summed
+    elementwise, over column copies of ``dirs``, in the same blocks."""
+    from mvloc.refine import GRAM_BLOCK_CELLS
+
+    counts = np.diff(starts)
+    refs = np.empty(len(counts), dtype=np.intp)
+    columns = np.ascontiguousarray(dirs.T)
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        v = counts[group[0]]
+        step = max(1, GRAM_BLOCK_CELLS // (v * v))
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            dx, dy, dz = columns[:, starts[block, None] + np.arange(v)]
+            gram = dx[:, :, None] * dx[:, None, :]
+            gram += dy[:, :, None] * dy[:, None, :]
+            gram += dz[:, :, None] * dz[:, None, :]
+            cells = gram.reshape(len(block), -1)
+            cells[:, ::v + 1] = np.inf
+            refs[block] = cells.argmin(axis=1) // v
+    return refs

@@ -821,6 +821,33 @@ class TestCli:
         with pytest.raises(ConfigurationError, match="epi_threshold_px"):
             PipelineConfig.from_dict({"epi_threshold": 1e-3, "epi_threshold_px": 0.8})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # cos(359 deg) = cos(1 deg): a 359 degree ray gate acted as 1 degree
+            {"theta_ray_deg": 359},
+            # cos(720 deg / 2) = 1: a 720 degree rotation gate passed nothing
+            {"theta_rot_deg": 720},
+            {"theta_ray_deg": 180.5},
+            {"theta_rot_deg": 181},
+        ],
+    )
+    def test_consensus_gates_past_180_degrees_exit_2(self, tmp_path, capsys, raw):
+        _, manifest = scene_dataset(tmp_path / "data")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        code = main(["localize", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert next(iter(raw)) in err and "(0, 180.0]" in err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigurationError, match=next(iter(raw))):
+            PipelineConfig(**raw)
+
+    def test_consensus_gates_accept_180_degrees(self):
+        PipelineConfig(theta_ray_deg=180, theta_rot_deg=180.0)
+
     def test_valid_config_values_accepted(self):
         PipelineConfig(top_k=np.int64(5), epi_threshold_px=1.6, theta_ray_deg=3, tau_reproj=0.5)
         PipelineConfig(min_matches=0)

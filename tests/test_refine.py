@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    elementwise_reference_views,
     loop_query_jacobian,
     e1_direct,
     grid_polish_minimum,
@@ -15,6 +16,7 @@ from conftest import (
     lm_triangulate_without_convergence_stop,
     per_track_arrays,
     per_track_refine_pose,
+    per_column_e1_residual_jac,
     per_track_triangulate,
     random_rotation,
     random_unit,
@@ -39,7 +41,7 @@ from mvloc import (
 )
 from mvloc import _kernels, refine
 from mvloc.errors import InitializationError, MvlocError
-from mvloc.geometry import rotvec_to_rotation, unit, unit_rows
+from mvloc.geometry import DEPTH_EPS, rotvec_to_rotation, unit, unit_rows
 from mvloc.refine import _query_jacobian, _query_residuals, _reference_views
 from mvloc.relpose import midpoint_triangulate
 
@@ -248,6 +250,11 @@ def select_reference(centers, point):
     return int(_reference_views(unit_rows(point - centers), np.array([0, len(centers)]))[0])
 
 
+def assert_same_references(dirs, starts):
+    expected = elementwise_reference_views(dirs, starts)
+    assert _reference_views(dirs, starts).tolist() == expected.tolist()
+
+
 def ordered_dot(a, b):
     """The 3-term dot summed as (a0 b0 + a1 b1) + a2 b2."""
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
@@ -338,6 +345,55 @@ class TestReferenceSelection:
         assert widest_pair_oracle(poses, np.zeros(3)) == expected
         assert select_reference(centers, np.zeros(3)) == expected
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_tracks=st.integers(1, 300),
+        views=st.sampled_from([(2, 6), (6, 6), (2, 40), (150, 150)]),
+        layout=st.sampled_from(["spread", "line", "repeated", "repeated within ulps"]),
+    )
+    def test_screened_references_match_the_elementwise_oracle(
+        self, seed, n_tracks, views, layout
+    ):
+        # whole stacks of tracks, near ties included: the BLAS screen and its
+        # elementwise recheck pick the elementwise Gram's references
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(views[0], views[1] + 1, n_tracks if views[1] < 150 else 3)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        if layout == "spread":
+            dirs = unit_rows(rng.normal(size=(starts[-1], 3)))
+        elif layout == "line":
+            # every direction on one line, up to the rounding of unit_rows
+            axis = rng.normal(size=3)
+            signs = rng.choice([-1.0, 1.0], (starts[-1], 1))
+            dirs = unit_rows(signs * rng.uniform(0.5, 2.0, (starts[-1], 1)) * axis)
+        else:
+            palette = unit_rows(rng.normal(size=(3, 3)))
+            dirs = palette[rng.integers(0, 3, starts[-1])]
+            if layout == "repeated within ulps":
+                dirs = dirs + dirs * rng.integers(-4, 5, dirs.shape) * np.finfo(float).eps
+        assert_same_references(dirs, starts)
+
+    def test_only_near_ties_are_rechecked(self, monkeypatch):
+        rechecked = []
+        recheck = refine._elementwise_references
+
+        def counted(d):
+            rechecked.append(len(d))
+            return recheck(d)
+
+        monkeypatch.setattr(refine, "_elementwise_references", counted)
+        rng = np.random.default_rng(4)
+        starts = np.arange(0, 6 * 200 + 1, 6)
+        spread = unit_rows(rng.normal(size=(starts[-1], 3)))
+        assert_same_references(spread, starts)
+        assert sum(rechecked) == 0
+        # two tracks whose two widest pairs tie exactly
+        looks = np.array([[1.0, 0, 0], [0, 1, 0], [0, -1, 0], [-1, 0, 0], [0, 0, 1], [0, 0, 1]])
+        tied = np.concatenate([looks, looks, spread[12:]])
+        assert_same_references(tied, starts)
+        assert sum(rechecked) == 2
+
     def test_point_on_anchor_center_is_degenerate(self):
         scene, poses, tracks = scene_tracks(seed=21, n_points=6, n_anchors=4)
         bad = tracks[0]
@@ -425,6 +481,33 @@ class TestE1Objective:
         assert r.shape == (2 + 2 * m,)
         assert jac.shape == (2 + 2 * m, 3)
         assert (min_depth == np.inf) == (m == 0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([0, 1, 5, 20, 150]),
+        depths=st.sampled_from(["positive", "near DEPTH_EPS", "negative or zero"]),
+    )
+    def test_kernel_matches_the_per_column_oracle(self, seed, m, depths):
+        # the one stacked Jacobian pass gives the per-column loop's bytes,
+        # also where a view's depth nears the gate or crosses zero
+        ref_feat, obs, rots, trans, x, y, rho = kernel_inputs(seed, m)
+        if depths != "positive":
+            rng = np.random.default_rng(seed)
+            views = rng.random(m) < 0.5
+            if depths == "near DEPTH_EPS":
+                target = DEPTH_EPS * (1.0 + rng.uniform(-1e-7, 1e-7, m))
+            else:
+                target = rng.choice([0.0, -0.0, -DEPTH_EPS, -3.0], m)
+            rg_z = (rots @ np.array([x, y, 1.0]))[:, 2]
+            trans[views, 2] = (target - rho * rg_z)[views]
+        args = (ref_feat, obs, rots, trans, x, y, rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r, jac, min_depth = _kernels.e1_residual_jac(*args)
+            expected_r, expected_jac, expected_depth = per_column_e1_residual_jac(*args)
+        assert r.tobytes() == expected_r.tobytes()
+        assert jac.tobytes() == expected_jac.tobytes()
+        assert np.float64(min_depth).tobytes() == np.float64(expected_depth).tobytes()
 
     def test_gradient_matches_central_differences(self, rng):
         h = 1e-6

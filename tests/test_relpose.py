@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    mean_norm_hartley,
     per_candidate_cheirality_select,
     per_matrix_decompose_essential,
     per_candidate_depth_signs,
@@ -18,6 +19,7 @@ from conftest import (
     sequential_essential,
     sequential_samples,
     sequential_squared_distance,
+    two_call_eight_point_stack,
 )
 
 from mvloc import (
@@ -107,6 +109,34 @@ class TestRansacConfig:
     def test_confidence_range(self):
         with pytest.raises(ValueError):
             RansacConfig(confidence=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # nan ran every iteration and then found no consensus; inf made
+            # every match an inlier
+            ("threshold", float("nan")),
+            ("threshold", float("inf")),
+            # a float budget broke the sampler, a budget below 1 ran nothing
+            ("max_iters", 2.5),
+            ("max_iters", 0),
+            ("max_iters", -3),
+            ("max_iters", True),
+            # fewer inliers than a refit needs
+            ("min_inliers", 0),
+            ("min_inliers", MIN_MATCHES - 1),
+            ("min_inliers", 8.0),
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RansacConfig(**{field: value})
+
+    def test_accepts_integral_bounds(self):
+        # exact matches: the one hypothesis a budget of 1 allows holds them all
+        config = RansacConfig(max_iters=np.int64(1), min_inliers=np.int64(MIN_MATCHES))
+        _, mask = estimate_essential(planted_matches(3, 40), config, seed=0)
+        assert mask.all()
 
 
 # -------------------------------------------------------------- estimation
@@ -249,6 +279,42 @@ def assert_matches_sequential(matches, config, seed):
 
 
 class TestBatchedHypotheses:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 68),
+        rows=st.sampled_from([MIN_MATCHES, MIN_MATCHES, 9, 23, 120]),
+        sets=st.sampled_from(["planted", "uniform", "coincident", "duplicate rows"]),
+    )
+    def test_stack_matches_the_two_call_normalization(self, seed, size, rows, sets):
+        # one normalization of both stacked sides and an in-place design give
+        # the bytes of a normalization call per side and an np.stack design
+        rng = np.random.default_rng(seed)
+        if sets == "uniform":
+            query, anchor = rng.uniform(-1.0, 1.0, (2, size, rows, 2)) * 10.0 ** rng.integers(-4, 3)
+        else:
+            matches = planted_matches(seed, max(rows, 40), 0.2, 1e-3)
+            picks = np.argsort(rng.random((size, len(matches))), axis=1)[:, :rows]
+            query, anchor = matches.query[picks], matches.anchor[picks]
+        chosen = rng.random(size) < 0.5
+        if sets == "coincident":
+            side = query if rng.random() < 0.5 else anchor
+            side[chosen] = side[chosen, :1]
+        elif sets == "duplicate rows":
+            query[chosen, 1], anchor[chosen, 1] = query[chosen, 0], anchor[chosen, 0]
+        e, status = relpose._eight_point_stack(query, anchor)
+        expected_e, expected_status = two_call_eight_point_stack(query, anchor)
+        assert e.tobytes() == expected_e.tobytes()
+        assert status.tolist() == expected_status.tolist()
+        if sets == "coincident":
+            assert (status[chosen] == 1).all()
+
+        transforms, coincident = relpose._hartley_normalization(np.stack([query, anchor]))
+        for side, t, flags in zip((query, anchor), transforms, coincident):
+            expected_t, expected_flags = mean_norm_hartley(side)
+            assert t.tobytes() == expected_t.tobytes()
+            assert flags.tolist() == expected_flags.tolist()
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
