@@ -7,18 +7,14 @@ Includes a synthetic-scene simulator and a file-driven pipeline CLI.
 """
 
 from .averaging import (
-    AnchorObservation,
     CenterSolution,
-    Ray,
+    ObservationStack,
     center_average,
-    chordal_l2_mean,
     govindu_rotation_average,
     govindu_translation_average,
-    locus_ray,
     markley_rotation_average,
-    ray_from_backward_direction,
 )
-from .consensus import AnchorConsensus, anchor_ransac, decoupled_pose, pair_hypothesis
+from .consensus import AnchorConsensus, anchor_ransac, decoupled_pose
 from .dataset import (
     Dataset,
     DatasetManifest,
@@ -30,7 +26,6 @@ from .dataset import (
 from .errors import (
     AmbiguousAverageError,
     AmbiguousCheiralityError,
-    BehindCameraError,
     ConfigurationError,
     DegenerateGeometryError,
     GenerationError,
@@ -46,10 +41,7 @@ from .geometry import (
     Pose,
     RelativePoseEstimate,
     geodesic_angle,
-    project,
     quat_to_rotation,
-    relative_from_poses,
-    rotation_to_quat,
 )
 from .pipeline import (
     PipelineConfig,
@@ -62,8 +54,6 @@ from .refine import (
     CorrespondenceTrack,
     LatentPoint,
     RefinementResult,
-    e1_gradient,
-    e1_objective,
     refine_pose,
     triangulate_track,
 )
@@ -71,16 +61,13 @@ from .relpose import (
     MatchSet,
     RansacConfig,
     cheirality_select,
-    decompose_essential,
     estimate_essential,
-    midpoint_triangulate,
 )
 from .simulate import (
     NoiseSpec,
     SceneConfig,
     SyntheticScene,
     generate_scene,
-    perturb_relative_pose,
     run_averaging_ablation,
     run_k_sweep,
     run_noise_study,

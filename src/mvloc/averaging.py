@@ -3,8 +3,9 @@
 The key structural fact: an anchor pose plus a scale-free relative pose
 constrains the query camera center to a ray (origin at the anchor center,
 direction independent of the relative rotation). Center estimation therefore
-decouples from rotation estimation. This module provides the ray conversion,
-the closed-form least-squares center from a bundle of rays, and three
+decouples from rotation estimation. This module provides the observation
+stack, which holds those rays and the chained rotations of all anchors at
+once, the closed-form least-squares center from a bundle of rays, and three
 rotation/translation averaging schemes used for comparison:
 
 * ``center_average``      -- closed-form nearest point to K rays,
@@ -17,17 +18,13 @@ rotation/translation averaging schemes used for comparison:
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable
 
 import numpy as np
 
 from .errors import AmbiguousAverageError, DegenerateGeometryError, InsufficientDataError
 from .geometry import (
-    Pose,
-    RelativePoseEstimate,
     camera_centers,
     canonicalize_quat,
-    nearest_rotation,
     quat_left_matrices,
     quat_to_rotation,
     rotations_to_quats,
@@ -50,31 +47,6 @@ AMBIGUITY_EIG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AnchorObservation:
-    """One anchor's evidence about the query: its own pose plus the
-    scale-free relative pose from anchor to query."""
-
-    anchor_id: Hashable
-    anchor_pose: Pose
-    rel: RelativePoseEstimate
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Half-line origin + unit direction in world coordinates."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
-        object.__setattr__(self, "direction", np.asarray(self.direction, dtype=np.float64))
-        n = np.linalg.norm(self.direction)
-        if not np.isclose(n, 1.0, atol=1e-9):
-            raise ValueError(f"ray direction must be unit, norm {n:.12f}")
-
-
-@dataclass(frozen=True)
 class CenterSolution:
     """Least-squares camera center with solution diagnostics."""
 
@@ -90,13 +62,18 @@ class ObservationStack:
     The inputs are the anchor ids, which must be distinct (ValueError
     otherwise), the anchor rotations (K, 3, 3) and translations (K, 3), and
     the relative rotations (K, 3, 3) and unit directions (K, 3), already
-    validated. What the consensus and the
-    stage-1 averages read is built from them for all rows at once, on first
-    use: the anchor centers (the locus-ray origins), the locus-ray
-    directions, the chained rotations and their quaternions. Each row takes
-    the arithmetic of the one-observation functions (:func:`locus_ray`,
-    :func:`chained_rotation`, ``rotation_to_quat``), so it is the same in
-    any stack, and :meth:`take` keeps the rows already built.
+    validated. What the consensus and the stage-1 averages read is built
+    from them for all rows at once, on first use: the anchor centers (the
+    locus-ray origins), the locus-ray directions, the chained rotations and
+    their quaternions. Every product is a stacked (3, 3) or (3, 1) one, the
+    BLAS call of the same product on one row, so a row is the same in any
+    stack, and :meth:`take` keeps the rows already built.
+
+    The query center lies on the locus ray ``c_k + lam R_k^T t_kq``, lam >=
+    0, where t_kq is the reversed relative direction. Only the anchor pose
+    and the direction enter; the relative rotation appears solely through
+    that fixed reversal, so a ray is bit-identical under any rotation that
+    gives the same t_kq.
     """
 
     def __init__(self, anchor_ids, anchor_rotations, anchor_translations, rel_rotations,
@@ -111,21 +88,6 @@ class ObservationStack:
         self.anchor_translations = anchor_translations
         self.rel_rotations = rel_rotations
         self.rel_directions = rel_directions
-
-    @classmethod
-    def of(cls, observations):
-        """The stack of a sequence of AnchorObservations, in their order; a
-        stack is returned as it is."""
-        if isinstance(observations, cls):
-            return observations
-        observations = list(observations)
-        return cls(
-            [o.anchor_id for o in observations],
-            np.array([o.anchor_pose.rotation for o in observations]).reshape(-1, 3, 3),
-            np.array([o.anchor_pose.translation for o in observations]).reshape(-1, 3),
-            np.array([o.rel.rotation for o in observations]).reshape(-1, 3, 3),
-            np.array([o.rel.direction for o in observations]).reshape(-1, 3),
-        )
 
     def __len__(self):
         return len(self.anchor_ids)
@@ -148,7 +110,7 @@ class ObservationStack:
     def ray_directions(self):
         """Unit locus-ray directions R_k^T t_kq, with t_kq = -R_qk^T t_qk."""
         t_kq = -(np.swapaxes(self.rel_rotations, 1, 2) @ self.rel_directions[:, :, None])
-        return _ray_directions(self.anchor_rotations, t_kq)
+        return unit_rows((np.swapaxes(self.anchor_rotations, 1, 2) @ t_kq)[:, :, 0])
 
     @cached_property
     def chained_rotations(self):
@@ -161,63 +123,22 @@ class ObservationStack:
         return rotations_to_quats(self.chained_rotations)
 
 
-def _ray_directions(anchor_rotations, t_kq):
-    """Unit rows of R_k^T t_kq for (K, 3, 1) columns t_kq."""
-    return unit_rows((np.swapaxes(anchor_rotations, 1, 2) @ t_kq)[:, :, 0])
-
-
 def _ordered_sum(terms):
     """Sum of ``terms`` along axis 0 in index order from 0.0, bit for bit
     what a loop of ``+=`` gives; numpy's own sum may pair terms up."""
     return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
-def locus_ray(obs):
-    """Ray of possible query centers implied by one anchor observation, the
-    one-row case of ``ObservationStack``.
-
-    The query center lies on ``c_k + lam * R_k.T @ t_kq`` for lam >= 0, where
-    t_kq is the reversed relative direction. Only the anchor pose and the
-    direction enter; the relative rotation appears solely through that fixed
-    reversal.
-    """
-    stack = ObservationStack.of([obs])
-    return Ray(stack.centers[0], stack.ray_directions[0])
-
-
-def ray_from_backward_direction(anchor_pose, t_kq):
-    """Center ray from an anchor pose and a precomputed anchor-frame
-    direction t_kq (the anchor-to-query translation direction).
-
-    Splitting this out of :func:`locus_ray` keeps the center pathway free of
-    any dependence on the relative rotation: given the same t_kq input, the
-    ray is bit-identical no matter what rotation produced it.
-    """
-    rotation = anchor_pose.rotation[None]
-    t_kq = np.asarray(t_kq, dtype=np.float64).reshape(1, 3, 1)
-    return Ray(anchor_pose.center(), _ray_directions(rotation, t_kq)[0])
-
-
-def chained_rotation(obs):
-    """Per-anchor absolute rotation estimate R_qk @ R_k."""
-    return obs.rel.rotation @ obs.anchor_pose.rotation
-
-
-def center_average(rays):
-    """Closed-form least-squares point nearest to a bundle of rays: a
-    sequence of Rays, or the locus rays of an ObservationStack.
+def center_average(origins, dirs):
+    """Closed-form least-squares point nearest to a bundle of rays, given as
+    (K, 3) origins and unit directions (an ObservationStack's ``centers``
+    and ``ray_directions``).
 
     Minimizes ``sum_k || (I - d_k d_k^T)(c - o_k) ||^2`` by solving the 3x3
     normal system ``A c = b`` with ``A = sum (I - d_k d_k^T)``, summed in ray
     order. Raises DegenerateGeometryError when A's condition number exceeds
     CENTER_CONDITION_LIMIT (near-parallel ray bundle).
     """
-    if isinstance(rays, ObservationStack):
-        origins, dirs = rays.centers, rays.ray_directions
-    else:
-        rays = list(rays)
-        origins = np.array([ray.origin for ray in rays]).reshape(-1, 3)
-        dirs = np.array([ray.direction for ray in rays]).reshape(-1, 3)
     if len(origins) < 2:
         raise InsufficientDataError(f"center average needs >= 2 rays, got {len(origins)}")
     projectors = np.eye(3) - dirs[:, :, None] * dirs[:, None, :]
@@ -248,9 +169,9 @@ def scene_scale(centers):
     return float(spread) if spread > 1e-12 else 1.0
 
 
-def govindu_translation_average(observations):
-    """Metric query translation from stacked cross-product constraints, of a
-    sequence of AnchorObservations or an ObservationStack.
+def govindu_translation_average(stack):
+    """Metric query translation from stacked cross-product constraints, of
+    an ObservationStack.
 
     Each observation contributes ``[t_kq]_x (T_k - R_kq T_q) = 0``; the
     stacked 3K x 3 system is solved for T_q by least squares, then
@@ -262,7 +183,6 @@ def govindu_translation_average(observations):
     Unlike the ray formulation this couples in the relative rotations, which
     is exactly the coupling the decoupled center estimate avoids.
     """
-    stack = ObservationStack.of(observations)
     if len(stack) < 2:
         raise InsufficientDataError(
             f"translation average needs >= 2 observations, got {len(stack)}"
@@ -297,16 +217,15 @@ def govindu_translation_average(observations):
     return solution
 
 
-def govindu_rotation_average(observations):
-    """Query rotation from stacked quaternion constraints, of a sequence of
-    AnchorObservations or an ObservationStack.
+def govindu_rotation_average(stack):
+    """Query rotation from stacked quaternion constraints, of an
+    ObservationStack.
 
     Each observation gives ``L(q_kq) q_q = q_k`` with q_kq the quaternion of
     R_qk^T. Right-hand sides are sign-aligned (the double cover makes each
     equation's sign arbitrary), the 4K x 4 stack is solved by least squares
     and the result normalized to unit length.
     """
-    stack = ObservationStack.of(observations)
     if not len(stack):
         raise InsufficientDataError("rotation average needs >= 1 observation")
 
@@ -325,21 +244,16 @@ def govindu_rotation_average(observations):
     return quat_to_rotation(canonicalize_quat(q / n))
 
 
-def markley_rotation_average(rotations):
-    """Chordal-L2 mean rotation via the quaternion outer-product accumulator:
-    of a sequence of rotations, or of the chained rotations of an
-    ObservationStack.
+def markley_rotation_average(quats):
+    """Chordal-L2 mean rotation via the quaternion outer-product accumulator,
+    of the rotations whose unit quaternions are the rows of (K, 4)
+    ``quats`` (an ObservationStack's ``quats``, of its chained rotations).
 
     Accumulates ``M = sum q_k q_k^T`` in order (sign-free by construction)
-    and returns
-    the rotation of the dominant eigenvector. Raises AmbiguousAverageError
-    when the top two eigenvalues tie within AMBIGUITY_EIG_TOL, i.e. the
-    minimizer is not unique.
+    and returns the rotation of the dominant eigenvector. Raises
+    AmbiguousAverageError when the top two eigenvalues tie within
+    AMBIGUITY_EIG_TOL, i.e. the minimizer is not unique.
     """
-    if isinstance(rotations, ObservationStack):
-        quats = rotations.quats
-    else:
-        quats = rotations_to_quats(np.array(list(rotations), dtype=np.float64).reshape(-1, 3, 3))
     if not len(quats):
         raise InsufficientDataError("rotation average needs >= 1 rotation")
     m = _ordered_sum(quats[:, :, None] * quats[:, None, :])
@@ -350,19 +264,3 @@ def markley_rotation_average(rotations):
         )
     q = canonicalize_quat(eigvecs[:, -1])
     return quat_to_rotation(q)
-
-
-def chordal_l2_mean(rotations):
-    """Chordal-L2 mean rotation via orthogonal projection of the summed
-    matrices onto SO(3).
-
-    Same minimization problem as :func:`markley_rotation_average`, solved in
-    matrix space; the two must agree and tests hold them to that.
-    """
-    rotations = list(rotations)
-    if not rotations:
-        raise InsufficientDataError("rotation average needs >= 1 rotation")
-    total = np.zeros((3, 3))
-    for rot in rotations:
-        total += np.asarray(rot, dtype=np.float64)
-    return nearest_rotation(total)

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .averaging import (
-    ObservationStack,
-    center_average,
-    markley_rotation_average,
-)
-from .errors import DegenerateGeometryError, InsufficientDataError, NoConsensusError
+from .averaging import center_average, markley_rotation_average
+from .errors import InsufficientDataError, NoConsensusError
 from .geometry import Pose, quat_to_rotation
 
 # Every pair hypothesis is scored when there are at most this many pairs;
@@ -39,31 +35,9 @@ class AnchorConsensus:
     pair_ids: tuple
 
 
-def pair_hypothesis(obs_a, obs_b):
-    """Query pose determined by two anchor observations, as anchor_ransac
-    forms it for a pair.
-
-    Center: midpoint of the two center-locus rays (DegenerateGeometryError
-    when the rays are parallel within PARALLEL_RAY_EPS radians or the
-    anchors coincide). Rotation: normalized sum of the two chained-rotation
-    quaternions, their geodesic midpoint; two rotations 180 degrees apart
-    give one of the two midpoints rather than an error.
-    """
-    origins, dirs, quats = _observation_arrays([obs_a, obs_b])
-    valid, centers, hyp_q = _kernels.pair_hypotheses(origins, dirs, quats, np.array([[0, 1]]))
-    if not valid[0]:
-        raise DegenerateGeometryError("center-locus rays are parallel or share an origin")
-    return _hypothesis_pose(centers[0], hyp_q[0])
-
-
 def _hypothesis_pose(center, quat):
     rotation = quat_to_rotation(quat)
     return Pose(rotation, -rotation @ center)
-
-
-def _observation_arrays(observations):
-    stack = ObservationStack.of(observations)
-    return stack.centers, stack.ray_directions, stack.quats
 
 
 def _candidate_pairs(n, seed):
@@ -79,14 +53,15 @@ def _candidate_pairs(n, seed):
     return pairs[chosen]
 
 
-def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
-    """Largest set of mutually consistent anchor observations.
+def anchor_ransac(stack, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
+    """Largest set of mutually consistent anchor observations of an
+    ObservationStack.
 
     The observations are first put in anchor-id order: ids as strings, by
     length and then by character (``a2`` before ``a10``). Pairs, their
     orientation, the sample drawn with ``seed`` (only when there are more
     than MAX_HYPOTHESES pairs) and ties all follow that order, so the result
-    does not depend on the order of ``observations``. ``seed`` is a
+    does not depend on the order of the stack's rows. ``seed`` is a
     Generator or a seed; the default 0 makes repeated calls draw the same
     sample. The pair hypotheses are scored against all observations by
     ``_kernels.consensus_scores``, which stops at the first unanimous pair;
@@ -95,14 +70,14 @@ def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
     Raises NoConsensusError when no pair yields a valid hypothesis with both
     of its own members consistent.
     """
-    stack = ObservationStack.of(observations)
     if len(stack) < 2:
         raise InsufficientDataError(f"consensus needs >= 2 observations, got {len(stack)}")
     keys = [(len(str(aid)), str(aid)) for aid in stack.anchor_ids]
     order = sorted(range(len(stack)), key=keys.__getitem__)
     ids = [stack.anchor_ids[k] for k in order]
     # built on the whole stack, which keeps them for the rows taken later
-    origins, dirs, quats = (rows[order] for rows in _observation_arrays(stack))
+    arrays = (stack.centers, stack.ray_directions, stack.quats)
+    origins, dirs, quats = (rows[order] for rows in arrays)
     pairs = _candidate_pairs(len(ids), seed)
     cos_ray = np.cos(np.radians(theta_ray_deg))
     cos_half_rot = np.cos(np.radians(theta_rot_deg) / 2.0)
@@ -122,17 +97,16 @@ def anchor_ransac(observations, theta_ray_deg=5.0, theta_rot_deg=10.0, seed=0):
     )
 
 
-def decoupled_pose(observations):
-    """Query pose by decoupled averaging of an observation set.
+def decoupled_pose(stack):
+    """Query pose by decoupled averaging of an ObservationStack.
 
     Rotation: chordal mean of the chained rotations (never touches the
     translation directions). Center: closed-form least-squares point nearest
     the center-locus rays (never touches the relative rotations beyond the
     fixed direction reversal). Translation is reassembled as ``-R c``.
     """
-    stack = ObservationStack.of(observations)
     if len(stack) < 2:
         raise InsufficientDataError(f"decoupled pose needs >= 2 observations, got {len(stack)}")
-    rotation = markley_rotation_average(stack)
-    solution = center_average(stack)
+    rotation = markley_rotation_average(stack.quats)
+    solution = center_average(stack.centers, stack.ray_directions)
     return Pose(rotation, -rotation @ solution.center)

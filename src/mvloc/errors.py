@@ -14,10 +14,6 @@ class InvalidRotationError(MvlocError):
     """Matrix fails the orthonormality / determinant check for a rotation."""
 
 
-class BehindCameraError(MvlocError):
-    """Point has non-positive depth in a camera it must project into."""
-
-
 class DegenerateGeometryError(MvlocError):
     """Configuration carries no information (parallel rays, zero baseline,
     rank-deficient system)."""

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateGeometryError, InvalidRotationError
+from .errors import DegenerateGeometryError, InvalidRotationError
 
 # Depth below this is treated as "behind the camera" for projection.
 DEPTH_EPS = 1e-8
@@ -50,11 +50,6 @@ def skew_rows(v):
     k[:, 1, 0], k[:, 1, 2] = z, -x
     k[:, 2, 0], k[:, 2, 1] = -y, x
     return k
-
-
-def skew(v):
-    """Cross-product matrix [v]_x with [v]_x @ w == cross(v, w)."""
-    return skew_rows(np.reshape(v, (1, 3)))[0]
 
 
 def unit(v):
@@ -206,11 +201,6 @@ class Pose:
         """Camera center in world coordinates, -R.T @ T."""
         return -self.rotation.T @ self.translation
 
-    def apply(self, points):
-        """Map world points (3,) or (N, 3) into camera coordinates."""
-        points = np.asarray(points, dtype=np.float64)
-        return points @ self.rotation.T + self.translation
-
     def __repr__(self):
         return f"Pose(center={np.array2string(self.center(), precision=4)})"
 
@@ -269,30 +259,6 @@ def camera_centers(rotations, translations):
     translations, each bit-for-bit its ``Pose.center``: a stacked (3, 1)
     column product is the BLAS call of one matrix-vector product."""
     return -(np.swapaxes(rotations, 1, 2) @ translations[:, :, None])[:, :, 0]
-
-
-def project(pose, point):
-    """Pinhole projection of a world point into normalized image coordinates.
-
-    Raises BehindCameraError when the camera-frame depth is <= DEPTH_EPS.
-    """
-    cam = pose.rotation @ np.asarray(point, dtype=np.float64) + pose.translation
-    if cam[2] <= DEPTH_EPS:
-        raise BehindCameraError(f"point depth {cam[2]:.3e} <= {DEPTH_EPS}")
-    return cam[:2] / cam[2]
-
-
-def project_many(pose, points):
-    """Project (N, 3) world points, returning ((N, 2) features, (N,) depths).
-
-    Unlike :func:`project` this does not raise on non-positive depth; callers
-    inspect the returned depths. Behind-camera rows hold garbage coordinates.
-    """
-    cam = np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation
-    depths = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        feats = cam[:, :2] / depths[:, None]
-    return feats, depths
 
 
 def quat_to_rotation(q):
@@ -392,12 +358,6 @@ def poses_to_quats(poses):
     return quats
 
 
-def rotation_to_quat(mat):
-    """Scalar-first unit quaternion of a rotation matrix (canonicalized):
-    the one-row case of :func:`rotations_to_quats`."""
-    return rotations_to_quats(_as_float_array(mat, (3, 3), "rotation")[None])[0]
-
-
 def quat_left_matrices(p):
     """(K, 4, 4) matrices L(p_k) with L(p) @ q == p * q (Hamilton product)
     of the rows of a (K, 4) array.
@@ -470,15 +430,6 @@ def relative_poses(query, rotations, translations):
     return ensure_rotations(rel_rotations), unit_directions(directions)
 
 
-def relative_from_poses(query, anchor):
-    """Exact relative pose (R_qk, t_qk) between two absolute poses: the one
-    anchor case of :func:`relative_poses`."""
-    rotations, directions = relative_poses(
-        query, anchor.rotation[None], anchor.translation[None]
-    )
-    return RelativePoseEstimate._from_validated(rotations[0], directions[0])
-
-
 def ray_pair_midpoints(origins_a, dirs_a, origins_b, dirs_b):
     """Midpoints of the common perpendiculars of N ray pairs.
 
@@ -500,18 +451,3 @@ def ray_pair_midpoints(origins_a, dirs_a, origins_b, dirs_b):
     p1 = origins_a + t1[:, None] * dirs_a
     p2 = origins_b + t2[:, None] * dirs_b
     return 0.5 * (p1 + p2), degenerate
-
-
-def ray_pair_midpoint(origin_a, dir_a, origin_b, dir_b):
-    """Midpoint of the common perpendicular of two rays: the one-pair case
-    of :func:`ray_pair_midpoints`.
-
-    Directions must be unit. Raises DegenerateGeometryError when the rays
-    are parallel within PARALLEL_RAY_EPS radians or share an origin.
-    """
-    rays = (origin_a, dir_a, origin_b, dir_b)
-    rows = (np.asarray(v, dtype=np.float64).reshape(1, 3) for v in rays)
-    (midpoint,), (degenerate,) = ray_pair_midpoints(*rows)
-    if degenerate:
-        raise DegenerateGeometryError("rays are parallel or share an origin; midpoint undefined")
-    return midpoint

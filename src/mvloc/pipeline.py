@@ -155,16 +155,12 @@ def query_rng(seed, query_id):
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + _id_words(query_id)))
 
 
-def pair_rng(seed, query_id, anchor_id):
-    """Generator of one query-anchor pair's essential RANSAC, derived from
-    the run seed and both ids. Each id is hashed on its own, so two
-    different (query, anchor) pairs never share a stream."""
-    return _pair_rng([int(seed)] + _id_words(query_id), anchor_id)
-
-
 def _pair_rng(query_entropy, anchor_id):
-    """:func:`pair_rng` from ``[seed] + _id_words(query_id)``, which a query
-    hashes once for all its pairs."""
+    """Generator of one query-anchor pair's essential RANSAC, derived from
+    the run seed and both ids: ``query_entropy`` is ``[seed] +
+    _id_words(query_id)``, which a query hashes once for all its pairs.
+    Each id is hashed on its own, so two different (query, anchor) pairs
+    never share a stream."""
     return np.random.default_rng(np.random.SeedSequence(query_entropy + _id_words(anchor_id)))
 
 
@@ -210,16 +206,14 @@ def estimate_anchors(pairs):
     return stack, inlier_matches
 
 
-def solve_pose(observations, inlier_matches, anchor_poses, config, rng):
-    """``(consensus, stage1, refinement, status)`` of one query from its
-    per-anchor estimates, an ObservationStack or a sequence of
-    AnchorObservations: anchor consensus with ``config.theta_*``, decoupled
-    averaging over the consensus rows, tracks linking the agreeing anchors'
-    inlier matches (``inlier_matches``: anchor id -> MatchSet) by query
-    keypoint id, then refinement. A failed refinement gives ``None`` and a
-    ``stage1-only: <reason>`` status; a failed consensus or stage 1 raises
-    an MvlocError."""
-    stack = ObservationStack.of(observations)
+def solve_pose(stack, inlier_matches, anchor_poses, config, rng):
+    """``(consensus, stage1, refinement, status)`` of one query from the
+    ObservationStack of its per-anchor estimates: anchor consensus with
+    ``config.theta_*``, decoupled averaging over the consensus rows, tracks
+    linking the agreeing anchors' inlier matches (``inlier_matches``: anchor
+    id -> MatchSet) by query keypoint id, then refinement. A failed
+    refinement gives ``None`` and a ``stage1-only: <reason>`` status; a
+    failed consensus or stage 1 raises an MvlocError."""
     consensus = anchor_ransac(
         stack,
         theta_ray_deg=config.theta_ray_deg,
@@ -358,10 +352,13 @@ def localize_run(dataset, config=None):
     reason of an MvlocError (a malformed or inconsistent match file
     included) is its message; any other exception, such as a ValueError
     or LinAlgError, is recorded as ``<type>: <message>``. Errors in the
-    manifest, anchors, intrinsics and neighbors raise in ``load_dataset``.
+    manifest, anchors, intrinsics and neighbors raise in ``load_dataset``;
+    an ``epi_threshold_px`` that no pair could convert raises
+    ConfigurationError before any query runs.
     """
     if config is None:
         config = PipelineConfig()
+    _check_threshold(config, dataset.intrinsics)
     results = []
     failures = []
     for query_id in sorted(dataset.neighbors):
@@ -373,6 +370,22 @@ def localize_run(dataset, config=None):
             reason = f"{type(exc).__name__}: {exc}"
             failures.append(FailureRecord(query_id=query_id, reason=reason))
     return results, failures
+
+
+def _check_threshold(config, intrinsics):
+    """ConfigurationError unless ``config.epi_threshold_px`` converts to a
+    finite, positive RANSAC threshold at every pair focal. Every
+    ``pair_focal`` lies between the smallest and the largest (fx + fy) / 2
+    of ``intrinsics``, and the threshold falls as the focal grows, so those
+    two focals bound it."""
+    focals = [(intr.fx + intr.fy) / 2 for intr in intrinsics.values()]
+    for focal in (min(focals, default=1.0), max(focals, default=1.0)):
+        threshold = config.epi_threshold_px / focal
+        if not 0 < threshold < math.inf:
+            raise ConfigurationError(
+                f"epi_threshold_px {config.epi_threshold_px!r} at a focal of {focal!r} px gives "
+                f"the RANSAC threshold {threshold!r}, which must be finite and positive"
+            )
 
 
 def pose_error(pose, truth):

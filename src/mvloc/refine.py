@@ -27,7 +27,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
-    BehindCameraError,
     DegenerateGeometryError,
     InitializationError,
     InsufficientDataError,
@@ -450,40 +449,6 @@ def triangulate_track(track, anchor_poses, init=None):
     )
 
 
-def _e1_residuals(track, anchor_poses, gamma1, rho1, init):
-    """Residuals and Jacobian of the anchor energy at (gamma1, rho1), with
-    the reference view chosen as in :func:`triangulate_track`."""
-    if rho1 <= 0 or not np.isfinite(rho1):
-        raise ValueError(f"rho1 must be positive, got {rho1}")
-    _, _, ref_feat, obs, rots, trans, _ = _track_geometry(track, anchor_poses, init)
-    gamma1 = np.asarray(gamma1, dtype=np.float64)
-    r, jac, min_depth = _kernels.e1_residual_jac(
-        ref_feat, obs, rots, trans, gamma1[0], gamma1[1], rho1
-    )
-    if min_depth <= DEPTH_EPS:
-        raise BehindCameraError(f"candidate depth {min_depth:.3e} <= {DEPTH_EPS}")
-    return r, jac
-
-
-def e1_objective(track, anchor_poses, gamma1, rho1, init=None):
-    """Anchor reprojection energy at given reference-view parameters.
-
-    The reference view is chosen exactly as in :func:`triangulate_track`
-    (pass the same ``init`` to reproduce a solve's configuration; default is
-    the pairwise triangulation of the first two views). Raises
-    BehindCameraError when any candidate depth is non-positive.
-    """
-    r, _ = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
-    return float(r @ r)
-
-
-def e1_gradient(track, anchor_poses, gamma1, rho1, init=None):
-    """Gradient of the energy w.r.t. (x, y, rho); same conventions as
-    :func:`e1_objective`."""
-    r, jac = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
-    return 2.0 * (jac.T @ r)
-
-
 def _query_residuals(rotation, translation, points, feats):
     cam = points @ rotation.T + translation
     w = cam[:, 2]
@@ -519,7 +484,8 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     or with initial query reprojection error above ``tau_reproj`` are
     excluded; at least 3 usable points are required. Every track is
     triangulated from one stack of the query's track geometry, and the gate
-    projects all latent points at once, each as ``geometry.project`` does.
+    projects all latent points at once, each by its own (3, 1) column
+    product ``R X + T``.
     The pose is then optimized with ``_minimize`` over a right-multiplicative
     axis-angle and translation increment, with the converged stop of
     triangulation. The final energy never exceeds the initial one.
@@ -540,7 +506,7 @@ def refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
     points = np.array(points).reshape(-1, 3)
     feats = np.array(feats).reshape(-1, 2)
 
-    # the gate: a (3, 1) column product per point is project's own product
+    # the gate, on one (3, 1) column product per point
     cam = (init_pose.rotation @ points[:, :, None])[:, :, 0] + init_pose.translation
     with np.errstate(divide="ignore", invalid="ignore"):
         error = row_norms(feats - cam[:, :2] / cam[:, 2:])

@@ -24,7 +24,6 @@ from .geometry import (
     RelativePoseEstimate,
     ensure_rotations,
     ray_pair_midpoints,
-    skew,
     unit_rows,
 )
 
@@ -229,22 +228,6 @@ def _squared_epipolar_distance(e, a_rows, b_rows):
         return algebraic * algebraic * (1.0 / (q0 * q0 + q1 * q1) + 1.0 / (a0 * a0 + a1 * a1))
 
 
-def symmetric_epipolar_distance(e, query, anchor):
-    """Root-sum-square of the two point-to-epipolar-line distances, per match
-    (inf where an epipolar line vanishes).
-
-    ``e`` is one (3, 3) matrix, giving (n,) distances, or a (B, 3, 3) stack,
-    giving (B, n).
-    """
-    query = np.asarray(query, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        dist = np.sqrt(
-            _squared_epipolar_distance(e, _homogeneous_rows(query), _homogeneous_rows(anchor))
-        )
-    return np.where(np.isfinite(dist), dist, np.inf)
-
-
 def minimal_samples(rng, size, n):
     """(size, 8) row indices into n matches, each row a uniform 8-subset:
     the 8 smallest of n uniforms, from one (size, n) draw."""
@@ -365,18 +348,6 @@ def decompose_essentials(es):
     return rotations, unit_rows(np.ascontiguousarray(u[:, :, 2]))
 
 
-def decompose_essential(e):
-    """The four (R, t) candidates of an essential matrix, the one-matrix
-    case of :func:`decompose_essentials`.
-
-    Candidates are returned as RelativePoseEstimates in the order
-    (R1, +t), (R1, -t), (R2, +t), (R2, -t). The caller disambiguates by
-    cheirality.
-    """
-    rotations, directions = decompose_essentials(np.asarray(e, dtype=np.float64)[None])
-    return candidates_of(rotations[0], directions[0])
-
-
 def candidates_of(rotations, direction):
     """The four RelativePoseEstimates of one row of
     :func:`decompose_essentials`, sharing its arrays."""
@@ -449,23 +420,6 @@ def cheirality_select(candidates, matches):
     return candidates[best]
 
 
-def midpoint_triangulate(pose_a, pose_b, feat_a, feat_b):
-    """Two-view triangulation at the midpoint of the common perpendicular.
-
-    Features are normalized coordinates in their respective cameras. Raises
-    DegenerateGeometryError for a zero baseline or near-parallel rays. The
-    one-pair case of :func:`view_pair_midpoints`.
-    """
-    (midpoint,), (degenerate,) = view_pair_midpoints(
-        np.array([[pose_a.center()], [pose_b.center()]]),
-        np.array([[pose_a.rotation], [pose_b.rotation]]),
-        np.array([[feat_a], [feat_b]], dtype=np.float64),
-    )
-    if degenerate:
-        raise DegenerateGeometryError("rays are parallel or share an origin; midpoint undefined")
-    return midpoint
-
-
 def view_pair_midpoints(centers, rotations, feats):
     """Two-view midpoint starts of N view pairs, given as (2, N, 3) camera
     centers, (2, N, 3, 3) rotations and (2, N, 2) features with view a in
@@ -478,8 +432,3 @@ def view_pair_midpoints(centers, rotations, feats):
     dirs = unit_rows((np.swapaxes(rotations, 2, 3) @ rays[..., None]).reshape(-1, 3))
     dir_a, dir_b = dirs.reshape(2, -1, 3)
     return ray_pair_midpoints(centers[0], dir_a, centers[1], dir_b)
-
-
-def essential_from_relative(rel):
-    """E = [t]_x @ R for a relative pose (exact, for synthesis and tests)."""
-    return skew(rel.direction) @ rel.rotation

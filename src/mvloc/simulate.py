@@ -23,7 +23,6 @@ from numbers import Integral, Real
 import numpy as np
 
 from .averaging import (
-    AnchorObservation,
     ObservationStack,
     center_average,
     govindu_rotation_average,
@@ -34,7 +33,6 @@ from .consensus import decoupled_pose
 from .errors import ConfigurationError, GenerationError, MvlocError
 from .geometry import (
     Pose,
-    RelativePoseEstimate,
     camera_centers,
     ensure_rotations,
     geodesic_angle,
@@ -134,7 +132,7 @@ def _poses_at(centers, targets):
 def _project(points, rotations, translations):
     """Features (K, N, 2) and depths (K, N) of (N, 3) world points in K
     cameras, one stacked ``points @ R^T + T``; rows behind a camera hold
-    garbage features, as in :func:`project_many`."""
+    garbage features."""
     cam = points @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
     depths = cam[:, :, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -253,17 +251,10 @@ def _perturb(rotations, directions, noise, rng):
     return ensure_rotations(rotations), unit_directions(directions)
 
 
-def perturb_relative_pose(rel, noise, rng):
-    """Noisy copy of a relative pose: the one-pose case of the perturbation
-    in :func:`synthesize_observations`."""
-    rotations, directions = _perturb(rel.rotation[None], rel.direction[None], noise, rng)
-    return RelativePoseEstimate._from_validated(rotations[0], directions[0])
-
-
-def _synthesized_stack(scene, noise, rng, count=None):
+def synthesize_observations(scene, noise, rng, count=None):
     """ObservationStack of the first ``count`` anchors (default all), ids
-    0..K-1, with exact relative poses perturbed per ``noise``, all anchors
-    in one stacked pass."""
+    0..K-1, with exact relative poses perturbed per ``noise`` (see
+    :func:`_perturb`), all anchors in one stacked pass."""
     rotations, translations = _stack(scene.anchor_poses[:count])
     rel_rotations, rel_directions = _perturb(
         *relative_poses(scene.query_pose, rotations, translations), noise, rng
@@ -271,19 +262,6 @@ def _synthesized_stack(scene, noise, rng, count=None):
     return ObservationStack(
         range(len(rotations)), rotations, translations, rel_rotations, rel_directions
     )
-
-
-def synthesize_observations(scene, noise, rng, count=None):
-    """AnchorObservations for the first ``count`` anchors (default all),
-    with exact relative poses perturbed per ``noise``, all anchors in one
-    stacked pass."""
-    stack = _synthesized_stack(scene, noise, rng, count)
-    return [
-        AnchorObservation(k, pose, RelativePoseEstimate._from_validated(r, d))
-        for k, (pose, r, d) in enumerate(
-            zip(scene.anchor_poses, stack.rel_rotations, stack.rel_directions)
-        )
-    ]
 
 
 def noisy_features(scene, sigma, rng):
@@ -387,7 +365,7 @@ def run_noise_study(scene_config=None, noise_grid=(1.0, 2.0, 5.0, 10.0), trials=
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, gi, trial]))
             scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
-            stack = _synthesized_stack(scene, noise, rng)
+            stack = synthesize_observations(scene, noise, rng)
             c_true = scene.query_pose.center()
             r_true = scene.query_pose.rotation
             try:
@@ -455,12 +433,12 @@ def run_averaging_ablation(scene_config=None, noise=5.0, trials=500, seed=0):
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         scene = generate_scene(scene_config, seed=int(rng.integers(0, 2**31 - 1)))
-        stack = _synthesized_stack(scene, noise, rng)
+        stack = synthesize_observations(scene, noise, rng)
         c_true = scene.query_pose.center()
         try:
-            rotation = markley_rotation_average(stack)
+            rotation = markley_rotation_average(stack.quats)
             t_avg = govindu_translation_average(stack)
-            c_ray = center_average(stack).center
+            c_ray = center_average(stack.centers, stack.ray_directions).center
         except MvlocError:
             skipped += 1
             continue

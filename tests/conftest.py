@@ -9,8 +9,15 @@ import itertools
 import numpy as np
 import pytest
 
-from mvloc import Pose
-from mvloc.geometry import quat_to_rotation, rotation_to_quat
+from mvloc import ObservationStack, Pose
+from mvloc.geometry import (
+    DEPTH_EPS,
+    ensure_rotations,
+    nearest_rotation,
+    quat_to_rotation,
+    relative_poses,
+    unit_directions,
+)
 
 # Lines recorded by the acceptance tests; printed as a summary section so
 # each criterion shows one visible pass/fail line in the terminal output.
@@ -66,19 +73,61 @@ def random_pose(rng, spread=3.0):
     return Pose(r, -r @ center)
 
 
-def consistent_observations(rng, k, spread=3.0):
-    """k noiseless AnchorObservations of one random query pose."""
-    from mvloc import AnchorObservation, relative_from_poses
+# ------------------------------------------------------- observation stacks
 
+
+def observation_stack(anchor_ids, anchor_poses, rel_rotations, rel_directions):
+    """ObservationStack of anchor poses and relative poses, every relative
+    pose checked as a RelativePoseEstimate checks one."""
+    return ObservationStack(
+        anchor_ids,
+        np.array([pose.rotation for pose in anchor_poses]).reshape(-1, 3, 3),
+        np.array([pose.translation for pose in anchor_poses]).reshape(-1, 3),
+        ensure_rotations(np.array(rel_rotations, dtype=np.float64).reshape(-1, 3, 3)),
+        unit_directions(np.array(rel_directions, dtype=np.float64).reshape(-1, 3)),
+    )
+
+
+def with_relative(stack, rel_rotations, rel_directions, anchor_ids=None):
+    """``stack`` with its relative poses, and its ids when given, replaced;
+    the new relative poses are checked as :func:`observation_stack` does."""
+    return ObservationStack(
+        stack.anchor_ids if anchor_ids is None else anchor_ids,
+        stack.anchor_rotations,
+        stack.anchor_translations,
+        ensure_rotations(np.array(rel_rotations, dtype=np.float64).reshape(-1, 3, 3)),
+        unit_directions(np.array(rel_directions, dtype=np.float64).reshape(-1, 3)),
+    )
+
+
+def scrambled(stack, rng, pick):
+    """``stack`` with the relative pose of every row k for which ``pick(k)``
+    holds replaced by unrelated garbage, rows visited in order."""
+    rotations, directions = stack.rel_rotations.copy(), stack.rel_directions.copy()
+    for k in range(len(stack)):
+        if pick(k):
+            rotations[k], directions[k] = random_rotation(rng), random_unit(rng)
+    return with_relative(stack, rotations, directions)
+
+
+def consistent_observations(rng, k, spread=3.0):
+    """ObservationStack of k noiseless observations, ids a0, a1, ..., of
+    one random query pose, and that pose."""
     query = random_pose(rng, spread)
-    obs = []
-    for i in range(k):
+    anchors = []
+    for _ in range(k):
         anchor = random_pose(rng, spread)
         # guard against an anchor landing on the query center
         while np.linalg.norm(anchor.center() - query.center()) < 0.5:
             anchor = random_pose(rng, spread)
-        obs.append(AnchorObservation(f"a{i}", anchor, relative_from_poses(query, anchor)))
-    return obs, query
+        anchors.append(anchor)
+    rotations = np.array([anchor.rotation for anchor in anchors])
+    translations = np.array([anchor.translation for anchor in anchors])
+    stack = ObservationStack(
+        [f"a{i}" for i in range(k)], rotations, translations,
+        *relative_poses(query, rotations, translations),
+    )
+    return stack, query
 
 
 def proper_signed_permutations():
@@ -102,7 +151,7 @@ def stable_geodesic_deg(a, b):
     identity (trace rounding of order eps turns into sqrt(eps) angle), so
     sub-1e-6-degree comparisons go through the quaternion instead.
     """
-    q = rotation_to_quat(a.T @ b)
+    q = per_rotation_quat(a.T @ b)
     return np.rad2deg(2.0 * np.arctan2(np.linalg.norm(q[1:]), abs(q[0])))
 
 
@@ -206,6 +255,39 @@ def grid_polish_minimum(ref_feat, feats, rels, g_center, rho_center,
         hy *= 0.5
         hr *= 0.5
     return np.array([cx, cy]), cr, float(best)
+
+
+def _e1_residuals(track, anchor_poses, gamma1, rho1, init):
+    """Residuals and Jacobian of the anchor energy at (gamma1, rho1), with
+    the reference view chosen as in ``refine.triangulate_track``. Raises
+    ValueError when any candidate depth is <= DEPTH_EPS."""
+    from mvloc import _kernels
+    from mvloc.refine import _track_geometry
+
+    if rho1 <= 0 or not np.isfinite(rho1):
+        raise ValueError(f"rho1 must be positive, got {rho1}")
+    _, _, ref_feat, obs, rots, trans, _ = _track_geometry(track, anchor_poses, init)
+    gamma1 = np.asarray(gamma1, dtype=np.float64)
+    r, jac, min_depth = _kernels.e1_residual_jac(
+        ref_feat, obs, rots, trans, gamma1[0], gamma1[1], rho1
+    )
+    if min_depth <= DEPTH_EPS:
+        raise ValueError(f"candidate depth {min_depth:.3e} <= {DEPTH_EPS}")
+    return r, jac
+
+
+def e1_objective(track, anchor_poses, gamma1, rho1, init=None):
+    """Anchor reprojection energy of a track at given reference-view
+    parameters (pass the ``init`` of a solve to reproduce its reference
+    view; default is the pairwise triangulation of the first two views)."""
+    r, _ = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
+    return float(r @ r)
+
+
+def e1_gradient(track, anchor_poses, gamma1, rho1, init=None):
+    """Gradient of :func:`e1_objective` w.r.t. (x, y, rho)."""
+    r, jac = _e1_residuals(track, anchor_poses, gamma1, rho1, init)
+    return 2.0 * (jac.T @ r)
 
 
 # ------------------------------------------------ per-track geometry oracle
@@ -327,8 +409,7 @@ def per_track_gated_points(tracks, anchor_poses, init_pose, tau_reproj):
     """Latent points and query features of the tracks that triangulate with
     :func:`per_track_triangulate`, project in front of ``init_pose`` and
     reproject within ``tau_reproj``, gated one point at a time."""
-    from mvloc.errors import BehindCameraError, DegenerateGeometryError, InitializationError
-    from mvloc.geometry import project
+    from mvloc.errors import DegenerateGeometryError, InitializationError
 
     points, feats = [], []
     for track in tracks:
@@ -338,7 +419,7 @@ def per_track_gated_points(tracks, anchor_poses, init_pose, tau_reproj):
             continue
         try:
             predicted = project(init_pose, latent.world_point)
-        except BehindCameraError:
+        except ValueError:
             continue
         if np.linalg.norm(track.query_feature - predicted) > tau_reproj:
             continue
@@ -387,8 +468,6 @@ def per_track_refine_pose(tracks, anchor_poses, init_pose, tau_reproj=0.01):
 
 
 def loop_query_jacobian(rotation, points, cam, w):
-    from mvloc.geometry import skew
-
     n = len(points)
     jac = np.empty((2 * n, 6))
     inv_w = 1.0 / w
@@ -401,7 +480,7 @@ def loop_query_jacobian(rotation, points, cam, w):
                 [0.0, inv_w[k], -uy_w2[k]],
             ]
         )
-        jac[2 * k : 2 * k + 2, :3] = a @ rotation @ skew(points[k])
+        jac[2 * k : 2 * k + 2, :3] = a @ rotation @ one_vector_skew(points[k])
         jac[2 * k : 2 * k + 2, 3:] = -a
     return jac
 
@@ -554,15 +633,13 @@ def lm_query_without_convergence_stop(tracks, anchor_poses, init_pose, tau_repro
 
 
 def pair_loop_scene_valid(points, poses, radius):
-    from mvloc.geometry import project_many
-
     centers = np.array([p.center() for p in poses])
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if np.linalg.norm(centers[i] - centers[j]) < 1e-3 * radius:
                 return False
     for pose in poses:
-        feats, depths = project_many(pose, points)
+        feats, depths = one_pose_features(pose, points)
         if depths.min() <= 0.2 * radius or np.abs(feats).max() >= 10.0:
             return False
     return True
@@ -662,7 +739,7 @@ def per_anchor_generate_scene(config, seed):
 
 
 def one_pose_perturb(rel, noise, rng):
-    """``simulate.perturb_relative_pose`` with two 3-vector draws."""
+    """One row of ``simulate._perturb``, with two 3-vector draws."""
     from mvloc import RelativePoseEstimate
 
     w = rng.normal(0.0, np.radians(noise.sigma_rot_deg), 3)
@@ -678,23 +755,32 @@ def one_pose_perturb(rel, noise, rng):
 
 def per_anchor_observations(scene, noise, rng):
     """``simulate.synthesize_observations`` one anchor at a time."""
-    from mvloc import AnchorObservation
-
-    return [
-        AnchorObservation(k, pose, one_pose_perturb(one_pair_relative_pose(scene.query_pose, pose), noise, rng))
-        for k, pose in enumerate(scene.anchor_poses)
+    rels = [
+        one_pose_perturb(one_pair_relative_pose(scene.query_pose, pose), noise, rng)
+        for pose in scene.anchor_poses
     ]
+    return observation_stack(
+        range(len(rels)), scene.anchor_poses,
+        [rel.rotation for rel in rels], [rel.direction for rel in rels],
+    )
+
+
+def one_pose_features(pose, points):
+    """((N, 2) features, (N,) depths) of (N, 3) world points in one camera;
+    rows behind it hold garbage features."""
+    cam = np.asarray(points, dtype=np.float64) @ pose.rotation.T + pose.translation
+    depths = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cam[:, :2] / depths[:, None], depths
 
 
 def per_pose_noisy_features(scene, sigma, rng):
     """``simulate.noisy_features`` with one projection per camera."""
-    from mvloc.geometry import project_many
-
-    q_feats, q_depths = project_many(scene.query_pose, scene.points)
+    q_feats, q_depths = one_pose_features(scene.query_pose, scene.points)
     assert q_depths.min() > 0
     a_feats = np.empty((len(scene.anchor_poses), len(scene.points), 2))
     for k, pose in enumerate(scene.anchor_poses):
-        feats, depths = project_many(pose, scene.points)
+        feats, depths = one_pose_features(pose, scene.points)
         assert depths.min() > 0
         a_feats[k] = feats
     if sigma > 0:
@@ -703,7 +789,14 @@ def per_pose_noisy_features(scene, sigma, rng):
     return q_feats, a_feats
 
 
-def per_observation_translation_average(observations):
+def observation_rows(stack):
+    """(anchor rotation, anchor translation, relative rotation, relative
+    direction) of each row of an ObservationStack, one row at a time."""
+    return zip(stack.anchor_rotations, stack.anchor_translations, stack.rel_rotations,
+               stack.rel_directions)
+
+
+def per_observation_translation_average(stack):
     """``averaging.govindu_translation_average`` with one block and one
     residual norm per observation."""
     from mvloc.averaging import (
@@ -712,16 +805,16 @@ def per_observation_translation_average(observations):
         scene_scale,
     )
 
-    floor = 1e-6 * scene_scale([o.anchor_pose.center() for o in observations])
+    floor = 1e-6 * scene_scale([-r.T @ t for r, t, _, _ in observation_rows(stack)])
     blocks, rhs, rots_kq, t_anchor = [], [], [], []
-    for obs in observations:
-        r_kq = obs.rel.rotation.T
-        t_kq = -r_kq @ obs.rel.direction
+    for _, translation, rel_rotation, rel_direction in observation_rows(stack):
+        r_kq = rel_rotation.T
+        t_kq = -r_kq @ rel_direction
         cross = one_vector_skew(t_kq)
         blocks.append(cross @ r_kq)
-        rhs.append(cross @ obs.anchor_pose.translation)
+        rhs.append(cross @ translation)
         rots_kq.append(r_kq)
-        t_anchor.append(obs.anchor_pose.translation)
+        t_anchor.append(translation)
     a = np.vstack(blocks)
     b = np.concatenate(rhs)
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -746,38 +839,36 @@ def per_observation_translation_average(observations):
 # ``+=`` in input order. The stacked code must return the same bits.
 
 
-def per_observation_locus_ray(obs):
-    from mvloc.averaging import Ray
+def per_observation_locus_ray(rotation, translation, rel_rotation, rel_direction):
+    """(origin, unit direction) of one observation's locus ray."""
     from mvloc.geometry import unit
 
-    t_kq = -obs.rel.rotation.T @ obs.rel.direction
-    return Ray(obs.anchor_pose.center(), unit(obs.anchor_pose.rotation.T @ t_kq))
+    t_kq = -rel_rotation.T @ rel_direction
+    return -rotation.T @ translation, unit(rotation.T @ t_kq)
 
 
 def per_ray_center_average(rays):
-    """(center, condition, residual_rms) of the normal system summed ray by
-    ray."""
+    """(center, condition, residual_rms) of the normal system of (origin,
+    direction) rays, summed ray by ray."""
     a = np.zeros((3, 3))
     b = np.zeros(3)
     projectors = []
-    for ray in rays:
-        p = np.eye(3) - np.outer(ray.direction, ray.direction)
+    for origin, direction in rays:
+        p = np.eye(3) - np.outer(direction, direction)
         projectors.append(p)
         a += p
-        b += p @ ray.origin
+        b += p @ origin
     eigvals = np.linalg.eigvalsh(a)
     condition = np.inf if eigvals[0] <= 0 else eigvals[-1] / eigvals[0]
     center = np.linalg.solve(a, b)
     sq = 0.0
-    for ray, p in zip(rays, projectors):
-        r = p @ (center - ray.origin)
+    for (origin, _), p in zip(rays, projectors):
+        r = p @ (center - origin)
         sq += r @ r
     return center, float(condition), float(np.sqrt(sq / len(rays)))
 
 
 def per_rotation_markley(rotations):
-    from mvloc.geometry import quat_to_rotation
-
     m = np.zeros((4, 4))
     for rot in rotations:
         q = per_rotation_quat(rot)
@@ -786,14 +877,22 @@ def per_rotation_markley(rotations):
     return quat_to_rotation(per_quat_canonical(eigvecs[:, -1]))
 
 
-def per_observation_govindu_rotation(observations):
-    from mvloc.geometry import quat_to_rotation
+def chordal_l2_mean(rotations):
+    """Chordal-L2 mean rotation via orthogonal projection of the summed
+    matrices onto SO(3): the problem ``averaging.markley_rotation_average``
+    solves in quaternion space, solved in matrix space."""
+    total = np.zeros((3, 3))
+    for rot in rotations:
+        total += np.asarray(rot, dtype=np.float64)
+    return nearest_rotation(total)
 
+
+def per_observation_govindu_rotation(stack):
     blocks, rhs, reference = [], [], None
-    for obs in observations:
-        w, x, y, z = per_rotation_quat(obs.rel.rotation.T)
+    for rotation, _, rel_rotation, _ in observation_rows(stack):
+        w, x, y, z = per_rotation_quat(rel_rotation.T)
         left = np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
-        q_k = per_rotation_quat(obs.anchor_pose.rotation)
+        q_k = per_rotation_quat(rotation)
         candidate = left.T @ q_k
         if reference is None:
             reference = candidate
@@ -833,6 +932,17 @@ def invert_relative(rel):
     rotation = rel.rotation.T
     direction = -rel.rotation.T @ rel.direction
     return RelativePoseEstimate(rotation, direction)
+
+
+def project(pose, point):
+    """Pinhole projection of a world point into normalized image coordinates.
+
+    Raises ValueError when the camera-frame depth is <= DEPTH_EPS.
+    """
+    cam = pose.rotation @ np.asarray(point, dtype=np.float64) + pose.translation
+    if cam[2] <= DEPTH_EPS:
+        raise ValueError(f"point depth {cam[2]:.3e} <= {DEPTH_EPS}")
+    return cam[:2] / cam[2]
 
 
 def unproject(pose, feature, depth):
@@ -1228,18 +1338,18 @@ def line_by_line_parse_matches(path):
 # dict entry per query keypoint id, filled row by row.
 
 
-def dict_keypoint_tracks(inlier_obs, inlier_matches):
+def dict_keypoint_tracks(inlier_ids, inlier_matches):
     from mvloc.refine import CorrespondenceTrack
 
     track_views = {}
     track_query_feats = {}
-    for obs in inlier_obs:
-        matches = inlier_matches[obs.anchor_id]
+    for anchor_id in inlier_ids:
+        matches = inlier_matches[anchor_id]
         if matches.keypoint_ids is None:
             continue
         for row, kp_id in enumerate(matches.keypoint_ids):
             kp_id = int(kp_id)
-            track_views.setdefault(kp_id, []).append((obs.anchor_id, matches.anchor[row]))
+            track_views.setdefault(kp_id, []).append((anchor_id, matches.anchor[row]))
             track_query_feats.setdefault(kp_id, matches.query[row])
     return [
         CorrespondenceTrack(kp_id, track_query_feats[kp_id], tuple(views))

@@ -8,43 +8,45 @@ import time
 import numpy as np
 
 from conftest import (
+    chordal_l2_mean,
     consistent_observations,
     e1_direct,
+    e1_gradient,
+    e1_objective,
     grid_polish_minimum,
+    observation_rows,
+    observation_stack,
+    one_vector_skew,
+    per_rotation_quat,
     proper_signed_permutations,
     random_rotation,
     random_unit,
     record,
     reference_relative_poses,
+    scrambled,
     stable_geodesic_deg,
+    with_relative,
 )
 
 from mvloc import (
-    AnchorObservation,
     CorrespondenceTrack,
     MatchSet,
     RansacConfig,
-    RelativePoseEstimate,
     SceneConfig,
     anchor_ransac,
     center_average,
     cheirality_select,
-    chordal_l2_mean,
-    decompose_essential,
     decoupled_pose,
-    e1_gradient,
-    e1_objective,
     estimate_essential,
     generate_scene,
-    locus_ray,
     markley_rotation_average,
     quat_to_rotation,
     refine_pose,
-    relative_from_poses,
-    rotation_to_quat,
     triangulate_track,
 )
 from mvloc.cli import main as cli_main
+from mvloc.geometry import relative_poses, rotations_to_quats
+from mvloc.relpose import candidates_of, decompose_essentials
 from mvloc.simulate import export_scene_dataset, noisy_features, run_k_sweep, run_noise_study
 
 
@@ -91,15 +93,13 @@ def test_criterion_01_center_optimality():
         exact_dirs /= np.linalg.norm(exact_dirs, axis=1, keepdims=True)
 
         # zero-noise bundle must return the generating point
-        from mvloc.averaging import Ray
-
-        solution = center_average([Ray(o, d) for o, d in zip(origins, exact_dirs)])
+        solution = center_average(origins, exact_dirs)
         worst_recovery = max(worst_recovery, float(np.linalg.norm(solution.center - center)))
 
         # noisy bundle: the solution must not be beatable by nearby points
         noisy = exact_dirs + rng.normal(0.0, 0.01, (k, 3))
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        noisy_solution = center_average([Ray(o, d) for o, d in zip(origins, noisy)])
+        noisy_solution = center_average(origins, noisy)
         deltas = rng.normal(size=(200, 3))
         deltas = 1e-3 * deltas / np.linalg.norm(deltas, axis=1, keepdims=True)
         candidates = np.vstack([noisy_solution.center[None, :],
@@ -114,29 +114,25 @@ def test_criterion_01_center_optimality():
             f"zero-noise recovery <= {worst_recovery:.1e} m; {elapsed:.2f} s")
 
 
+def ray_center(stack):
+    return center_average(stack.centers, stack.ray_directions).center
+
+
 @criterion(2)
 def test_criterion_02_decoupling_invariants():
     rng = np.random.default_rng(20)
     observations, _ = consistent_observations(rng, 12)
     baseline = decoupled_pose(observations)
-    baseline_center = center_average([locus_ray(o) for o in observations]).center
-    backward = [-o.rel.rotation.T @ o.rel.direction for o in observations]
+    baseline_center = ray_center(observations)
+    backward = [-r.T @ d for r, d in zip(observations.rel_rotations, observations.rel_directions)]
 
     # rotation estimate: replacing every translation direction must not move
     # a single bit of the output
     for _ in range(100):
-        swapped = [
-            AnchorObservation(
-                o.anchor_id,
-                o.anchor_pose,
-                RelativePoseEstimate(o.rel.rotation, random_unit(rng)),
-            )
-            for o in observations
-        ]
-        assert any(
-            not np.array_equal(s.rel.direction, o.rel.direction)
-            for s, o in zip(swapped, observations)
+        swapped = with_relative(
+            observations, observations.rel_rotations, [random_unit(rng) for _ in backward]
         )
+        assert not np.array_equal(swapped.rel_directions, observations.rel_directions)
         np.testing.assert_array_equal(
             decoupled_pose(swapped).rotation, baseline.rotation
         )
@@ -144,37 +140,24 @@ def test_criterion_02_decoupling_invariants():
     # center estimate: replacing every relative rotation while holding the
     # anchor-frame direction fixed must not move a single bit either. Signed
     # permutation matrices transport that direction exactly, so the fixed
-    # input survives the rel's internal (rotation, direction) storage.
+    # input survives the stack's (rotation, direction) storage.
     perms = proper_signed_permutations()
     for _ in range(100):
-        swapped = []
-        for o, t_kq in zip(observations, backward):
-            p = perms[int(rng.integers(len(perms)))]
-            swapped.append(
-                AnchorObservation(
-                    o.anchor_id, o.anchor_pose, RelativePoseEstimate(p, -p @ t_kq)
-                )
-            )
-        assert any(
-            not np.array_equal(s.rel.rotation, o.rel.rotation)
-            for s, o in zip(swapped, observations)
+        rotations = [perms[int(rng.integers(len(perms)))] for _ in backward]
+        swapped = with_relative(
+            observations, rotations, [-p @ t_kq for p, t_kq in zip(rotations, backward)]
         )
-        swapped_center = center_average([locus_ray(o) for o in swapped]).center
-        np.testing.assert_array_equal(swapped_center, baseline_center)
+        assert not np.array_equal(swapped.rel_rotations, observations.rel_rotations)
+        np.testing.assert_array_equal(ray_center(swapped), baseline_center)
 
     # generic rotations can only transport the direction up to rounding, so
     # the interface-level invariance is checked at a float tolerance
     for _ in range(20):
-        swapped = []
-        for o, t_kq in zip(observations, backward):
-            rot = random_rotation(rng)
-            swapped.append(
-                AnchorObservation(
-                    o.anchor_id, o.anchor_pose, RelativePoseEstimate(rot, -rot @ t_kq)
-                )
-            )
-        center = center_average([locus_ray(o) for o in swapped]).center
-        np.testing.assert_allclose(center, baseline_center, atol=1e-9)
+        rotations = [random_rotation(rng) for _ in backward]
+        swapped = with_relative(
+            observations, rotations, [-r @ t_kq for r, t_kq in zip(rotations, backward)]
+        )
+        np.testing.assert_allclose(ray_center(swapped), baseline_center, atol=1e-9)
 
     return "rotation and center outputs bit-identical across 100 swaps each"
 
@@ -209,7 +192,7 @@ def test_criterion_04_rotation_mean_formulations():
     worst_gap = 0.0
     for _ in range(1000):
         rotations = [random_rotation(rng) for _ in range(int(rng.integers(3, 11)))]
-        eig = markley_rotation_average(rotations)
+        eig = markley_rotation_average(rotations_to_quats(np.array(rotations)))
         proj = chordal_l2_mean(rotations)
         worst_gap = max(worst_gap, stable_geodesic_deg(eig, proj))
     assert worst_gap < 1e-8, f"formulations disagree by {worst_gap:.3e} deg"
@@ -217,7 +200,8 @@ def test_criterion_04_rotation_mean_formulations():
     beaten = 0
     for _ in range(20):
         rotations = [random_rotation(rng) for _ in range(5)]
-        best = chordal_objective(markley_rotation_average(rotations), rotations)
+        mean = markley_rotation_average(rotations_to_quats(np.array(rotations)))
+        best = chordal_objective(mean, rotations)
         for _ in range(1000):
             q = rng.normal(size=4)
             value = chordal_objective(quat_to_rotation(q / np.linalg.norm(q)), rotations)
@@ -239,17 +223,18 @@ def test_criterion_05_triangulation_oracle():
         pose_map = {k: p for k, p in enumerate(scene.anchor_poses)}
         views = []
         for k, pose in pose_map.items():
-            local = pose.apply(point)
+            local = point @ pose.rotation.T + pose.translation
             feat = local[:2] / local[2] + rng.normal(0.0, 1e-3, 2)
             views.append((k, feat))
-        q_local = scene.query_pose.apply(point)
+        q_local = point @ scene.query_pose.rotation.T + scene.query_pose.translation
         track = CorrespondenceTrack(0, q_local[:2] / q_local[2], tuple(views))
 
         latent = triangulate_track(track, pose_map)
         ref_feat, feats, rels = reference_relative_poses(
             track, pose_map, latent.reference_view
         )
-        true_depth = float(pose_map[latent.reference_view].apply(point)[2])
+        ref_pose = pose_map[latent.reference_view]
+        true_depth = float((point @ ref_pose.rotation.T + ref_pose.translation)[2])
         _, _, oracle_value = grid_polish_minimum(
             ref_feat, feats, rels, g_center=ref_feat, rho_center=true_depth
         )
@@ -268,9 +253,9 @@ def test_criterion_05_triangulation_oracle():
         pose_map = {k: p for k, p in enumerate(scene.anchor_poses)}
         views = []
         for k, pose in pose_map.items():
-            local = pose.apply(point)
+            local = point @ pose.rotation.T + pose.translation
             views.append((k, local[:2] / local[2] + rng.normal(0.0, 1e-3, 2)))
-        q_local = scene.query_pose.apply(point)
+        q_local = point @ scene.query_pose.rotation.T + scene.query_pose.translation
         track = CorrespondenceTrack(0, q_local[:2] / q_local[2], tuple(views))
         latent = triangulate_track(track, pose_map)
         gamma = latent.ref_feature + rng.normal(0.0, 5e-4, 2)
@@ -308,19 +293,27 @@ def test_criterion_06_refinement_improves():
         q_feats, a_feats = noisy_features(scene, 1e-3, rng)
         kp_ids = np.arange(len(scene.points))
 
-        observations = []
+        rels = []
         masks = {}
         for k in range(8):
             matches = MatchSet(q_feats, a_feats[k], keypoint_ids=kp_ids)
             essential, mask = estimate_essential(matches, config=ransac, seed=rng)
-            rel = cheirality_select(decompose_essential(essential), matches.subset(mask))
-            observations.append(AnchorObservation(k, scene.anchor_poses[k], rel))
+            rotations, directions = decompose_essentials(essential[None])
+            rels.append(cheirality_select(
+                candidates_of(rotations[0], directions[0]), matches.subset(mask)
+            ))
             masks[k] = mask
+        observations = observation_stack(
+            range(8), scene.anchor_poses, [rel.rotation for rel in rels],
+            [rel.direction for rel in rels],
+        )
 
         consensus = anchor_ransac(observations, seed=rng)
-        inliers = [o for o in observations if o.anchor_id in consensus.inlier_ids]
+        inliers = observations.take(
+            [k for k, aid in enumerate(observations.anchor_ids) if aid in consensus.inlier_ids]
+        )
         stage1 = decoupled_pose(inliers)
-        inlier_ids = {o.anchor_id for o in inliers}
+        inlier_ids = set(inliers.anchor_ids)
 
         tracks = []
         for j in range(len(scene.points)):
@@ -358,24 +351,28 @@ def positive_depth_votes(candidate, feats_q, feats_a):
 
 @criterion(7)
 def test_criterion_07_cheirality():
-    from mvloc.relpose import essential_from_relative
-
     scenes = 200
     for s in range(scenes):
         scene = generate_scene(
             SceneConfig(n_points=30, n_anchors=2, layout="line"), seed=s
         )
-        rel = relative_from_poses(scene.query_pose, scene.anchor_poses[0])
+        anchor = scene.anchor_poses[0]
+        (rel_rotation,), (rel_direction,) = relative_poses(
+            scene.query_pose, anchor.rotation[None], anchor.translation[None]
+        )
         q_feats, a_feats = noisy_features(scene, 0.0, np.random.default_rng(0))
-        candidates = decompose_essential(essential_from_relative(rel))
+        rotations, directions = decompose_essentials(
+            (one_vector_skew(rel_direction) @ rel_rotation)[None]
+        )
+        candidates = candidates_of(rotations[0], directions[0])
         assert len(candidates) == 4
 
         counts = [positive_depth_votes(c, q_feats, a_feats[0]) for c in candidates]
         top = max(counts)
         assert counts.count(top) == 1, f"scene {s}: tied vote {counts}"
         winner = candidates[int(np.argmax(counts))]
-        assert np.abs(winner.rotation - rel.rotation).max() < 1e-6
-        assert np.abs(winner.direction - rel.direction).max() < 1e-6
+        assert np.abs(winner.rotation - rel_rotation).max() < 1e-6
+        assert np.abs(winner.direction - rel_direction).max() < 1e-6
 
         chosen = cheirality_select(candidates, MatchSet(q_feats, a_feats[0]))
         assert np.array_equal(chosen.rotation, winner.rotation)
@@ -385,14 +382,14 @@ def test_criterion_07_cheirality():
 
 def brute_force_consensus(observations, theta_ray_deg=5.0, theta_rot_deg=10.0):
     """Exhaustive-pair consensus, reimplemented from the geometry alone."""
-    origins = np.array([o.anchor_pose.center() for o in observations])
-    dirs = []
-    quats = []
-    for o in observations:
-        t_kq = -o.rel.rotation.T @ o.rel.direction
-        d = o.anchor_pose.rotation.T @ t_kq
+    origins, dirs, quats = [], [], []
+    for rotation, translation, rel_rotation, rel_direction in observation_rows(observations):
+        origins.append(-rotation.T @ translation)
+        t_kq = -rel_rotation.T @ rel_direction
+        d = rotation.T @ t_kq
         dirs.append(d / np.linalg.norm(d))
-        quats.append(rotation_to_quat(o.rel.rotation @ o.anchor_pose.rotation))
+        quats.append(per_rotation_quat(rel_rotation @ rotation))
+    origins = np.array(origins)
     dirs = np.array(dirs)
     quats = np.array(quats)
     cos_ray = np.cos(np.radians(theta_ray_deg))
@@ -407,8 +404,8 @@ def brute_force_consensus(observations, theta_ray_deg=5.0, theta_rot_deg=10.0):
         return ray_ok & rot_ok
 
     best = (-1, None)
-    for i in range(len(observations)):
-        for j in range(i + 1, len(observations)):
+    for i in range(len(origins)):
+        for j in range(i + 1, len(origins)):
             w = origins[i] - origins[j]
             b = dirs[i] @ dirs[j]
             denom = 1.0 - b * b
@@ -437,24 +434,13 @@ def test_criterion_08_outlier_rejection():
         rng = np.random.default_rng(800 + i)
         observations, _ = consistent_observations(rng, 20)
         outlier_idx = set(rng.choice(20, size=5, replace=False).tolist())
-        planted = []
-        for k, o in enumerate(observations):
-            if k in outlier_idx:
-                planted.append(
-                    AnchorObservation(
-                        o.anchor_id,
-                        o.anchor_pose,
-                        RelativePoseEstimate(random_rotation(rng), random_unit(rng)),
-                    )
-                )
-            else:
-                planted.append(o)
-        clean_ids = {o.anchor_id for k, o in enumerate(observations)
+        planted = scrambled(observations, rng, outlier_idx.__contains__)
+        clean_ids = {aid for k, aid in enumerate(observations.anchor_ids)
                      if k not in outlier_idx}
 
         consensus = anchor_ransac(planted)
         count, mask = brute_force_consensus(planted)
-        brute_ids = {planted[k].anchor_id for k in np.flatnonzero(mask)}
+        brute_ids = {planted.anchor_ids[k] for k in np.flatnonzero(mask)}
 
         assert consensus.inlier_ids == frozenset(clean_ids), f"instance {i}"
         assert brute_ids == clean_ids, f"instance {i}: brute force disagrees"

@@ -9,32 +9,32 @@ from hypothesis import strategies as st
 
 from conftest import (
     consistent_observations,
+    observation_stack,
     one_shot_consensus_scores,
     one_shot_hypotheses,
     one_shot_inlier_tests,
     one_shot_quaternion_dots,
     one_shot_ray_terms,
+    random_pose,
     random_rotation,
     random_unit,
+    scrambled,
     stable_geodesic_deg,
+    with_relative,
 )
 
 from mvloc import (
     AnchorConsensus,
-    AnchorObservation,
-    DegenerateGeometryError,
     InsufficientDataError,
     NoConsensusError,
+    ObservationStack,
     Pose,
-    RelativePoseEstimate,
     anchor_ransac,
     decoupled_pose,
     geodesic_angle,
-    pair_hypothesis,
 )
 from mvloc import _kernels, consensus
-from mvloc.averaging import chained_rotation, locus_ray
-from mvloc.geometry import quat_to_rotation, rotvec_to_rotation
+from mvloc.geometry import quat_to_rotation, relative_poses, rotvec_to_rotation
 
 X = np.array([1.0, 0.0, 0.0])
 
@@ -53,13 +53,23 @@ def half_angle_threshold_deg(target):
             hi = mid
 
 
-def scrambled(obs, rng):
-    """Replace an observation's relative pose with unrelated garbage."""
-    return AnchorObservation(
-        obs.anchor_id,
-        obs.anchor_pose,
-        RelativePoseEstimate(random_rotation(rng), random_unit(rng)),
+def joined(*stacks):
+    """One stack of the rows of ``stacks``, in order."""
+    arrays = ("anchor_rotations", "anchor_translations", "rel_rotations", "rel_directions")
+    return ObservationStack(
+        [aid for stack in stacks for aid in stack.anchor_ids],
+        *(np.concatenate([getattr(stack, name) for stack in stacks]) for name in arrays),
     )
+
+
+def pair_pose(stack):
+    """The query pose hypothesis of the first two rows of a stack, as
+    anchor_ransac forms it for a pair, or None when their rays are parallel
+    or share an origin."""
+    (valid,), centers, quats = _kernels.pair_hypotheses(
+        stack.centers, stack.ray_directions, stack.quats, np.array([[0, 1]])
+    )
+    return consensus._hypothesis_pose(centers[0], quats[0]) if valid else None
 
 
 # ------------------------------------------------------------ pair hypothesis
@@ -69,39 +79,31 @@ class TestPairHypothesis:
     def test_zero_noise_pair_recovers_pose(self, rng):
         for _ in range(10):
             obs, query = consistent_observations(rng, 2)
-            pose = pair_hypothesis(obs[0], obs[1])
+            pose = pair_pose(obs)
             np.testing.assert_allclose(pose.center(), query.center(), atol=1e-8)
             assert stable_geodesic_deg(pose.rotation, query.rotation) < 1e-6
 
     def test_intersecting_rays_hit_intersection(self, rng):
         obs, query = consistent_observations(rng, 2)
-        pose = pair_hypothesis(obs[0], obs[1])
+        pose = pair_pose(obs)
         np.testing.assert_allclose(pose.center(), query.center(), atol=1e-9)
 
     def test_rotation_noise_stays_bounded(self, rng):
         # two inputs each 2 degrees off cannot average further than 2 degrees
         for _ in range(20):
             obs, query = consistent_observations(rng, 2)
-            noisy = []
-            for o in obs:
-                axis = random_unit(rng)
-                wobble = rotvec_to_rotation(np.deg2rad(2.0) * axis)
-                noisy.append(
-                    AnchorObservation(
-                        o.anchor_id,
-                        o.anchor_pose,
-                        RelativePoseEstimate(wobble @ o.rel.rotation, o.rel.direction),
-                    )
-                )
-            pose = pair_hypothesis(noisy[0], noisy[1])
+            wobbled = [
+                rotvec_to_rotation(np.deg2rad(2.0) * random_unit(rng)) @ r
+                for r in obs.rel_rotations
+            ]
+            pose = pair_pose(with_relative(obs, wobbled, obs.rel_directions))
             assert geodesic_angle(pose.rotation, query.rotation) <= 2.0 + 1e-9
 
     def test_parallel_rays_rejected(self):
-        rel = RelativePoseEstimate(np.eye(3), -X)  # backward direction +x
-        a = AnchorObservation("a", Pose(np.eye(3), np.zeros(3)), rel)
-        b = AnchorObservation("b", Pose(np.eye(3), np.array([0.0, -1.0, 0.0])), rel)
-        with pytest.raises(DegenerateGeometryError):
-            pair_hypothesis(a, b)
+        # backward direction +x from both anchors
+        anchors = [Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.array([0.0, -1.0, 0.0]))]
+        stack = observation_stack(["a", "b"], anchors, [np.eye(3)] * 2, [-X] * 2)
+        assert pair_pose(stack) is None
 
 
 # ------------------------------------------------------------- anchor RANSAC
@@ -112,26 +114,24 @@ class TestAnchorRansac:
         obs, query = consistent_observations(rng, 20)
         consensus = anchor_ransac(obs)
         assert consensus.inlier_count == 20
-        assert consensus.inlier_ids == frozenset(o.anchor_id for o in obs)
+        assert consensus.inlier_ids == frozenset(obs.anchor_ids)
 
     def test_planted_outliers_are_excluded(self, rng):
         obs, query = consistent_observations(rng, 20)
         bad_ids = {"a3", "a7", "a11", "a15", "a19"}
-        mixed = [scrambled(o, rng) if o.anchor_id in bad_ids else o for o in obs]
+        mixed = scrambled(obs, rng, lambda k: obs.anchor_ids[k] in bad_ids)
         consensus = anchor_ransac(mixed, seed=0)
-        assert consensus.inlier_ids == frozenset(
-            o.anchor_id for o in obs if o.anchor_id not in bad_ids
-        )
+        assert consensus.inlier_ids == frozenset(obs.anchor_ids) - bad_ids
 
     def test_minimal_pair(self, rng):
         obs, _ = consistent_observations(rng, 2)
         consensus = anchor_ransac(obs)
         assert consensus.inlier_count == 2
-        expected = pair_hypothesis(obs[0], obs[1])
+        expected = pair_pose(obs)
         np.testing.assert_allclose(
             consensus.hypothesis_pose.center(), expected.center(), atol=1e-12
         )
-        assert consensus.pair_ids == (obs[0].anchor_id, obs[1].anchor_id)
+        assert consensus.pair_ids == obs.anchor_ids
 
     def test_single_observation_rejected(self, rng):
         obs, _ = consistent_observations(rng, 1)
@@ -142,20 +142,16 @@ class TestAnchorRansac:
         obs, _ = consistent_observations(rng, 2)
         # pull the two rotation estimates 120 degrees apart so neither
         # passes the 10 degree gate against their own average
-        twisted = AnchorObservation(
-            obs[1].anchor_id,
-            obs[1].anchor_pose,
-            RelativePoseEstimate(
-                rotvec_to_rotation(np.deg2rad(120.0) * X) @ obs[1].rel.rotation,
-                obs[1].rel.direction,
-            ),
+        twist = rotvec_to_rotation(np.deg2rad(120.0) * X)
+        twisted = with_relative(
+            obs, [obs.rel_rotations[0], twist @ obs.rel_rotations[1]], obs.rel_directions
         )
         with pytest.raises(NoConsensusError):
-            anchor_ransac([obs[0], twisted])
+            anchor_ransac(twisted)
 
     def test_exhaustive_mode_is_deterministic(self, rng):
         obs, _ = consistent_observations(rng, 12)
-        mixed = [scrambled(o, rng) if i in (2, 5) else o for i, o in enumerate(obs)]
+        mixed = scrambled(obs, rng, lambda k: k in (2, 5))
         a = anchor_ransac(mixed)
         b = anchor_ransac(mixed)
         assert a.inlier_ids == b.inlier_ids
@@ -167,8 +163,11 @@ class TestAnchorRansac:
         # the smallest anchor id wins whatever the order of the observations
         first, _ = consistent_observations(rng, 3)
         second, _ = consistent_observations(rng, 3)
-        second = [AnchorObservation(f"b{i}", o.anchor_pose, o.rel) for i, o in enumerate(second)]
-        for order in (first + second, second + first, (first + second)[::-1]):
+        second = with_relative(
+            second, second.rel_rotations, second.rel_directions, anchor_ids=["b0", "b1", "b2"]
+        )
+        both = joined(first, second)
+        for order in (both, joined(second, first), both.take(np.arange(6)[::-1])):
             winner = anchor_ransac(order)
             assert winner.inlier_ids == {"a0", "a1", "a2"}
             assert set(winner.pair_ids) == {"a0", "a1"}
@@ -187,14 +186,11 @@ class TestAnchorRansac:
     def test_consistent_addition_never_shrinks_consensus(self, rng):
         obs, query = consistent_observations(rng, 8)
         base = anchor_ransac(obs).inlier_count
-        from mvloc import relative_from_poses
-        from conftest import random_pose
-
         extra_anchor = random_pose(rng)
-        extra = AnchorObservation(
-            "extra", extra_anchor, relative_from_poses(query, extra_anchor)
-        )
-        grown = anchor_ransac(obs + [extra]).inlier_count
+        extra = observation_stack(["extra"], [extra_anchor], *relative_poses(
+            query, extra_anchor.rotation[None], extra_anchor.translation[None]
+        ))
+        grown = anchor_ransac(joined(obs, extra)).inlier_count
         assert grown >= base
 
     def test_winning_inliers_revalidate(self, rng):
@@ -202,17 +198,18 @@ class TestAnchorRansac:
         # winning hypothesis's center within 5 degrees and whose chained
         # rotation is within 10 degrees of its rotation
         obs, _ = consistent_observations(rng, 15)
-        mixed = [scrambled(o, rng) if i in (1, 6, 9) else o for i, o in enumerate(obs)]
+        mixed = scrambled(obs, rng, lambda k: k in (1, 6, 9))
         consensus = anchor_ransac(mixed, seed=2)
         pose = consensus.hypothesis_pose
         passing = set()
-        for o in mixed:
-            ray = locus_ray(o)
-            to_center = pose.center() - ray.origin
-            cos_angle = ray.direction @ to_center / np.linalg.norm(to_center)
+        for aid, origin, direction, chained in zip(
+            mixed.anchor_ids, mixed.centers, mixed.ray_directions, mixed.chained_rotations
+        ):
+            to_center = pose.center() - origin
+            cos_angle = direction @ to_center / np.linalg.norm(to_center)
             ray_deg = np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
-            if ray_deg <= 5.0 and geodesic_angle(chained_rotation(o), pose.rotation) <= 10.0:
-                passing.add(o.anchor_id)
+            if ray_deg <= 5.0 and geodesic_angle(chained, pose.rotation) <= 10.0:
+                passing.add(aid)
         assert consensus.inlier_ids == passing
         assert consensus.inlier_count == len(passing) == 12
 
@@ -226,7 +223,7 @@ class TestAnchorRansac:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             obs, _ = consistent_observations(rng, 6)
-            origins, dirs, quats = consensus._observation_arrays(obs)
+            origins, dirs, quats = obs.centers, obs.ray_directions, obs.quats
             _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
             dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))
             for value in rng.choice(dots.ravel(), size=15, replace=False):
@@ -248,7 +245,7 @@ class TestAnchorRansac:
                     )
                     assert winner.inlier_count == counts.max()
                     assert set(winner.pair_ids) <= winner.inlier_ids
-                    assert winner.inlier_ids == {obs[k].anchor_id for k in np.flatnonzero(ok[0])}
+                    assert winner.inlier_ids == {obs.anchor_ids[k] for k in np.flatnonzero(ok[0])}
         assert calls > 300
 
     @settings(max_examples=6, deadline=None, derandomize=True)
@@ -262,9 +259,9 @@ class TestAnchorRansac:
         # pairs' orientation and ties, follows anchor ids, not list order
         rng = np.random.default_rng(seed)
         obs, _ = consistent_observations(rng, k)
-        obs = [scrambled(o, rng) if rng.random() < outliers else o for o in obs]
+        obs = scrambled(obs, rng, lambda _: rng.random() < outliers)
         forward = anchor_ransac(obs, seed=3)
-        backward = anchor_ransac(obs[::-1], seed=3)
+        backward = anchor_ransac(obs.take(np.arange(k)[::-1]), seed=3)
         assert forward.inlier_ids == backward.inlier_ids
         assert forward.pair_ids == backward.pair_ids
         for a, b in ((forward.hypothesis_pose.rotation, backward.hypothesis_pose.rotation),
@@ -286,17 +283,18 @@ class TestAnchorRansac:
         obs, _ = consistent_observations(rng, k)
         if dissent == "one":
             i = int(rng.integers(k))
-            obs[i] = scrambled(obs[i], rng)
+            obs = scrambled(obs, rng, lambda m: m == i)
         elif dissent == "fifth":
-            obs = [scrambled(o, rng) if rng.random() < 0.2 else o for o in obs]
-        ordered = sorted(obs, key=lambda o: (len(o.anchor_id), o.anchor_id))
-        origins, dirs, quats = consensus._observation_arrays(ordered)
+            obs = scrambled(obs, rng, lambda _: rng.random() < 0.2)
+        ids = obs.anchor_ids
+        ordered = obs.take(sorted(range(k), key=lambda m: (len(ids[m]), ids[m])))
+        origins, dirs, quats = ordered.centers, ordered.ray_directions, ordered.quats
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(consensus, "MAX_HYPOTHESES", 2000)
             pairs = consensus._candidate_pairs(k, 5)
             cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
             scores = one_shot_consensus_scores(origins, dirs, quats, pairs, cos_ray, cos_rot)
-            rng.shuffle(obs)
+            obs = obs.take(rng.permutation(k))
             if scores.max() < 2:
                 with pytest.raises(NoConsensusError):
                     anchor_ransac(obs, seed=5)
@@ -310,17 +308,17 @@ class TestAnchorRansac:
         rotation = quat_to_rotation(hyp_q[0])
         i, j = pairs[best]
         assert winner == AnchorConsensus(
-            inlier_ids=frozenset(ordered[m].anchor_id for m in np.flatnonzero(ok[0])),
+            inlier_ids=frozenset(ordered.anchor_ids[m] for m in np.flatnonzero(ok[0])),
             hypothesis_pose=Pose(rotation, -rotation @ centers[0]),
             inlier_count=int(scores[best]),
-            pair_ids=(ordered[i].anchor_id, ordered[j].anchor_id),
+            pair_ids=(ordered.anchor_ids[i], ordered.anchor_ids[j]),
         )
 
     def test_default_seed_repeats_a_sampled_consensus(self):
         # 200 anchors: 19900 pairs, of which MAX_HYPOTHESES are sampled
         rng = np.random.default_rng(12)
         obs, _ = consistent_observations(rng, 200)
-        obs = [scrambled(o, rng) if rng.random() < 0.3 else o for o in obs]
+        obs = scrambled(obs, rng, lambda _: rng.random() < 0.3)
         runs = [anchor_ransac(obs) for _ in range(5)]
         assert len({run.pair_ids for run in runs}) == 1
         assert all(run == runs[0] for run in runs)
@@ -338,31 +336,19 @@ class TestDecoupledPose:
 
     def test_rotation_ignores_translation_directions(self, rng):
         obs, _ = consistent_observations(rng, 8)
-        swapped = [
-            AnchorObservation(
-                o.anchor_id,
-                o.anchor_pose,
-                RelativePoseEstimate(o.rel.rotation, random_unit(rng)),
-            )
-            for o in obs
-        ]
+        swapped = with_relative(obs, obs.rel_rotations, [random_unit(rng) for _ in range(8)])
         a = decoupled_pose(obs)
         b = decoupled_pose(swapped)
         np.testing.assert_array_equal(a.rotation, b.rotation)
 
     def test_center_ignores_relative_rotations(self, rng):
         obs, _ = consistent_observations(rng, 8)
-        replaced = []
-        for o in obs:
-            t_kq = -o.rel.rotation.T @ o.rel.direction
-            new_rot = random_rotation(rng)
-            replaced.append(
-                AnchorObservation(
-                    o.anchor_id,
-                    o.anchor_pose,
-                    RelativePoseEstimate(new_rot, -new_rot @ t_kq),
-                )
-            )
+        rotations, directions = [], []
+        for rel_rotation, rel_direction in zip(obs.rel_rotations, obs.rel_directions):
+            t_kq = -rel_rotation.T @ rel_direction
+            rotations.append(random_rotation(rng))
+            directions.append(-rotations[-1] @ t_kq)
+        replaced = with_relative(obs, rotations, directions)
         a = decoupled_pose(obs)
         b = decoupled_pose(replaced)
         np.testing.assert_allclose(b.center(), a.center(), atol=1e-9)
@@ -494,9 +480,9 @@ class TestBlockedScores:
         # on (and one ulp above) the dots of cells in blocks' last rows
         rng = np.random.default_rng(k)
         obs, _ = consistent_observations(rng, k)
-        obs = [scrambled(o, rng) if rng.random() < 0.2 else o for o in obs]
+        obs = scrambled(obs, rng, lambda _: rng.random() < 0.2)
         monkeypatch.setattr(consensus, "MAX_HYPOTHESES", 2000)
-        origins, dirs, quats = consensus._observation_arrays(obs)  # ids a0 < a1 < ...
+        origins, dirs, quats = obs.centers, obs.ray_directions, obs.quats  # ids a0 < a1 < ...
         pairs = consensus._candidate_pairs(k, 7)
         assert len(pairs) == 2000
         cos_ray, cos_rot = np.cos(np.radians(5.0)), np.cos(np.radians(10.0) / 2.0)
@@ -505,7 +491,7 @@ class TestBlockedScores:
         assert actual.tobytes() == expected.tobytes()
         winner = anchor_ransac(obs, seed=7)
         i, j = pairs[int(np.argmax(expected))]
-        assert winner.pair_ids == (obs[i].anchor_id, obs[j].anchor_id)
+        assert winner.pair_ids == (obs.anchor_ids[i], obs.anchor_ids[j])
 
         _, _, hyp_q = one_shot_hypotheses(origins, dirs, quats, pairs)
         dots = np.abs(one_shot_quaternion_dots(hyp_q, quats))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     compose_absolute,
     invert_relative,
+    one_pair_relative_pose,
     per_quat_canonical,
     per_rotation_quat,
     proper_signed_permutations,
@@ -20,23 +21,20 @@ from conftest import (
 )
 
 from mvloc import (
-    BehindCameraError,
     InvalidRotationError,
     Pose,
     RelativePoseEstimate,
     geodesic_angle,
-    project,
     quat_to_rotation,
-    relative_from_poses,
-    rotation_to_quat,
 )
+from mvloc.simulate import _project
 from mvloc.geometry import (
     DegenerateGeometryError,
     canonicalize_quat,
     canonicalize_quats,
     ensure_rotation,
     poses_to_quats,
-    ray_pair_midpoint,
+    ray_pair_midpoints,
     rotations_to_quats,
     rotvec_to_rotation,
     unit,
@@ -62,10 +60,6 @@ class TestPose:
                 np.zeros(3),
                 atol=1e-9,
             )
-
-    def test_apply_maps_center_to_origin(self, rng):
-        pose = random_pose(rng)
-        np.testing.assert_allclose(pose.apply(pose.center()), np.zeros(3), atol=1e-12)
 
     def test_values_are_immutable(self):
         pose = Pose(np.eye(3), np.zeros(3))
@@ -116,7 +110,7 @@ class TestComposeAbsolute:
         for _ in range(20):
             anchor = random_pose(rng)
             query = random_pose(rng)
-            rel = relative_from_poses(query, anchor)
+            rel = one_pair_relative_pose(query, anchor)
             scale = np.linalg.norm(
                 query.translation - rel.rotation @ anchor.translation
             )
@@ -151,8 +145,10 @@ class TestComposeAbsolute:
             scale = rng.uniform(0.1, 5.0)
             composed = compose_absolute(rel, scale, anchor)
             point = rng.uniform(-4.0, 4.0, size=3)
-            hop = rel.rotation @ anchor.apply(point) + scale * rel.direction
-            worst = max(worst, np.abs(composed.apply(point) - hop).max())
+            hop = rel.rotation @ (anchor.rotation @ point + anchor.translation)
+            hop += scale * rel.direction
+            direct = composed.rotation @ point + composed.translation
+            worst = max(worst, np.abs(direct - hop).max())
         assert worst < 1e-10
 
 
@@ -183,18 +179,25 @@ class TestInvertRelative:
 
 
 class TestProject:
+    """``simulate._project``, the stacked projection of the synthesis."""
+
+    @staticmethod
+    def identity_camera(point):
+        feats, depths = _project(np.array([point], dtype=float), np.eye(3)[None], np.zeros((1, 3)))
+        return feats[0, 0], depths[0, 0]
+
     def test_on_axis_point(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(project(pose, [0.0, 0.0, 5.0]), [0.0, 0.0])
+        feat, depth = self.identity_camera([0.0, 0.0, 5.0])
+        np.testing.assert_allclose(feat, [0.0, 0.0])
+        assert depth == 5.0
 
     def test_direct_division(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        np.testing.assert_allclose(project(pose, [1.0, 2.0, 2.0]), [0.5, 1.0])
+        feat, depth = self.identity_camera([1.0, 2.0, 2.0])
+        np.testing.assert_allclose(feat, [0.5, 1.0])
+        assert depth == 2.0
 
-    def test_behind_camera_raises(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        with pytest.raises(BehindCameraError):
-            project(pose, [0.0, 0.0, -1.0])
+    def test_behind_camera_has_negative_depth(self):
+        assert self.identity_camera([0.0, 0.0, -1.0])[1] == -1.0
 
     def test_unproject_reproduces_point(self):
         rng = np.random.default_rng(5)
@@ -204,9 +207,9 @@ class TestProject:
             depth = rng.uniform(0.5, 10.0)
             feat = rng.uniform(-0.8, 0.8, size=2)
             point = unproject(pose, feat, depth)
-            np.testing.assert_allclose(project(pose, point), feat, atol=1e-9)
-            cam = pose.apply(point)
-            np.testing.assert_allclose(cam[2], depth, atol=1e-9)
+            feats, depths = _project(point[None], pose.rotation[None], pose.translation[None])
+            np.testing.assert_allclose(feats[0, 0], feat, atol=1e-9)
+            np.testing.assert_allclose(depths[0, 0], depth, atol=1e-9)
 
 
 # -------------------------------------------------------------- quaternions
@@ -230,7 +233,7 @@ class TestQuaternions:
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             q = canonicalize_quat(q)
-            back = rotation_to_quat(quat_to_rotation(q))
+            back = rotations_to_quats(quat_to_rotation(q)[None])[0]
             worst = max(worst, np.abs(back - q).max())
         assert worst < 1e-12
 
@@ -301,7 +304,7 @@ class TestStackedQuaternions:
         stacked = rotations_to_quats(rotations)
         expected = np.array([per_rotation_quat(m) for m in rotations])
         assert stacked.tobytes() == expected.tobytes()
-        assert rotation_to_quat(rotations[0]).tobytes() == expected[0].tobytes()
+        assert rotations_to_quats(rotations[:1]).tobytes() == expected[:1].tobytes()
 
     def test_every_branch_is_taken_and_matches(self):
         rng = np.random.default_rng(17)
@@ -319,7 +322,7 @@ class TestStackedQuaternions:
         with pytest.raises(InvalidRotationError):
             rotations_to_quats(rotations)
         with pytest.raises(InvalidRotationError):
-            rotation_to_quat(rotations[1])
+            rotations_to_quats(rotations[1:])
 
     def test_canonical_rows(self):
         q = np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 2.0, -1.0], [-0.5, 0.5, 0.5, 0.5],
@@ -336,10 +339,9 @@ class TestStackedQuaternions:
         flipped = Pose.from_quaternion(-q, [1.0, 2.0, 3.0])
         assert flipped.quaternion().tobytes() == q.tobytes()
         built = Pose(pose.rotation, pose.translation)
-        assert built.quaternion().tobytes() == rotation_to_quat(pose.rotation).tobytes()
-        assert poses_to_quats([built, pose]).tobytes() == np.array(
-            [rotation_to_quat(pose.rotation), q]
-        ).tobytes()
+        converted = rotations_to_quats(pose.rotation[None])[0]
+        assert built.quaternion().tobytes() == converted.tobytes()
+        assert poses_to_quats([built, pose]).tobytes() == np.array([converted, q]).tobytes()
 
 
 class TestRotvec:
@@ -402,18 +404,25 @@ class TestGeodesicAngle:
 # --------------------------------------------------------------------- rays
 
 
+def one_ray_pair(origin_a, dir_a, origin_b, dir_b):
+    """(midpoint, degenerate) of one ray pair by ``ray_pair_midpoints``."""
+    (midpoint,), (degenerate,) = ray_pair_midpoints(
+        *(np.reshape(v, (1, 3)).astype(float) for v in (origin_a, dir_a, origin_b, dir_b))
+    )
+    return midpoint, degenerate
+
+
 class TestRayPairMidpoint:
     def test_orthogonal_skew_rays(self):
         # Rays x-axis from origin and y-axis from (0,1,1): the common
         # perpendicular runs along z between (0,0,0) and (0,1,1) feet
         # (0,0,0)->(0,0,0) and (0,1,1)->(0,0,1): midpoint (0,0,0.5).
-        mid = ray_pair_midpoint(np.zeros(3), X, np.array([0.0, 1.0, 1.0]), Y)
+        mid, degenerate = one_ray_pair(np.zeros(3), X, [0.0, 1.0, 1.0], Y)
         np.testing.assert_allclose(mid, [0.0, 0.0, 0.5], atol=1e-12)
+        assert not degenerate
 
     def test_shared_origin_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            ray_pair_midpoint(np.zeros(3), X, np.zeros(3), Y)
+        assert one_ray_pair(np.zeros(3), X, np.zeros(3), Y)[1]
 
     def test_parallel_rays_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            ray_pair_midpoint(np.zeros(3), X, np.array([0.0, 1.0, 0.0]), X)
+        assert one_ray_pair(np.zeros(3), X, [0.0, 1.0, 0.0], X)[1]

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     consistent_observations,
     dict_keypoint_tracks,
+    one_vector_skew,
     per_candidate_cheirality_select,
     per_matrix_decompose_essential,
     random_rotation,
@@ -40,14 +40,12 @@ from mvloc import (
     localize_run,
     score_run,
 )
-from mvloc import pipeline
-from mvloc.averaging import AnchorObservation
+from mvloc import pipeline, relpose
 from mvloc.cli import main
-from mvloc.dataset import Intrinsics, write_dataset
-from mvloc.geometry import RelativePoseEstimate, relative_from_poses, rotvec_to_rotation
+from mvloc.dataset import Intrinsics, write_dataset, write_intrinsics
+from mvloc.geometry import relative_poses, rotvec_to_rotation
 from mvloc.pipeline import estimate_anchors, read_results_csv, solve_pose, write_results_csv
-from mvloc.relpose import essential_from_relative, symmetric_epipolar_distance
-from mvloc.simulate import FOCAL_PX, export_scene_dataset, noisy_features
+from mvloc.simulate import FOCAL_PX, _stack, export_scene_dataset, noisy_features
 
 
 def scene_dataset(root, seed=42, sigma_feat=0.0, n_points=40, n_anchors=6,
@@ -263,13 +261,17 @@ class TestOrderFree:
             np.testing.assert_allclose(a.center(), b.center(), rtol=0, atol=1e-9)
 
     def test_pair_generators_are_distinct_and_seeded(self):
+        def pair_draws(seed, query_id, anchor_id):
+            rng = pipeline._pair_rng([seed] + pipeline._id_words(query_id), anchor_id)
+            return rng.integers(2**63, size=2).tolist()
+
         draws = {
-            key: pipeline.pair_rng(*key).integers(2**63, size=2).tolist()
+            key: pair_draws(*key)
             for key in [(0, "q", "a"), (0, "q", "b"), (0, "a", "q"), (1, "q", "a"),
                         (0, "qa", ""), (0, "", "qa")]
         }
         assert len({tuple(v) for v in draws.values()}) == len(draws)
-        assert pipeline.pair_rng(0, "q", "a").integers(2**63, size=2).tolist() == draws[(0, "q", "a")]
+        assert pair_draws(0, "q", "a") == draws[(0, "q", "a")]
         assert pipeline.query_rng(0, "q").integers(2**63, size=2).tolist() not in draws.values()
 
 
@@ -284,13 +286,14 @@ def kept_fraction(gate_px, focal, seed):
     threshold = PipelineConfig(epi_threshold_px=gate_px).ransac_config(
         pipeline.pair_focal(camera, camera)
     ).threshold
+    query_rows = relpose._homogeneous_rows(q_feats)
     kept = [
-        symmetric_epipolar_distance(
-            essential_from_relative(relative_from_poses(scene.query_pose, pose)),
-            q_feats,
-            a_feats[k],
-        ) < threshold
-        for k, pose in enumerate(scene.anchor_poses)
+        np.sqrt(relpose._squared_epipolar_distance(
+            one_vector_skew(direction) @ rotation, query_rows, relpose._homogeneous_rows(a_feats[k])
+        )) < threshold
+        for k, (rotation, direction) in enumerate(
+            zip(*relative_poses(scene.query_pose, *_stack(scene.anchor_poses)))
+        )
     ]
     return float(np.mean(kept))
 
@@ -478,9 +481,9 @@ class TestLocalizeRun:
 
 @st.composite
 def planted_estimates(draw):
-    """Per-anchor estimates of a noisy ``line`` scene, 1-3 of them paired
-    with a wrong anchor pose (a retrieval false positive), plus a
-    permutation of their order."""
+    """The estimate stack of a noisy ``line`` scene's anchors, 1-3 of them
+    paired with a wrong anchor pose (a retrieval false positive), with its
+    inlier matches and anchor poses, plus a permutation of its rows."""
     seed = draw(st.integers(0, 2**20))
     n_true = draw(st.integers(4, 8))
     n_wrong = draw(st.integers(1, 3))
@@ -503,17 +506,8 @@ def planted_estimates(draw):
         pairs.append((k, pose, matches, config.ransac_config(FOCAL_PX), rng))
     poses = {k: pose for k, pose, _, _, _ in pairs}
     stack, inlier_matches = estimate_anchors(pairs)
-    estimates = [
-        (
-            AnchorObservation(k, poses[k], RelativePoseEstimate(rotation, direction)),
-            inlier_matches[k],
-        )
-        for k, rotation, direction in zip(
-            stack.anchor_ids, stack.rel_rotations, stack.rel_directions
-        )
-    ]
-    order = draw(st.permutations(range(len(estimates))))
-    return estimates, order, wrong, config
+    order = draw(st.permutations(range(len(stack))))
+    return stack, inlier_matches, poses, order, wrong, config
 
 
 class TestEstimateAnchors:
@@ -572,18 +566,16 @@ class TestSolvePose:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(planted_estimates())
     def test_consensus_ignores_observation_order(self, case):
-        estimates, order, wrong, config = case
-        inlier_matches = {obs.anchor_id: inliers for obs, inliers in estimates}
-        anchor_poses = {obs.anchor_id: obs.anchor_pose for obs, _ in estimates}
+        stack, inlier_matches, anchor_poses, order, wrong, config = case
         solutions = [
             solve_pose(
-                [estimates[i][0] for i in indices],
+                stack.take(list(indices)),
                 inlier_matches,
                 anchor_poses,
                 config,
                 np.random.default_rng(0),
             )
-            for indices in (range(len(estimates)), order)
+            for indices in (range(len(stack)), order)
         ]
         (consensus_a, stage1_a, _, _), (consensus_b, stage1_b, _, _) = solutions
         assert consensus_a.inlier_ids == consensus_b.inlier_ids
@@ -606,12 +598,12 @@ class TestSolvePose:
         rng = np.random.default_rng(seed)
         observations, _ = consistent_observations(rng, k)
         inlier_matches = {}
-        for obs in observations:
+        for anchor_id in observations.anchor_ids:
             n = 0 if rng.random() < empty else int(rng.integers(0, min(rows, id_range) + 1))
             ids = rng.choice(id_range, size=n, replace=False)
             if rng.random() < without_ids:
                 ids = None
-            inlier_matches[obs.anchor_id] = MatchSet(
+            inlier_matches[anchor_id] = MatchSet(
                 rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), keypoint_ids=ids
             )
         handed = []
@@ -625,12 +617,14 @@ class TestSolvePose:
             consensus, _, refinement, status = solve_pose(
                 observations,
                 inlier_matches,
-                {o.anchor_id: o.anchor_pose for o in observations},
+                {aid: Pose(r, t) for aid, r, t in zip(observations.anchor_ids,
+                                                      observations.anchor_rotations,
+                                                      observations.anchor_translations)},
                 PipelineConfig(),
                 np.random.default_rng(0),
             )
         assert (refinement, status) == (None, "stage1-only: captured")
-        inlier_obs = [o for o in observations if o.anchor_id in consensus.inlier_ids]
+        inlier_ids = [aid for aid in observations.anchor_ids if aid in consensus.inlier_ids]
 
         def shown(tracks):
             return [
@@ -640,7 +634,7 @@ class TestSolvePose:
             ]
 
         (tracks,) = handed
-        assert shown(tracks) == shown(dict_keypoint_tracks(inlier_obs, inlier_matches))
+        assert shown(tracks) == shown(dict_keypoint_tracks(inlier_ids, inlier_matches))
 
 
 def test_a_set_repeating_a_keypoint_id_fails_as_the_row_by_row_tracks_do():
@@ -651,7 +645,7 @@ def test_a_set_repeating_a_keypoint_id_fails_as_the_row_by_row_tracks_do():
     with pytest.raises(ValueError) as stacked:
         pipeline._keypoint_tracks(list(linked.items()))
     with pytest.raises(ValueError) as row_by_row:
-        dict_keypoint_tracks([SimpleNamespace(anchor_id=aid) for aid in linked], linked)
+        dict_keypoint_tracks(list(linked), linked)
     assert str(stacked.value) == str(row_by_row.value) == "track 5 repeats an anchor id"
 
 
@@ -806,6 +800,30 @@ class TestCli:
                      "--output-dir", str(tmp_path / "out"), "--config", str(config)])
         assert code == 2
         assert next(iter(raw)) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gate, query_focal, anchor_focal, named", [
+        (5e-324, 800.0, 800.0, 800.0),  # a threshold of 0 at every pair
+        (1e308, 0.5, 0.5, 0.5),  # inf below 1 px
+        (5e-324, 0.5, 800.0, 800.0),  # 0 at the pair focal 20, yet positive at 0.5
+    ])
+    def test_unconvertible_pixel_gate_exits_2_naming_the_focal(
+        self, tmp_path, capsys, gate, query_focal, anchor_focal, named
+    ):
+        root = tmp_path / "data"
+        _, manifest = scene_dataset(root)
+        focals = {cam_id: anchor_focal for cam_id in load_dataset(manifest).intrinsics}
+        focals["query"] = query_focal
+        write_intrinsics(root / "intrinsics.txt", {
+            cam_id: Intrinsics(fx=f, fy=f, cx=320.0, cy=240.0) for cam_id, f in focals.items()
+        })
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epi_threshold_px": gate}))
+        code = main(["localize", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out"), "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epi_threshold_px" in err and f"focal of {named!r} px" in err
         assert not (tmp_path / "out").exists()
 
     def test_old_gate_key_exits_2_naming_the_pixel_key(self, tmp_path, capsys):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     mean_norm_hartley,
+    one_vector_skew,
     per_candidate_cheirality_select,
     per_matrix_decompose_essential,
     per_candidate_depth_signs,
+    project,
     random_rotation,
     random_unit,
     sequential_eight_point,
@@ -35,24 +37,19 @@ from mvloc import (
     RelativePoseEstimate,
     SceneConfig,
     cheirality_select,
-    decompose_essential,
     estimate_essential,
     generate_scene,
     geodesic_angle,
-    midpoint_triangulate,
-    project,
-    relative_from_poses,
 )
 from mvloc import relpose
-from mvloc.geometry import rotvec_to_rotation, skew
+from mvloc.geometry import relative_poses, rotvec_to_rotation
 from mvloc.relpose import (
     CHUNK_ROWS,
     MIN_MATCHES,
     candidates_of,
     decompose_essentials,
     eight_point,
-    essential_from_relative,
-    symmetric_epipolar_distance,
+    view_pair_midpoints,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -65,7 +62,10 @@ def two_view_matches(seed, n_points=100):
     """Exact correspondences between the query and the first anchor."""
     scene = generate_scene(SceneConfig(n_points=n_points, n_anchors=2), seed=seed)
     anchor = scene.anchor_poses[0]
-    rel = relative_from_poses(scene.query_pose, anchor)
+    (rotation,), (direction,) = relative_poses(
+        scene.query_pose, anchor.rotation[None], anchor.translation[None]
+    )
+    rel = RelativePoseEstimate(rotation, direction)
     q_feats = np.array([project(scene.query_pose, p) for p in scene.points])
     a_feats = np.array([project(anchor, p) for p in scene.points])
     return MatchSet(q_feats, a_feats, keypoint_ids=np.arange(n_points)), rel
@@ -73,6 +73,18 @@ def two_view_matches(seed, n_points=100):
 
 def normalized(e):
     return e / np.linalg.norm(e)
+
+
+def essential_of(rel):
+    """E = [t]_x R of a relative pose."""
+    return one_vector_skew(rel.direction) @ rel.rotation
+
+
+def decomposed(e):
+    """The four candidates of one essential matrix, by
+    ``decompose_essentials`` and ``candidates_of``."""
+    rotations, directions = decompose_essentials(np.asarray(e, dtype=np.float64)[None])
+    return candidates_of(rotations[0], directions[0])
 
 
 def essential_gap(e_est, e_true):
@@ -145,7 +157,7 @@ class TestRansacConfig:
 class TestEstimateEssential:
     def test_exact_matches_recover_essential(self):
         matches, rel = two_view_matches(seed=1)
-        e_true = essential_from_relative(rel)
+        e_true = essential_of(rel)
         e, mask = estimate_essential(matches, seed=0)
         assert essential_gap(e, e_true) < 1e-6
         assert mask.sum() == len(matches)
@@ -192,7 +204,7 @@ class TestEstimateEssential:
 
     def test_epipolar_identity_on_clean_matches(self):
         matches, rel = two_view_matches(seed=5)
-        e = normalized(essential_from_relative(rel))
+        e = normalized(essential_of(rel))
         hom_q = np.column_stack([matches.query, np.ones(len(matches))])
         hom_a = np.column_stack([matches.anchor, np.ones(len(matches))])
         residual = np.einsum("ij,jk,ik->i", hom_q, e, hom_a)
@@ -200,9 +212,11 @@ class TestEstimateEssential:
 
     def test_symmetric_distance_is_zero_on_clean_matches(self):
         matches, rel = two_view_matches(seed=6)
-        e = essential_from_relative(rel)
-        d = symmetric_epipolar_distance(e, matches.query, matches.anchor)
-        assert d.max() < 1e-10
+        e = essential_of(rel)
+        squared = relpose._squared_epipolar_distance(
+            e, relpose._homogeneous_rows(matches.query), relpose._homogeneous_rows(matches.anchor)
+        )
+        assert np.sqrt(squared).max() < 1e-10
 
 
 # ------------------------------------------------- batched hypothesis loop
@@ -341,10 +355,6 @@ class TestBatchedHypotheses:
             e = sequential_eight_point(q, a)
             squared = sequential_squared_distance(e, q, a)
             assert relpose._squared_epipolar_distance(e, a_rows, b_rows).tobytes() == squared.tobytes()
-            with np.errstate(invalid="ignore"):
-                root = np.sqrt(squared)
-            root[~np.isfinite(root)] = np.inf
-            assert symmetric_epipolar_distance(e, q, a).tobytes() == root.tobytes()
 
         samples = relpose.minimal_samples(np.random.default_rng(seed), batch, n)
         assert samples.tobytes() == sequential_samples(np.random.default_rng(seed), batch, n).tobytes()
@@ -535,8 +545,7 @@ class TestBatchedHypotheses:
 
 class TestDecomposeEssential:
     def test_constructed_case_contains_truth(self):
-        e = essential_from_relative(RelativePoseEstimate(np.eye(3), X))
-        candidates = decompose_essential(e)
+        candidates = decomposed(essential_of(RelativePoseEstimate(np.eye(3), X)))
         gaps = [
             geodesic_angle(c.rotation, np.eye(3)) + np.linalg.norm(c.direction - X)
             for c in candidates
@@ -545,20 +554,20 @@ class TestDecomposeEssential:
 
     def test_rotations_are_proper(self, rng):
         for _ in range(100):
-            e = skew(random_unit(rng)) @ random_rotation(rng)
-            for c in decompose_essential(e):
+            e = one_vector_skew(random_unit(rng)) @ random_rotation(rng)
+            for c in decomposed(e):
                 assert abs(np.linalg.det(c.rotation) - 1.0) < 1e-9
 
     def test_candidates_reproduce_essential(self, rng):
         for _ in range(50):
-            e = normalized(skew(random_unit(rng)) @ random_rotation(rng))
-            for c in decompose_essential(e):
-                rebuilt = skew(c.direction) @ c.rotation
+            e = normalized(one_vector_skew(random_unit(rng)) @ random_rotation(rng))
+            for c in decomposed(e):
+                rebuilt = essential_of(c)
                 assert essential_gap(rebuilt, e) < 1e-8
 
     def test_four_distinct_candidates(self, rng):
-        e = skew(random_unit(rng)) @ random_rotation(rng)
-        candidates = decompose_essential(e)
+        e = one_vector_skew(random_unit(rng)) @ random_rotation(rng)
+        candidates = decomposed(e)
         assert len(candidates) == 4
 
 
@@ -566,7 +575,7 @@ def essential_stack(seed, k, noise):
     """(k, 3, 3) essential matrices of random relative poses at random
     scales, some re-projected from a noisy fit as RANSAC leaves them."""
     rng = np.random.default_rng(seed)
-    es = np.array([skew(random_unit(rng)) @ random_rotation(rng) for _ in range(k)])
+    es = np.array([one_vector_skew(random_unit(rng)) @ random_rotation(rng) for _ in range(k)])
     es *= rng.uniform(0.1, 10.0, (k, 1, 1))
     if noise:
         u, _, vt = np.linalg.svd(es + rng.normal(scale=noise, size=es.shape))
@@ -591,7 +600,6 @@ class TestStackedDecomposition:
         for e, pair_rotations, direction in zip(es, rotations, directions):
             expected = self.shown(per_matrix_decompose_essential(e))
             assert self.shown(candidates_of(pair_rotations, direction)) == expected
-            assert self.shown(decompose_essential(e)) == expected
 
     @pytest.mark.parametrize("bad, message", [
         (np.zeros((3, 3)), "zero essential matrix"),
@@ -613,7 +621,7 @@ class TestStackedDecomposition:
 class TestCheiralitySelect:
     def test_scene_vote_matches_ground_truth(self):
         matches, rel = two_view_matches(seed=7)
-        candidates = decompose_essential(essential_from_relative(rel))
+        candidates = decomposed(essential_of(rel))
         chosen = cheirality_select(candidates, matches)
         assert geodesic_angle(chosen.rotation, rel.rotation) < 1e-6
         np.testing.assert_allclose(chosen.direction, rel.direction, atol=1e-6)
@@ -621,7 +629,7 @@ class TestCheiralitySelect:
     def test_round_trip_through_estimation(self):
         matches, rel = two_view_matches(seed=8)
         e, mask = estimate_essential(matches, seed=0)
-        chosen = cheirality_select(decompose_essential(e), matches.subset(mask))
+        chosen = cheirality_select(decomposed(e), matches.subset(mask))
         assert geodesic_angle(chosen.rotation, rel.rotation) < 1e-6
         np.testing.assert_allclose(chosen.direction, rel.direction, atol=1e-6)
 
@@ -629,7 +637,7 @@ class TestCheiralitySelect:
         # a point on the baseline projects to the epipole in both views, so
         # every candidate triangulation is parallel and no vote can be cast
         rel = RelativePoseEstimate(np.eye(3), X)
-        candidates = decompose_essential(essential_from_relative(rel))
+        candidates = decomposed(essential_of(rel))
         epipole = np.array([[1.0, 0.0]])
         match = MatchSet(epipole, epipole)
         with pytest.raises(
@@ -644,7 +652,7 @@ class TestCheiralitySelect:
         # corrupt 1% of the matches (2 of 200) with swapped partners
         a[[0, 1]] = a[[1, 0]]
         noisy = MatchSet(q, a)
-        candidates = decompose_essential(essential_from_relative(rel))
+        candidates = decomposed(essential_of(rel))
         chosen = cheirality_select(candidates, noisy)
         assert geodesic_angle(chosen.rotation, rel.rotation) < 1e-6
 
@@ -670,7 +678,7 @@ class TestCheiralitySelect:
         rel = RelativePoseEstimate(
             rotvec_to_rotation(rng.normal(scale=0.2, size=3)), random_unit(rng)
         )
-        candidates = decompose_essential(essential_from_relative(rel))
+        candidates = decomposed(essential_of(rel))
 
         def in_front(candidate, m):
             points = rng.uniform(-10.0, 10.0, (50 * m + 400, 3))
@@ -714,7 +722,7 @@ class TestCheiralitySelect:
         rel = RelativePoseEstimate(
             rotvec_to_rotation(rng.normal(scale=0.2, size=3)), random_unit(rng)
         )
-        candidates = decompose_essential(essential_from_relative(rel))
+        candidates = decomposed(essential_of(rel))
         points, in_anchor = [], []
         for candidate, m in zip(candidates, counts):
             drawn = rng.uniform(-10.0, 10.0, (50 * m + 400, 3))
@@ -740,14 +748,25 @@ class TestCheiralitySelect:
         assert outcome(cheirality_select) == outcome(per_candidate_cheirality_select)
 
     def test_empty_matches_rejected(self):
-        candidates = decompose_essential(
-            essential_from_relative(RelativePoseEstimate(np.eye(3), X))
-        )
+        candidates = decomposed(essential_of(RelativePoseEstimate(np.eye(3), X)))
         with pytest.raises(InsufficientDataError):
             cheirality_select(candidates, MatchSet(np.zeros((0, 2)), np.zeros((0, 2))))
 
 
 # ------------------------------------------------------------- triangulation
+
+
+def one_view_pair_midpoint(pose_a, pose_b, feat_a, feat_b):
+    """Two-view midpoint of one view pair by ``view_pair_midpoints``;
+    DegenerateGeometryError where that pair is degenerate."""
+    (midpoint,), (degenerate,) = view_pair_midpoints(
+        np.array([[pose_a.center()], [pose_b.center()]]),
+        np.array([[pose_a.rotation], [pose_b.rotation]]),
+        np.array([[feat_a], [feat_b]], dtype=np.float64),
+    )
+    if degenerate:
+        raise DegenerateGeometryError("rays are parallel or share an origin")
+    return midpoint
 
 
 class TestMidpointTriangulate:
@@ -757,7 +776,7 @@ class TestMidpointTriangulate:
         pose_b = Pose(np.eye(3), np.array([-1.0, 0.0, 0.0]))
         fa = project(pose_a, [0.0, 0.0, 4.0])
         fb = project(pose_b, [0.0, 0.0, 4.0])
-        point = midpoint_triangulate(pose_a, pose_b, fa, fb)
+        point = one_view_pair_midpoint(pose_a, pose_b, fa, fb)
         np.testing.assert_allclose(point, [0.0, 0.0, 4.0], atol=1e-10)
 
     def test_perturbed_feature_lands_on_analytic_midpoint(self):
@@ -765,7 +784,7 @@ class TestMidpointTriangulate:
         pose_b = Pose(np.eye(3), np.array([-1.0, 0.0, 0.0]))
         fa = project(pose_a, [0.0, 0.0, 4.0]) + np.array([1e-3, 0.0])
         fb = project(pose_b, [0.0, 0.0, 4.0])
-        point = midpoint_triangulate(pose_a, pose_b, fa, fb)
+        point = one_view_pair_midpoint(pose_a, pose_b, fa, fb)
 
         # closed-form closest points of the two viewing rays
         oa, ob = pose_a.center(), pose_b.center()
@@ -784,4 +803,4 @@ class TestMidpointTriangulate:
     def test_identical_centers_degenerate(self):
         pose = Pose(np.eye(3), np.zeros(3))
         with pytest.raises(DegenerateGeometryError):
-            midpoint_triangulate(pose, pose, np.zeros(2), np.zeros(2))
+            one_view_pair_midpoint(pose, pose, np.zeros(2), np.zeros(2))
